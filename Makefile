@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-all simcheck simlint soak crashtest lint check figures figures-full examples clean
+.PHONY: all build test race cover bench bench-all benchmark-smoke simcheck simlint soak crashtest lint check figures figures-full examples clean
 
 all: build test
 
@@ -63,8 +63,8 @@ lint: simlint
 	fi
 
 # Everything a PR must pass: vet, lint, tests, race tests, differential
-# matrix, crash-recovery sweep.
-check: build lint test race simcheck crashtest
+# matrix, crash-recovery sweep, benchmark smoke test.
+check: build lint test race simcheck crashtest benchmark-smoke
 
 cover:
 	$(GO) test ./internal/... -cover
@@ -102,6 +102,15 @@ bench:
 	      -check 'QueueLadderVsSplay/n=1000000:speedup>=1.0' \
 	      -out BENCH_PR10.json
 	@echo wrote BENCH_PR10.json
+
+# The performance reference under benchmark/ is a module of its own, which
+# `go build ./... && go test ./...` never compiles. Its smoke test drives all
+# four workloads at toy scale against the sequential oracle (<5 s), so a
+# change to the public surface it wraps (routing.Policy, routing.Ctx,
+# traffic.Pattern, core.Recycler, ...) fails here. `bash benchmark/run.sh` is
+# the measurement; see benchmark/README.md.
+benchmark-smoke:
+	cd benchmark && $(GO) test ./...
 
 # Every benchmark in every package, human-readable.
 bench-all:

@@ -48,7 +48,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		pes        = flag.Int("pes", 0, "processing elements (0 = GOMAXPROCS)")
 		kps        = flag.Int("kps", 64, "kernel processes (the report's model uses 64)")
-		queue      = flag.String("queue", "heap", "pending queue: "+strings.Join(eventq.Kinds(), ", "))
+		queue      = flag.String("queue", core.DefaultQueue, "pending queue: "+strings.Join(eventq.Kinds(), ", "))
 		gvtMode    = flag.String("gvt", "", "GVT algorithm: async (circulating token, the default) or barrier")
 		maxOpt     = flag.Float64("max-optimism", 0, "bound speculation to this many steps beyond GVT (0 = unlimited)")
 		adaptive   = flag.Bool("adaptive", false, "adapt each PE's optimism window to its rollback efficiency")

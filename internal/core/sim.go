@@ -14,6 +14,10 @@ import (
 	"repro/internal/topology"
 )
 
+// DefaultQueue is the pending-queue kind an empty Config.Queue selects, on
+// every engine; the CLIs default their -queue flag to it.
+const DefaultQueue = "ladder"
+
 // Config parameterises a simulation run.
 type Config struct {
 	// NumLPs is the number of logical processes; required.
@@ -53,7 +57,7 @@ type Config struct {
 	AdaptiveOptimism bool
 	// Queue selects the pending-queue implementation; any kind registered
 	// in eventq is accepted ("heap", "ladder", "splay"), and an empty
-	// value selects "ladder" — the calendar-family structure with
+	// value selects DefaultQueue — the calendar-family structure with
 	// amortised O(1) Push/Pop on the PDES access pattern, zero
 	// steady-state allocation, and a bulk below-bound drain fast path
 	// (roughly 3x splay's kernel event rate; see DESIGN.md, "Event
@@ -192,7 +196,7 @@ func (cfg *Config) setDefaults() error {
 		}
 	}
 	if cfg.Queue == "" {
-		cfg.Queue = "ladder"
+		cfg.Queue = DefaultQueue
 	}
 	if err := eventq.Valid(cfg.Queue); err != nil {
 		return fmt.Errorf("core: %w", err)

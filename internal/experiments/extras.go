@@ -334,6 +334,10 @@ type TuningPoint struct {
 	RolledBack  int64
 	GVTRounds   int64
 	Wall        time.Duration
+	// Committed and Totals are the cell's results, which no tuning knob may
+	// change: every cell must report the same pair.
+	Committed int64
+	Totals    hotpotato.Totals
 }
 
 // TuningSweep explores the kernel's two scheduling knobs — events per
@@ -369,7 +373,7 @@ func TuningSweep(opt Options) ([]TuningPoint, error) {
 		cfg.BatchSize = c.batch
 		cfg.GVTInterval = c.interval
 		cfg.MaxOptimism = core.Time(c.maxOpt)
-		_, ks, err := runParallel(cfg)
+		totals, ks, err := runParallel(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("batch=%d interval=%d: %w", c.batch, c.interval, err)
 		}
@@ -381,6 +385,8 @@ func TuningSweep(opt Options) ([]TuningPoint, error) {
 			RolledBack:  ks.RolledBackEvents,
 			GVTRounds:   ks.GVTRounds,
 			Wall:        ks.Wall,
+			Committed:   ks.Committed,
+			Totals:      totals,
 		})
 		opt.progressf("tuning: batch=%d gvt=%d maxopt=%g rate=%.0f rolledback=%d\n",
 			c.batch, c.interval, c.maxOpt, ks.EventRate, ks.RolledBackEvents)

@@ -170,18 +170,14 @@ func TestTuningSweep(t *testing.T) {
 			t.Fatalf("empty cell %+v", p)
 		}
 	}
-	// More frequent GVT rounds at the same batch size must mean at least
-	// as many rounds.
-	byBatch := map[int][]TuningPoint{}
-	for _, p := range points {
-		byBatch[p.BatchSize] = append(byBatch[p.BatchSize], p)
-	}
-	for batch, row := range byBatch {
-		for i := 1; i < len(row); i++ {
-			if row[i].GVTInterval > row[i-1].GVTInterval && row[i].GVTRounds > row[i-1].GVTRounds {
-				t.Errorf("batch %d: interval %d has more rounds (%d) than interval %d (%d)",
-					batch, row[i].GVTInterval, row[i].GVTRounds, row[i-1].GVTInterval, row[i-1].GVTRounds)
-			}
+	// Only results are compared across cells. Counters of how the kernel
+	// got there (GVT rounds, rollbacks) depend on how the PE goroutines were
+	// scheduled: under the async token even "a longer GVT interval means no
+	// more rounds" fails about one run in three on two cores.
+	for _, p := range points[1:] {
+		if p.Committed != points[0].Committed || p.Totals != points[0].Totals {
+			t.Errorf("batch %d interval %d maxopt %g: committed %d, totals %+v; first cell committed %d, totals %+v",
+				p.BatchSize, p.GVTInterval, p.MaxOptimism, p.Committed, p.Totals, points[0].Committed, points[0].Totals)
 		}
 	}
 	if tab := TuningTable(points); len(tab.Rows) != 10 {

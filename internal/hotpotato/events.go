@@ -268,7 +268,9 @@ func (m *Model) Reverse(lp *core.LP, ev *core.Event) {
 // Commit implements core.Committer: once an injection event is final, the
 // queue entries it consumed can never be re-read, so the committed prefix
 // is trimmed to keep injector memory proportional to the uncommitted
-// window instead of the whole run.
+// window instead of the whole run. The survivors are copied down within the
+// array the queue already has; they end where they ended before, so
+// Reverse's "drop the last entry" still undoes the right generation.
 func (m *Model) Commit(lp *core.LP, ev *core.Event) {
 	msg := ev.Data.(*Msg)
 	if msg.Kind != KindInject {
@@ -276,7 +278,7 @@ func (m *Model) Commit(lp *core.LP, ev *core.Event) {
 	}
 	r := lp.State.(*Router)
 	if drop := msg.SavedHeadAfter - r.qBase; drop > 256 {
-		r.queue = append([]int64(nil), r.queue[drop:]...)
+		r.queue = r.queue[:copy(r.queue, r.queue[drop:])]
 		r.qBase = msg.SavedHeadAfter
 	}
 }
@@ -315,9 +317,9 @@ func (m *Model) arrive(lp *core.LP, ev *core.Event, msg *Msg) {
 	lp.SendSelf(routeTime(s, p)-t, m.newMsg(Msg{Kind: KindRoute, P: *p}))
 }
 
-// route makes one routing decision: build the free/good context, ask the
-// policy, claim the link, and forward the packet to the neighbour for the
-// next step.
+// route makes one routing decision: fill the LP's routing context with the
+// free/good sets, ask the policy, claim the link, and forward the packet to
+// the neighbour for the next step.
 func (m *Model) route(lp *core.LP, ev *core.Event, msg *Msg) {
 	t := ev.RecvTime()
 	s := step(t)
@@ -329,16 +331,12 @@ func (m *Model) route(lp *core.LP, ev *core.Event, msg *Msg) {
 	if free.Empty() {
 		panic(fmt.Sprintf("hotpotato: router %d has no free link in step %d (conservation violated)", self, s))
 	}
-	ctx := routing.Ctx{
-		Prio:    p.Prio,
-		Free:    free,
-		Good:    m.net.GoodDirs(self, int(p.Dst)),
-		HomeRun: m.net.HomeRunDir(self, int(p.Dst)),
-		N:       m.cfg.N,
-		Rand:    lp.Rand,
-		RandInt: lp.RandInt,
-	}
-	dec := m.cfg.Policy.Route(&ctx)
+	ctx := &m.scratch[lp.ID].ctx
+	ctx.Prio = p.Prio
+	ctx.Free = free
+	ctx.Good = m.net.GoodDirs(self, int(p.Dst))
+	ctx.HomeRun = m.net.HomeRunDir(self, int(p.Dst))
+	dec := m.cfg.Policy.Route(ctx)
 	if !free.Has(dec.Dir) {
 		panic(fmt.Sprintf("hotpotato: policy %s chose busy/absent link %v", m.cfg.Policy.Name(), dec.Dir))
 	}
@@ -386,7 +384,7 @@ func (m *Model) inject(lp *core.LP, ev *core.Event, msg *Msg) {
 
 	free := freeLinks(r, s)
 	if !free.Empty() && r.qHead < r.qBase+int64(len(r.queue)) {
-		dst := core.LPID(m.cfg.Traffic.Dest(m.net, int(lp.ID), lp.RandInt))
+		dst := core.LPID(m.cfg.Traffic.Dest(m.net, int(lp.ID), m.scratch[lp.ID].ctx.RandInt))
 		if dst == lp.ID {
 			// A deterministic pattern addressed the packet to its own
 			// source; drop it rather than wire it (transpose diagonal etc.).

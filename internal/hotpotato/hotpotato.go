@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -198,7 +199,28 @@ type Model struct {
 	// PE goroutine proves an event dead while other PEs are drawing
 	// messages concurrently.
 	msgPool sync.Pool
+
+	// scratch holds one routing context per LP, indexed by LP ID, so ROUTE
+	// and INJECT build nothing on the heap: a Ctx handed to Policy.Route
+	// escapes through the interface call, and lp.Rand / lp.RandInt written
+	// as method values allocate a closure each time they are evaluated.
+	// install binds the two random sources once; route rewrites the packet
+	// fields before every decision. It lives here and not in Router because
+	// Router is rendered by trace.StateHash and replaced wholesale by the
+	// state codec. An entry is touched only while its LP handles an event,
+	// that is by the PE owning the LP.
+	scratch []lpScratch //simlint:owned
 }
+
+// lpScratch pads a routing context to a cache line of its own: under a
+// striped placement adjacent LPs belong to different PEs, and each writes
+// its entry on every ROUTE.
+type lpScratch struct {
+	ctx routing.Ctx
+	_   [cacheLine - unsafe.Sizeof(routing.Ctx{})%cacheLine]byte
+}
+
+const cacheLine = 64
 
 // newMsg returns a message initialised to v, reusing a recycled Msg when
 // one is available.
@@ -340,6 +362,7 @@ func (m *Model) Network() topology.Network { return m.net }
 func (m *Model) install(h Host) {
 	setup := rng.NewStream(m.cfg.Seed ^ 0xD1B54A32D192ED03)
 	injectorThreshold := m.cfg.InjectorPercent / 100
+	m.scratch = make([]lpScratch, m.size)
 	h.ForEachLP(func(lp *core.LP) {
 		r := &Router{links: m.net.Links(int(lp.ID))}
 		for d := range r.claim {
@@ -348,6 +371,7 @@ func (m *Model) install(h Host) {
 		r.isInjector = injectorThreshold > 0 && setup.Uniform() < injectorThreshold
 		lp.Handler = m
 		lp.State = r
+		m.scratch[lp.ID].ctx = routing.Ctx{N: m.cfg.N, Rand: lp.Rand, RandInt: lp.RandInt}
 	})
 
 	for id := 0; id < m.size; id++ {

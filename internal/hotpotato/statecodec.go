@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/replay"
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -25,30 +26,28 @@ type stateCodec struct{}
 
 func (stateCodec) Name() string { return StateCodecName }
 
-// statsFields enumerates RouterStats in a fixed wire order.
-func statsFields(st *RouterStats) []*int64 {
-	fields := []*int64{
+// numStatsFields is the number of int64 counters in RouterStats.
+const numStatsFields = 15 + routing.NumStates + 2*DistBuckets + 2*TimeBuckets
+
+// statsFields enumerates RouterStats in a fixed wire order. The caller
+// supplies the array so the encode path, which runs once per LP per
+// checkpoint, keeps it on its stack.
+func statsFields(st *RouterStats, fields *[numStatsFields]*int64) {
+	n := copy(fields[:], []*int64{
 		&st.Delivered, &st.TransitTotal, &st.DistTotal, &st.HopsTotal,
 		&st.DeliveryMax, &st.Routed, &st.Deflections, &st.Upgrades,
 		&st.Downgrades, &st.Generated, &st.Injected, &st.Discarded,
 		&st.WaitTotal, &st.WaitMax, &st.Heartbeats,
+	})
+	for _, arr := range [...][]int64{
+		st.DeliveredByPrio[:], st.DelivTimeByDist[:], st.DelivCountByDist[:],
+		st.DelivTimeByTime[:], st.DelivCountByTime[:],
+	} {
+		for i := range arr {
+			fields[n] = &arr[i]
+			n++
+		}
 	}
-	for i := range st.DeliveredByPrio {
-		fields = append(fields, &st.DeliveredByPrio[i])
-	}
-	for i := range st.DelivTimeByDist {
-		fields = append(fields, &st.DelivTimeByDist[i])
-	}
-	for i := range st.DelivCountByDist {
-		fields = append(fields, &st.DelivCountByDist[i])
-	}
-	for i := range st.DelivTimeByTime {
-		fields = append(fields, &st.DelivTimeByTime[i])
-	}
-	for i := range st.DelivCountByTime {
-		fields = append(fields, &st.DelivCountByTime[i])
-	}
-	return fields
 }
 
 func (stateCodec) EncodeState(dst []byte, state any) ([]byte, error) {
@@ -71,7 +70,9 @@ func (stateCodec) EncodeState(dst []byte, state any) ([]byte, error) {
 	}
 	dst = binary.AppendVarint(dst, r.qBase)
 	dst = binary.AppendVarint(dst, r.qHead)
-	for _, f := range statsFields(&r.stats) {
+	var fields [numStatsFields]*int64
+	statsFields(&r.stats, &fields)
+	for _, f := range fields {
 		dst = binary.AppendVarint(dst, *f)
 	}
 	return dst, nil
@@ -142,7 +143,9 @@ func (stateCodec) DecodeState(src []byte, state any) error {
 		return fmt.Errorf("hotpotato: inconsistent queue window base=%d head=%d len=%d",
 			dec.qBase, dec.qHead, len(dec.queue))
 	}
-	for _, f := range statsFields(&dec.stats) {
+	var fields [numStatsFields]*int64
+	statsFields(&dec.stats, &fields)
+	for _, f := range fields {
 		if *f, err = varint(); err != nil {
 			return err
 		}

@@ -20,7 +20,9 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	}
 	// Give every stats field a distinct nonzero value via the wire-order
 	// enumeration itself.
-	for i, f := range statsFields(&r.stats) {
+	var fields [numStatsFields]*int64
+	statsFields(&r.stats, &fields)
+	for i, f := range fields {
 		*f = int64(100 + i)
 	}
 	enc, err := stateCodec{}.EncodeState(nil, r)

@@ -111,29 +111,33 @@ type Checkpoint struct {
 
 // ---- encoding ----
 
-func appendCkptHeader(dst []byte, cp *Checkpoint) []byte {
-	p := []byte(ckptMagic)
+// Each frame encoder builds its payload in p (from length zero, keeping the
+// capacity), appends the finished frame to dst and returns both, so a writer
+// that keeps the two buffers re-encodes without allocating.
+
+func appendCkptHeader(dst, p []byte, cp *Checkpoint) (out, scratch []byte) {
+	p = append(p[:0], ckptMagic...)
 	p = binary.AppendUvarint(p, ckptVersion)
 	p = appendString(p, cp.StateCodec)
 	p = appendString(p, cp.Codec)
 	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(float64(cp.GVT)))
 	p = binary.AppendUvarint(p, uint64(cp.Committed))
 	p = binary.AppendUvarint(p, uint64(cp.NumLPs))
-	return appendFrame(dst, ckptFrameHeader, p)
+	return appendFrame(dst, ckptFrameHeader, p), p
 }
 
-func appendCkptTrace(dst []byte, cp *Checkpoint) []byte {
-	p := binary.AppendUvarint(nil, uint64(cp.TraceLen))
+func appendCkptTrace(dst, p []byte, cp *Checkpoint) (out, scratch []byte) {
+	p = binary.AppendUvarint(p[:0], uint64(cp.TraceLen))
 	p = binary.LittleEndian.AppendUint64(p, cp.TraceHash)
 	p = binary.AppendUvarint(p, uint64(len(cp.LPHashes)))
 	for _, h := range cp.LPHashes {
 		p = binary.LittleEndian.AppendUint64(p, h)
 	}
-	return appendFrame(dst, ckptFrameTrace, p)
+	return appendFrame(dst, ckptFrameTrace, p), p
 }
 
-func appendCkptLPs(dst []byte, cp *Checkpoint) []byte {
-	p := binary.AppendUvarint(nil, uint64(len(cp.LPs)))
+func appendCkptLPs(dst, p []byte, cp *Checkpoint) (out, scratch []byte) {
+	p = binary.AppendUvarint(p[:0], uint64(len(cp.LPs)))
 	for _, lp := range cp.LPs {
 		p = binary.AppendUvarint(p, uint64(len(lp.State)))
 		p = append(p, lp.State...)
@@ -143,11 +147,11 @@ func appendCkptLPs(dst []byte, cp *Checkpoint) []byte {
 		p = binary.AppendUvarint(p, lp.Draws)
 		p = binary.AppendUvarint(p, lp.SendSeq)
 	}
-	return appendFrame(dst, ckptFrameLPs, p)
+	return appendFrame(dst, ckptFrameLPs, p), p
 }
 
-func appendCkptFrontier(dst []byte, cp *Checkpoint) []byte {
-	p := binary.AppendUvarint(nil, uint64(len(cp.Frontier)))
+func appendCkptFrontier(dst, p []byte, cp *Checkpoint) (out, scratch []byte) {
+	p = binary.AppendUvarint(p[:0], uint64(len(cp.Frontier)))
 	var prevBits uint64
 	var prevDst int64
 	for _, ev := range cp.Frontier {
@@ -161,18 +165,25 @@ func appendCkptFrontier(dst []byte, cp *Checkpoint) []byte {
 		p = binary.AppendUvarint(p, uint64(len(ev.Data)))
 		p = append(p, ev.Data...)
 	}
-	return appendFrame(dst, ckptFrameFrontier, p)
+	return appendFrame(dst, ckptFrameFrontier, p), p
 }
 
 // EncodeCheckpoint serialises a checkpoint into the framed binary format.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
-	dst := appendCkptHeader(nil, cp)
+	out, _ := appendCheckpoint(nil, nil, cp)
+	return out
+}
+
+// appendCheckpoint is EncodeCheckpoint into caller-owned buffers: the
+// encoding is appended to dst, and scratch holds one frame payload at a time.
+func appendCheckpoint(dst, scratch []byte, cp *Checkpoint) (out, scratchOut []byte) {
+	dst, scratch = appendCkptHeader(dst, scratch, cp)
 	if cp.HasTrace {
-		dst = appendCkptTrace(dst, cp)
+		dst, scratch = appendCkptTrace(dst, scratch, cp)
 	}
-	dst = appendCkptLPs(dst, cp)
-	dst = appendCkptFrontier(dst, cp)
-	return appendFrame(dst, ckptFrameEnd, nil)
+	dst, scratch = appendCkptLPs(dst, scratch, cp)
+	dst, scratch = appendCkptFrontier(dst, scratch, cp)
+	return appendFrame(dst, ckptFrameEnd, nil), scratch
 }
 
 // ---- decoding ----
@@ -546,6 +557,13 @@ type CheckpointWriter struct {
 	rec        *trace.Recorder
 	seq        int
 	lastFile   string
+
+	// Encode buffers, reused from one publication to the next: every LP
+	// state and frontier payload is encoded back to back into arena and cp's
+	// byte slices are cut out of it, frame holds one frame payload at a time
+	// and file the finished encoding.
+	cp                 Checkpoint
+	arena, frame, file []byte
 }
 
 // NewCheckpointWriter builds a writer over dir (created if needed). rec,
@@ -598,12 +616,15 @@ func NewCheckpointWriter(dir, stateCodecName, codecName string, rec *trace.Recor
 // is quiescent, so reading the trace recorder here sees exactly the
 // committed below-GVT prefix.
 func (w *CheckpointWriter) Checkpoint(cs *core.CheckpointState) error {
-	cp := &Checkpoint{
+	cp := &w.cp
+	*cp = Checkpoint{
 		StateCodec: w.stateCodec.Name(),
 		Codec:      w.codec.Name(),
 		GVT:        cs.GVT,
 		Committed:  cs.Committed,
 		NumLPs:     len(cs.LPs),
+		LPs:        cp.LPs[:0],
+		Frontier:   cp.Frontier[:0],
 	}
 	if w.rec != nil {
 		cp.HasTrace = true
@@ -611,23 +632,26 @@ func (w *CheckpointWriter) Checkpoint(cs *core.CheckpointState) error {
 		cp.TraceHash = w.rec.Hash()
 		cp.LPHashes = w.rec.LPHashes(len(cs.LPs))
 	}
-	cp.LPs = make([]CheckpointLP, len(cs.LPs))
+	// Slices cut from arena stay good when a later append moves it: the
+	// array they point into is left as it was.
+	w.arena = w.arena[:0]
+	var err error
 	for i, lp := range cs.LPs {
-		b, err := w.stateCodec.EncodeState(nil, lp.State)
-		if err != nil {
+		start := len(w.arena)
+		if w.arena, err = w.stateCodec.EncodeState(w.arena, lp.State); err != nil {
 			return fmt.Errorf("replay: encoding LP %d state: %w", i, err)
 		}
-		cp.LPs[i] = CheckpointLP{State: b, RNG: lp.RNG, Draws: lp.RNGDraws, SendSeq: lp.SendSeq}
+		cp.LPs = append(cp.LPs, CheckpointLP{State: w.arena[start:len(w.arena):len(w.arena)], RNG: lp.RNG, Draws: lp.RNGDraws, SendSeq: lp.SendSeq})
 	}
-	cp.Frontier = make([]CheckpointEvent, len(cs.Frontier))
-	for i, ev := range cs.Frontier {
-		b, err := w.codec.Encode(nil, ev.Data)
-		if err != nil {
+	for _, ev := range cs.Frontier {
+		start := len(w.arena)
+		if w.arena, err = w.codec.Encode(w.arena, ev.Data); err != nil {
 			return fmt.Errorf("replay: encoding frontier payload for LP %d: %w", ev.Dst, err)
 		}
-		cp.Frontier[i] = CheckpointEvent{T: ev.T, Dst: ev.Dst, Src: ev.Src, Seq: ev.Seq, Data: b}
+		cp.Frontier = append(cp.Frontier, CheckpointEvent{T: ev.T, Dst: ev.Dst, Src: ev.Src, Seq: ev.Seq, Data: w.arena[start:len(w.arena):len(w.arena)]})
 	}
-	return w.publish(EncodeCheckpoint(cp))
+	w.file, w.frame = appendCheckpoint(w.file[:0], w.frame, cp)
+	return w.publish(w.file)
 }
 
 // publish writes data crash-atomically: tmp file → fsync → rename → dir

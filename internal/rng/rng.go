@@ -20,24 +20,22 @@ import (
 	"math"
 )
 
-// Component moduli and multipliers of the combined generator.
-var clcg4M = [4]uint64{2147483647, 2147483543, 2147483423, 2147483323}
-var clcg4A = [4]uint64{45991, 207707, 138556, 49689}
+// Component moduli m, multipliers a and inverse multipliers b of the
+// combined generator, with b = a^(m-2) mod m (Fermat inverse; every modulus
+// is prime). They are constants, not table entries, because step and unstep
+// reduce modulo them on every draw: a constant modulus compiles to a
+// multiply and shift, a loaded one to a hardware divide.
+const (
+	m0, a0, b0 = 2147483647, 45991, 1441196816
+	m1, a1, b1 = 2147483543, 207707, 1463744518
+	m2, a2, b2 = 2147483423, 138556, 499766181
+	m3, a3, b3 = 2147483323, 49689, 660421676
+)
 
-// clcg4B holds the modular inverses of the multipliers, computed once at
-// package initialisation: b[i] = a[i]^(m[i]-2) mod m[i] (Fermat inverse;
-// every modulus is prime).
-var clcg4B [4]uint64
-
-// clcg4Norm holds 1/m[i] for the output combination.
-var clcg4Norm [4]float64
-
-func init() {
-	for i := range clcg4M {
-		clcg4B[i] = powMod(clcg4A[i], clcg4M[i]-2, clcg4M[i])
-		clcg4Norm[i] = 1.0 / float64(clcg4M[i])
-	}
-}
+// The same moduli and multipliers as tables, for the code off the draw path
+// (seeding, restore validation).
+var clcg4M = [4]uint64{m0, m1, m2, m3}
+var clcg4A = [4]uint64{a0, a1, a2, a3}
 
 // powMod returns base^exp mod m using binary exponentiation. All operands
 // are below 2^31, so intermediate products fit comfortably in a uint64.
@@ -62,6 +60,17 @@ var defaultSeed = [4]uint64{11111111, 22222222, 33333333, 44444444}
 // 2^41 steps apart, far beyond any single simulation's consumption, so
 // per-LP streams never overlap.
 const streamSpacing = uint64(1) << 41
+
+// clcg4Jump[i] is a[i]^streamSpacing mod m[i], the multiplier that moves
+// component i one stream ahead. It is worked out once: seeding a stream is
+// most of what building a simulation costs per LP, and this power is four
+// fifths of seeding.
+var clcg4Jump = func() (jump [4]uint64) {
+	for i := range jump {
+		jump[i] = powMod(clcg4A[i], streamSpacing, clcg4M[i])
+	}
+	return jump
+}()
 
 // Stream is one reversible random stream. Each logical process in a
 // simulation owns its own Stream so that event-processing order across
@@ -88,7 +97,7 @@ func (st *Stream) SeedStream(id uint64) {
 	for i := range st.s {
 		// a^(id * spacing) mod m, computed as (a^spacing)^id to keep the
 		// exponent within uint64 without overflow concerns.
-		jump := powMod(powMod(clcg4A[i], streamSpacing, clcg4M[i]), id, clcg4M[i])
+		jump := powMod(clcg4Jump[i], id, clcg4M[i])
 		st.s[i] = defaultSeed[i] * jump % clcg4M[i]
 	}
 	st.draws = 0
@@ -104,20 +113,23 @@ func (st *Stream) Draws() uint64 { return st.draws }
 // step advances every component LCG by one multiplication and returns the
 // combined uniform variate in (0, 1).
 func (st *Stream) step() float64 {
-	u := 0.0
-	sign := 1.0
-	for i := range st.s {
-		st.s[i] = clcg4A[i] * st.s[i] % clcg4M[i]
-		u += sign * float64(st.s[i]) * clcg4Norm[i]
-		sign = -sign
-	}
+	s0 := a0 * st.s[0] % m0
+	s1 := a1 * st.s[1] % m1
+	s2 := a2 * st.s[2] % m2
+	s3 := a3 * st.s[3] % m3
+	st.s = [4]uint64{s0, s1, s2, s3}
+	// The alternating-sign combination, each term state/modulus.
+	u := float64(s0) * (1.0 / m0)
+	u -= float64(s1) * (1.0 / m1)
+	u += float64(s2) * (1.0 / m2)
+	u -= float64(s3) * (1.0 / m3)
 	// Fold the combination into (0,1). u is in (-2, 2) before folding.
 	u -= math.Floor(u)
 	if u <= 0 {
 		// Guard against an exact 0 after folding; the component states are
 		// never zero, so nudging to the smallest representable step keeps
 		// the output strictly positive (required by Exponential).
-		u = 0.5 * clcg4Norm[0]
+		u = 0.5 * (1.0 / m0)
 	}
 	st.draws++
 	return u
@@ -125,8 +137,11 @@ func (st *Stream) step() float64 {
 
 // unstep moves every component LCG back by one multiplication.
 func (st *Stream) unstep() {
-	for i := range st.s {
-		st.s[i] = clcg4B[i] * st.s[i] % clcg4M[i]
+	st.s = [4]uint64{
+		b0 * st.s[0] % m0,
+		b1 * st.s[1] % m1,
+		b2 * st.s[2] % m2,
+		b3 * st.s[3] % m3,
 	}
 	st.draws--
 }

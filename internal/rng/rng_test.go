@@ -269,8 +269,8 @@ func TestPowMod(t *testing.T) {
 		}
 	}
 	// Fermat inverse property: a * a^(m-2) ≡ 1 (mod m) for prime m.
-	for i := range clcg4M {
-		if clcg4A[i]*clcg4B[i]%clcg4M[i] != 1 {
+	for i, b := range [4]uint64{b0, b1, b2, b3} {
+		if b != powMod(clcg4A[i], clcg4M[i]-2, clcg4M[i]) || clcg4A[i]*b%clcg4M[i] != 1 {
 			t.Errorf("component %d: inverse multiplier wrong", i)
 		}
 	}

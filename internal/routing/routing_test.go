@@ -236,3 +236,30 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteOnReusedCtxAllocatesNothing: a policy called through the Policy
+// interface on a context its caller keeps and refills, with the random
+// sources bound beforehand, must not allocate — the shape the hot-potato
+// model's per-LP scratch relies on, for every priority state.
+func TestRouteOnReusedCtxAllocatesNothing(t *testing.T) {
+	st := rng.NewStream(3)
+	ctx := ctxWith(st, Sleeping, allDirs, set(topology.East), topology.East)
+	for _, name := range Names() {
+		pol, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prio := Sleeping
+		avg := testing.AllocsPerRun(1000, func() {
+			ctx.Prio = prio
+			ctx.Free = allDirs.Remove(topology.Direction(prio))
+			ctx.Good = set(topology.East, topology.South)
+			ctx.HomeRun = topology.East
+			pol.Route(ctx)
+			prio = (prio + 1) % NumStates
+		})
+		if avg != 0 {
+			t.Errorf("%s: %v allocations per Route on a reused Ctx", name, avg)
+		}
+	}
+}

@@ -141,11 +141,55 @@ type Network interface {
 	HomeRunDir(from, to int) Direction
 }
 
+// grid is what the torus and the mesh share: the side length and every
+// node's position, filled at construction so the per-decision geometry below
+// never divides by the side length.
+type grid struct {
+	side int
+	at   []coord // indexed by node ID
+}
+
+type coord struct{ row, col int32 }
+
+func newGrid(n int) grid {
+	g := grid{side: n, at: make([]coord, 0, n*n)}
+	for row := 0; row < n; row++ {
+		for col := 0; col < n; col++ {
+			g.at = append(g.at, coord{int32(row), int32(col)})
+		}
+	}
+	return g
+}
+
+// N returns the side length.
+func (g *grid) N() int { return g.side }
+
+// Size returns N*N.
+func (g *grid) Size() int { return len(g.at) }
+
+// Coord returns the (row, column) of a node ID.
+func (g *grid) Coord(id int) (row, col int) { return int(g.at[id].row), int(g.at[id].col) }
+
 // Torus is an N×N wrap-around mesh: every node has degree four and the
 // maximum distance between two nodes is N-1 (versus 2(N-1) for the mesh),
 // which is why the report simulates the torus.
-type Torus struct {
-	side int
+//
+// A Torus is one pointer wide, so a Network holds it without boxing and
+// every call through the interface reaches the tables in one hop.
+type Torus struct{ *torusTables }
+
+type torusTables struct {
+	grid
+	// ring[d] is axisDist for a destination d positions ahead on a ring of
+	// side nodes (0 <= d < side), already spelled as the row and column
+	// directions it makes good and the home-run hop it implies.
+	ring []ringEntry
+}
+
+type ringEntry struct {
+	dist             int32
+	rowGood, colGood DirSet
+	rowRun, colRun   Direction
 }
 
 // NewTorus returns an N×N torus. N must be at least 2.
@@ -153,17 +197,22 @@ func NewTorus(n int) Torus {
 	if n < 2 {
 		panic("topology: torus side must be >= 2")
 	}
-	return Torus{side: n}
+	t := Torus{&torusTables{grid: newGrid(n), ring: make([]ringEntry, n)}}
+	for d := range t.ring {
+		dist, neg, pos := axisDist(0, d, n)
+		e := ringEntry{dist: int32(dist), rowRun: None, colRun: None}
+		if neg {
+			e.rowGood, e.colGood = e.rowGood.Add(North), e.colGood.Add(West)
+			e.rowRun, e.colRun = North, West
+		}
+		if pos { // after neg: South and East win ties
+			e.rowGood, e.colGood = e.rowGood.Add(South), e.colGood.Add(East)
+			e.rowRun, e.colRun = South, East
+		}
+		t.ring[d] = e
+	}
+	return t
 }
-
-// N returns the side length.
-func (t Torus) N() int { return t.side }
-
-// Size returns N*N.
-func (t Torus) Size() int { return t.side * t.side }
-
-// Coord returns the (row, column) of a node ID.
-func (t Torus) Coord(id int) (row, col int) { return id / t.side, id % t.side }
 
 // ID returns the node at (row, column); coordinates wrap.
 func (t Torus) ID(row, col int) int {
@@ -177,29 +226,45 @@ func (t Torus) Links(int) DirSet {
 	return DirSet(0).Add(North).Add(East).Add(South).Add(West)
 }
 
-// Neighbor returns the node across the link in direction d. The arithmetic
-// mirrors the report's LP-number calculation, e.g. East from lp is
-// ((lp/N)*N) + ((lp+1) mod N).
+// Neighbor returns the node across the link in direction d: one row or one
+// column away, wrapping at the edges — the report's LP-number calculation,
+// e.g. East from lp is ((lp/N)*N) + ((lp+1) mod N).
 func (t Torus) Neighbor(id int, d Direction) int {
-	row, col := t.Coord(id)
+	c, n := t.at[id], t.side
 	switch d {
 	case North:
-		return t.ID(row-1, col)
+		if c.row == 0 {
+			return id + len(t.at) - n
+		}
+		return id - n
 	case South:
-		return t.ID(row+1, col)
+		if int(c.row) == n-1 {
+			return id - (len(t.at) - n)
+		}
+		return id + n
 	case East:
-		return t.ID(row, col+1)
+		if int(c.col) == n-1 {
+			return id - (n - 1)
+		}
+		return id + 1
 	case West:
-		return t.ID(row, col-1)
+		if c.col == 0 {
+			return id + (n - 1)
+		}
+		return id - 1
 	}
 	return -1
 }
 
-// axisDist returns the wrap-around distance along one axis and the
-// direction sign(s) that reduce it: negative (North/West), positive
-// (South/East), or both when the two ways around are equally short.
+// axisDist returns the wrap-around distance along one axis of side n from
+// position from to position to (both in [0, n)) and the direction sign(s)
+// that reduce it: negative (North/West), positive (South/East), or both
+// when the two ways around are equally short.
 func axisDist(from, to, n int) (dist int, negGood, posGood bool) {
-	d := mod(to-from, n)
+	d := to - from
+	if d < 0 {
+		d += n
+	}
 	if d == 0 {
 		return 0, false, false
 	}
@@ -215,39 +280,32 @@ func axisDist(from, to, n int) (dist int, negGood, posGood bool) {
 	}
 }
 
+// toward returns the ring entries for the row and column offsets from
+// 'from' to 'to'.
+func (t Torus) toward(from, to int) (row, col ringEntry) {
+	f, g := t.at[from], t.at[to]
+	dr, dc := int(g.row-f.row), int(g.col-f.col)
+	if dr < 0 {
+		dr += t.side
+	}
+	if dc < 0 {
+		dc += t.side
+	}
+	return t.ring[dr], t.ring[dc]
+}
+
 // Dist returns the minimum hop distance with wrap-around.
 func (t Torus) Dist(a, b int) int {
-	ar, ac := t.Coord(a)
-	br, bc := t.Coord(b)
-	dr, _, _ := axisDist(ar, br, t.side)
-	dc, _, _ := axisDist(ac, bc, t.side)
-	return dr + dc
+	row, col := t.toward(a, b)
+	return int(row.dist + col.dist)
 }
 
 // GoodDirs returns every direction that strictly reduces Dist(from, to).
 // On a torus a dimension at exactly half the side length is good both
 // ways around.
 func (t Torus) GoodDirs(from, to int) DirSet {
-	var s DirSet
-	fr, fc := t.Coord(from)
-	tr, tc := t.Coord(to)
-	if _, neg, pos := axisDist(fr, tr, t.side); true {
-		if neg {
-			s = s.Add(North)
-		}
-		if pos {
-			s = s.Add(South)
-		}
-	}
-	if _, neg, pos := axisDist(fc, tc, t.side); true {
-		if neg {
-			s = s.Add(West)
-		}
-		if pos {
-			s = s.Add(East)
-		}
-	}
-	return s
+	row, col := t.toward(from, to)
+	return row.rowGood | col.colGood
 }
 
 // HomeRunDir returns the next hop of the row-first one-bend path. Ties
@@ -256,52 +314,26 @@ func (t Torus) GoodDirs(from, to int) DirSet {
 // algorithm requires: a Running packet re-requests the same path every
 // step.
 func (t Torus) HomeRunDir(from, to int) Direction {
-	fr, fc := t.Coord(from)
-	tr, tc := t.Coord(to)
-	if fc != tc {
-		_, neg, pos := axisDist(fc, tc, t.side)
-		if pos {
-			return East // East wins ties
-		}
-		if neg {
-			return West
-		}
+	row, col := t.toward(from, to)
+	if col.colRun != None {
+		return col.colRun
 	}
-	if fr != tr {
-		_, neg, pos := axisDist(fr, tr, t.side)
-		if pos {
-			return South // South wins ties
-		}
-		if neg {
-			return North
-		}
-	}
-	return None
+	return row.rowRun
 }
 
 // Mesh is an N×N grid without wrap-around; boundary nodes have degree
 // three and corners degree two. It is the topology of the SPAA 2001
 // theoretical analysis.
-type Mesh struct {
-	side int
-}
+type Mesh struct{ *grid }
 
 // NewMesh returns an N×N mesh. N must be at least 2.
 func NewMesh(n int) Mesh {
 	if n < 2 {
 		panic("topology: mesh side must be >= 2")
 	}
-	return Mesh{side: n}
+	g := newGrid(n)
+	return Mesh{&g}
 }
-
-// N returns the side length.
-func (m Mesh) N() int { return m.side }
-
-// Size returns N*N.
-func (m Mesh) Size() int { return m.side * m.side }
-
-// Coord returns the (row, column) of a node ID.
-func (m Mesh) Coord(id int) (row, col int) { return id / m.side, id % m.side }
 
 // ID returns the node at (row, column); coordinates must be in range.
 func (m Mesh) ID(row, col int) int { return row*m.side + col }
@@ -309,23 +341,26 @@ func (m Mesh) ID(row, col int) int { return row*m.side + col }
 // Neighbor returns the node across the link in direction d, or -1 at the
 // boundary.
 func (m Mesh) Neighbor(id int, d Direction) int {
-	row, col := m.Coord(id)
+	c, n := m.at[id], m.side
 	switch d {
 	case North:
-		row--
+		if c.row > 0 {
+			return id - n
+		}
 	case South:
-		row++
+		if int(c.row) < n-1 {
+			return id + n
+		}
 	case East:
-		col++
+		if int(c.col) < n-1 {
+			return id + 1
+		}
 	case West:
-		col--
-	default:
-		return -1
+		if c.col > 0 {
+			return id - 1
+		}
 	}
-	if row < 0 || row >= m.side || col < 0 || col >= m.side {
-		return -1
-	}
-	return m.ID(row, col)
+	return -1
 }
 
 // Links returns the directions that exist at node id (2, 3 or 4 of them).
@@ -341,27 +376,25 @@ func (m Mesh) Links(id int) DirSet {
 
 // Dist returns the Manhattan distance.
 func (m Mesh) Dist(a, b int) int {
-	ar, ac := m.Coord(a)
-	br, bc := m.Coord(b)
-	return abs(ar-br) + abs(ac-bc)
+	f, g := m.at[a], m.at[b]
+	return abs(int(f.row-g.row)) + abs(int(f.col-g.col))
 }
 
 // GoodDirs returns the directions that strictly reduce the Manhattan
 // distance; on a mesh there is at most one per dimension.
 func (m Mesh) GoodDirs(from, to int) DirSet {
 	var s DirSet
-	fr, fc := m.Coord(from)
-	tr, tc := m.Coord(to)
+	f, g := m.at[from], m.at[to]
 	switch {
-	case tr < fr:
+	case g.row < f.row:
 		s = s.Add(North)
-	case tr > fr:
+	case g.row > f.row:
 		s = s.Add(South)
 	}
 	switch {
-	case tc < fc:
+	case g.col < f.col:
 		s = s.Add(West)
-	case tc > fc:
+	case g.col > f.col:
 		s = s.Add(East)
 	}
 	return s
@@ -369,16 +402,15 @@ func (m Mesh) GoodDirs(from, to int) DirSet {
 
 // HomeRunDir returns the next hop of the row-first one-bend path.
 func (m Mesh) HomeRunDir(from, to int) Direction {
-	fr, fc := m.Coord(from)
-	tr, tc := m.Coord(to)
+	f, g := m.at[from], m.at[to]
 	switch {
-	case tc > fc:
+	case g.col > f.col:
 		return East
-	case tc < fc:
+	case g.col < f.col:
 		return West
-	case tr > fr:
+	case g.row > f.row:
 		return South
-	case tr < fr:
+	case g.row < f.row:
 		return North
 	}
 	return None
