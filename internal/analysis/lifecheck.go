@@ -6,21 +6,22 @@ import (
 	"go/types"
 )
 
-// Lifecheck enforces the recycled event/payload lifecycle introduced with
-// the kernel's free lists: once an event or payload has been handed to a
-// free/recycle call it belongs to the pool (a later get may already have
-// reincarnated it), so any further use in the same function is a
-// use-after-free that the dynamic tripwires (Config.CheckInvariants,
-// simcheck paranoid cells) only catch probabilistically. It also flags
-// sends that alias a pooled payload into a second event: the kernel
-// recycles each dead event's payload exactly once, so two live events
-// sharing one payload means a double-recycle (and a reused payload
-// mutating under a live event's feet).
+// Lifecheck enforces the recycled event/payload lifecycle of the kernel's
+// pools: once an event has been handed to a free call it belongs to the
+// pool (a later get may already have reincarnated it), so any further use
+// in the same function is a use-after-free that the dynamic tripwires
+// (Config.CheckInvariants, simcheck paranoid cells) only catch
+// probabilistically. It also flags sends that alias a payload into a
+// second event: the kernel makes each dead event's payload a spare
+// (core.LP.Spare) exactly once, so two live events sharing one payload
+// means a double reissue (and a reused payload mutating under a live
+// event's feet). Models no longer surrender payloads explicitly — the
+// surrender point is handler return — so there is no model-side free call
+// to track beyond a sync.Pool a model may still keep for its own objects.
 //
 // Checked free points:
-//   - (*core.eventPool).put / .release and (*core.PE).free — kernel side;
-//   - (*sync.Pool).Put — the model-side payload pools;
-//   - any method named Recycle — the core.Recycler contract.
+//   - (*core.eventPool).put and (*core.PE).free — kernel side;
+//   - (*sync.Pool).Put — model-side pools.
 //
 // The analysis is flow-lite: a variable freed by a statement is dead for
 // the remaining statements of the same block (and their nested blocks);
@@ -60,17 +61,9 @@ func freedArg(pass *Pass, call *ast.CallExpr) *types.Var {
 			argIndex = 0
 		case recv != nil && isKernelType(recv.Type(), "eventPool") && fn.Name() == "put":
 			argIndex = 0
-		case recv != nil && isKernelType(recv.Type(), "eventPool") && fn.Name() == "release":
-			argIndex = 1
 		case recv != nil && isKernelType(recv.Type(), "PE") && fn.Name() == "free":
 			argIndex = 0
-		case recv != nil && fn.Name() == "Recycle" && len(call.Args) == 1:
-			argIndex = 0
 		}
-	} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Recycle" && len(call.Args) == 1 {
-		// Recycle through an interface value (core.Recycler): still a
-		// free point even though the callee is dynamic.
-		argIndex = 0
 	}
 	if argIndex < 0 || argIndex >= len(call.Args) {
 		return nil
@@ -282,11 +275,11 @@ func checkPayloadRetention(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if fromData[v] {
 					pass.Reportf(arg.Pos(),
-						"send retains %s, the in-flight event's pooled payload; the kernel recycles it when that event dies, corrupting this send (allocate or draw a fresh payload; waive with //simlint:retained <reason>)",
+						"send retains %s, the in-flight event's pooled payload; the kernel reissues it as a spare when that event dies, corrupting this send (allocate a payload or take lp.Spare(); waive with //simlint:retained <reason>)",
 						id.Name)
 				} else if prev, dup := sent[v]; dup {
 					pass.Reportf(arg.Pos(),
-						"payload %s is wired into a second send (first at %v); two live events would share one pooled payload and it would be recycled twice (waive with //simlint:retained <reason>)",
+						"payload %s is wired into a second send (first at %v); two live events would share one pooled payload and it would be reissued twice (waive with //simlint:retained <reason>)",
 						id.Name, pass.Fset.Position(prev))
 				}
 				sent[v] = arg.Pos()

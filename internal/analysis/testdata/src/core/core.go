@@ -27,5 +27,8 @@ func (lp *LP) SendSelf(delay Time, data any) *Event {
 	return &Event{Data: data}
 }
 
+// Spare mirrors the kernel's spare-payload pop.
+func (lp *LP) Spare() any { return nil }
+
 // Rand stands in for the LP's reversible random stream.
 func (lp *LP) Rand() uint64 { return 4 }

@@ -1,5 +1,5 @@
-// Fixture for lifecheck: use-after-free of recycled payloads and sends
-// that retain pooled memory.
+// Fixture for lifecheck: use-after-free of pooled objects and sends that
+// alias a payload the kernel will reissue as a spare.
 package lifecheck
 
 import (
@@ -15,23 +15,6 @@ type Msg struct {
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
 
 func newMsg() *Msg { return msgPool.Get().(*Msg) }
-
-// Pool mimics the model-side Recycler: Recycle(data) returns a payload
-// to the pool.
-type Pool struct{}
-
-func (Pool) Recycle(data any) {
-	msgPool.Put(data)
-}
-
-var recycler Pool
-
-// useAfterRecycle reads a payload after handing it back.
-func useAfterRecycle(lp *core.LP, ev *core.Event) {
-	m := ev.Data.(*Msg)
-	recycler.Recycle(m)
-	_ = m.N // want `use of m after it was freed/recycled`
-}
 
 // useAfterPut writes through a pointer already surrendered to sync.Pool.
 func useAfterPut(m *Msg) {
@@ -79,6 +62,25 @@ func doubleSend(lp *core.LP) {
 	lp.SendSelf(2, m) // want `wired into a second send`
 }
 
+// spareOrNew is the model-side idiom: take the PE's spare payload or
+// allocate, overwrite it wholly, send it once. Fine.
+func spareOrNew(lp *core.LP) {
+	m, ok := lp.Spare().(*Msg)
+	if !ok {
+		m = new(Msg)
+	}
+	*m = Msg{N: 1}
+	lp.Send(1, 1, m)
+}
+
+// doubleSendSpare stashes one spare in two events: when both die it sits
+// on the spare stack twice and is reissued to two later sends.
+func doubleSendSpare(lp *core.LP) {
+	m, _ := lp.Spare().(*Msg)
+	lp.Send(1, 1, m)
+	lp.Send(2, 1, m) // want `wired into a second send`
+}
+
 // sendTwoFresh sends distinct payloads: fine.
 func sendTwoFresh(lp *core.LP) {
 	a := newMsg()
@@ -90,7 +92,7 @@ func sendTwoFresh(lp *core.LP) {
 // waivedRetention documents an intentional alias.
 func waivedRetention(lp *core.LP, ev *core.Event) {
 	m := ev.Data.(*Msg)
-	lp.Send(1, 1, m) //simlint:retained fixture: handler does not recycle, payload ownership transfers
+	lp.Send(1, 1, m) //simlint:retained fixture: the handled event is never freed in this model, payload ownership transfers
 }
 
 // valueSend passes a non-pointer payload; copying is safe, no finding.

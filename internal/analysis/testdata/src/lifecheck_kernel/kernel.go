@@ -1,5 +1,5 @@
 // Kernel-side lifecheck fixture. The event free list's entry points
-// (eventPool.put/release, PE.free) are unexported, so only code in a
+// (eventPool.put, PE.free) are unexported, so only code in a
 // package named core can call them — this fixture therefore declares
 // package core, exactly how the analyzers see the real kernel.
 package core
@@ -26,11 +26,6 @@ func (p *eventPool) put(ev *Event) {
 	p.free = ev
 }
 
-func (p *eventPool) release(lp *LP, ev *Event) {
-	ev.Data = nil
-	p.put(ev)
-}
-
 type PE struct{ pool eventPool }
 
 func (pe *PE) free(ev *Event) { pe.pool.put(ev) }
@@ -38,11 +33,6 @@ func (pe *PE) free(ev *Event) { pe.pool.put(ev) }
 func (pe *PE) badPut(ev *Event) {
 	pe.pool.put(ev)
 	ev.Data = nil // want `use of ev after it was freed/recycled`
-}
-
-func (pe *PE) badRelease(lp *LP, ev *Event) {
-	pe.pool.release(lp, ev)
-	_ = ev.Data // want `use of ev after it was freed/recycled`
 }
 
 func (pe *PE) badFree(ev *Event) {

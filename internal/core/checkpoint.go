@@ -98,12 +98,18 @@ func (s *Simulator) SetCheckpoint(sink CheckpointSink, everyRounds int) {
 }
 
 // checkpointDue is PE 0's per-round arming decision, made while it owns the
-// round (between gvtRound's barriers, or in completeRound). Checkpoints at
-// estimate 0 are skipped — there is nothing committed to capture — and a
-// finishing round never checkpoints (the run is about to produce its final
-// state anyway).
+// round (between gvtRound's barriers, or in completeRound). The estimate
+// must have advanced past the last capture's (0 before the first: there is
+// nothing committed to capture at 0). The committed prefix and frontier at
+// a standing estimate are the ones already on disk, and the rendezvous
+// unwinds everything at or beyond the estimate: a PE that needs more than
+// ckptEvery rounds to get through one timestamp's events would have them
+// all re-pended by every capture and the estimate would never move.
+// Requiring an advance guarantees commits between captures at any cadence.
+// A finishing round never checkpoints (the run is about to produce its
+// final state anyway).
 func (s *Simulator) checkpointDue(round int64, est Time) bool {
-	return s.ckptSink != nil && est > 0 && est < s.cfg.EndTime &&
+	return s.ckptSink != nil && est > s.ckptLastGVT && est < s.cfg.EndTime &&
 		round-s.ckptLastRound >= s.ckptEvery
 }
 
@@ -147,6 +153,7 @@ func (pe *PE) checkpointRendezvous(gvt Time) error {
 		s.ckptDue = false
 		s.ckptPending.Store(false)
 		s.ckptLastRound = s.gvtRounds.Load()
+		s.ckptLastGVT = gvt
 		if err != nil {
 			s.fail(err)
 			return err
@@ -234,6 +241,5 @@ func (s *Simulator) ScheduleRestored(dst LPID, t Time, src LPID, seq uint64, dat
 	if dst < 0 || int(dst) >= len(s.lps) {
 		panic("core: ScheduleRestored to unknown LP")
 	}
-	ev := &Event{recvTime: t, dst: dst, src: src, seq: seq, Data: data}
-	s.boot = append(s.boot, ev)
+	s.boot = append(s.boot, s.lps[dst].pool.boot(dst, t, src, seq, data))
 }

@@ -88,10 +88,11 @@ func NewConservative(cfg Config, lookahead Time) (*Conservative, error) {
 		kpID := cfg.KPOfLP(i)
 		peID := cfg.PEOfKP(kpID)
 		lp := &LP{
-			ID:  LPID(i),
-			rng: newLPStream(cfg.Seed, i),
-			eng: c.pes[peID],
-			kp:  &KP{id: kpID},
+			ID:   LPID(i),
+			rng:  newLPStream(cfg.Seed, i),
+			eng:  c.pes[peID],
+			pool: &c.pes[peID].pool,
+			kp:   &KP{id: kpID},
 		}
 		c.lps[i] = lp
 	}
@@ -125,10 +126,11 @@ func (c *Conservative) Schedule(dst LPID, t Time, data any) {
 	if dst < 0 || int(dst) >= len(c.lps) {
 		panic("core: Schedule to unknown LP")
 	}
-	ev := &Event{recvTime: t, dst: dst, src: NoLP, seq: c.bootSeq, Data: data}
+	pe := c.peOf(dst)
+	ev := pe.pool.boot(dst, t, NoLP, c.bootSeq, data)
 	c.bootSeq++
 	ev.state = statePending
-	c.peOf(dst).pending.Push(ev)
+	pe.pending.Push(ev)
 }
 
 func (c *Conservative) peOf(dst LPID) *consPE {
@@ -157,9 +159,6 @@ func (pe *consPE) scheduleNew(ev *Event) {
 	dst.inbox.post(mail{ev: ev})
 }
 
-// alloc implements engine: events come from this worker's free list.
-func (pe *consPE) alloc() *Event { return pe.pool.get() }
-
 // lookup implements engine.
 func (pe *consPE) lookup(id LPID) *LP {
 	c := pe.sim
@@ -182,10 +181,8 @@ func (c *Conservative) Run() (*Stats, error) {
 		return nil, errors.New("core: Run called twice")
 	}
 	c.ran = true
-	for _, lp := range c.lps {
-		if lp.Handler == nil {
-			return nil, fmt.Errorf("core: LP %d has no handler", lp.ID)
-		}
+	if err := bindHandlers(c.lps); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -240,6 +237,12 @@ func (pe *consPE) run() (err error) {
 		}
 	}()
 	c := pe.sim
+	// One bound event and one callback serve every window's drain.
+	bound := &Event{dst: -1 << 31, src: -1 << 31}
+	execute := func(ev *Event) {
+		c.lps[ev.dst].executeFinal(ev)
+		pe.processed++
+	}
 	for {
 		// Drain cross-PE messages produced by the previous window.
 		msgs := pe.inbox.drainInto(pe.batch)
@@ -290,27 +293,8 @@ func (pe *consPE) run() (err error) {
 		// local sends are still delivered in-call — identical semantics
 		// to the former Min/Pop loop, minus the per-element rebalancing
 		// on the ladder.
-		bound := &Event{recvTime: end, dst: -1 << 31, src: -1 << 31}
-		eventq.Drain(pe.pending, bound, (*Event).before, func(ev *Event) {
-			lp := c.lps[ev.dst]
-			ev.state = stateProcessed
-			ev.Bits = 0
-			ev.prevSendSeq = lp.sendSeq
-			lp.mode = modeForward
-			lp.cur = ev
-			lp.Handler.Forward(lp, ev)
-			if committer, ok := lp.Handler.(Committer); ok {
-				lp.mode = modeCommit
-				committer.Commit(lp, ev)
-			}
-			lp.cur = nil
-			lp.mode = modeIdle
-			// Committed at execution, like the sequential engine: the
-			// event is dead and returns to this worker's pool.
-			ev.state = stateCommitted
-			pe.pool.release(lp, ev)
-			pe.processed++
-		})
+		bound.recvTime = end
+		eventq.Drain(pe.pending, bound, (*Event).before, execute)
 		if err := c.bar.await(); err != nil {
 			return err
 		}

@@ -92,10 +92,18 @@ type Event struct {
 	// anti-message can be in flight simultaneously, which no single
 	// embedded next-pointer could represent.
 	state       eventState
-	gen         uint32   // incarnation counter, bumped on every pool free
-	sent        []*Event // events produced while processing this event
-	rngDraws    uint32   // random draws Forward consumed
-	prevSendSeq uint64   // sender-side sequence before Forward, for reversal
+	gen         uint32 // incarnation counter, bumped on every pool free
+	rngDraws    uint32 // random draws Forward consumed
+	prevSendSeq uint64 // sender-side sequence before Forward, for reversal
+	// sent lists the events produced while processing this event, for
+	// cancellation on rollback. It starts on sentBuf, so the common case
+	// never allocates: the hot-potato ROUTE sends one event and INJECT
+	// two, and a handler that sends more grows onto the heap once (put
+	// keeps the grown array). Because sent points into the event itself,
+	// an Event is never copied by value; pools hand out addresses of slab
+	// elements (pool.go).
+	sent    []*Event
+	sentBuf [2]*Event
 }
 
 // RecvTime returns the virtual time at which the event executes.

@@ -117,6 +117,13 @@ func (pe *PE) commsFixedPoint() error {
 		if err := pe.await(); err != nil {
 			return err
 		}
+		// Paranoid mode looks at the lanes here, between the iteration's two
+		// barriers, the one window in which no PE moves; whether the look
+		// counts is known only once PE 0 has declared the round stable.
+		var quiet error
+		if s.cfg.CheckInvariants {
+			quiet = pe.checkQuiescentComms()
+		}
 		if pe.id == 0 {
 			var sent, delivered int64
 			for _, p := range s.pes {
@@ -132,19 +139,13 @@ func (pe *PE) commsFixedPoint() error {
 			return err
 		}
 		if s.gvtStable.Load() {
-			break
+			if quiet != nil {
+				s.fail(quiet)
+				return quiet
+			}
+			return nil
 		}
 	}
-	if s.cfg.CheckInvariants {
-		// Comms quiescence must be checked here, while every PE is still
-		// between the fixed point's barriers; after the next barrier other
-		// PEs resume and may refill this PE's lanes.
-		if err := pe.checkQuiescentComms(); err != nil {
-			s.fail(err)
-			return err
-		}
-	}
-	return nil
 }
 
 // gvtRound is the synchronous shared-memory GVT computation, run by every

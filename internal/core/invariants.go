@@ -84,12 +84,16 @@ func (pe *PE) checkInvariants(gvt Time) error {
 }
 
 // checkQuiescentComms validates that this PE's communication state is
-// empty at the GVT fixed point: the stability loop has force-flushed every
-// outbox and drained every lane (sent == delivered), so anything left
-// behind is mail the GVT estimate failed to account for. Unlike
-// checkInvariants it must run *inside* the GVT round, right after the
-// stability loop breaks — after the round's final barrier other PEs resume
-// executing and may legitimately refill this PE's lanes.
+// empty at the comms fixed point: every PE has force-flushed its outbox
+// and drained its lanes, and sent == delivered, so anything left behind is
+// mail the accounting failed to cover. It is only true between the two
+// barriers of a stable commsFixedPoint iteration, while every PE stands
+// still; commsFixedPoint calls it there and acts on the answer once
+// stability is known. After the iteration's second barrier it is no longer
+// an invariant: PEs resume, and the checkpoint rendezvous in particular
+// goes straight on to roll every KP back to GVT and flush the
+// anti-messages into lanes whose owners may not have got that far
+// (TestCheckpointRendezvousQuiescenceCheck).
 func (pe *PE) checkQuiescentComms() error {
 	for i := range pe.lanes {
 		if !pe.lanes[i].isEmpty() {

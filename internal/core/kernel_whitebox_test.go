@@ -485,6 +485,9 @@ func TestFossilCollectionFreesStateSaves(t *testing.T) {
 	saver := StateSaving(heavySnap{}).(*stateSaver)
 	s.lps[0].Handler = saver
 	s.lps[0].State = &heavyState{data: make([]byte, 1024)}
+	if err := bindHandlers(s.lps); err != nil { // Run's job; this test drives the PE by hand
+		t.Fatal(err)
+	}
 
 	const n = 200
 	for i := 0; i < n; i++ {

@@ -89,14 +89,7 @@ func (kp *KP) fossilCollect(gvt Time, pe *PE) {
 		if ev.recvTime >= gvt {
 			break
 		}
-		lp := pe.sim.lps[ev.dst]
-		if committer, ok := lp.Handler.(Committer); ok {
-			lp.mode = modeCommit
-			lp.cur = ev
-			committer.Commit(lp, ev)
-			lp.cur = nil
-			lp.mode = modeIdle
-		}
+		pe.sim.lps[ev.dst].commit(ev)
 		ev.state = stateCommitted
 		kp.processed[kp.head] = nil
 		kp.head++

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/rng"
+import (
+	"fmt"
+
+	"repro/internal/rng"
+)
 
 // Handler is the model-side behaviour of a logical process. Forward
 // executes an event, mutating the LP's State and sending new events;
@@ -19,7 +23,9 @@ type Handler interface {
 // Committer is optionally implemented by handlers that want a callback
 // once an event is irrevocably in the past (below GVT). Commit runs during
 // fossil collection in per-LP event order and is the safe place for
-// irreversible actions: I/O, appending to output logs, final tallies.
+// irreversible actions: I/O, appending to output logs, final tallies. The
+// kernel looks for it once per LP when Run starts, so the Handler installed
+// by then — wrappers included — is the one that decides.
 type Committer interface {
 	Commit(lp *LP, ev *Event)
 }
@@ -52,6 +58,16 @@ type LP struct {
 	cur     *Event
 	mode    lpMode
 	eng     engine
+	// pool is the event pool of the PE (or engine) that executes this LP:
+	// Send draws events from it and Spare payloads.
+	pool *eventPool
+	// cancels is set under the optimistic engine, the only one that rolls
+	// back: Send then records each event on its cause's sent list. The
+	// sequential and conservative engines never read that list.
+	cancels bool
+	// committer is Handler's Committer side, or nil; resolved by
+	// bindHandlers when Run starts.
+	committer Committer
 }
 
 // engine abstracts the three executors (parallel, sequential,
@@ -63,9 +79,48 @@ type engine interface {
 	scheduleNew(ev *Event)
 	// lookup returns the LP with the given ID.
 	lookup(id LPID) *LP
-	// alloc draws a blank event from the engine's free list (allocating
-	// only on pool miss); the caller initialises identity and payload.
-	alloc() *Event
+}
+
+// bindHandlers is every engine's last step before executing: each LP must
+// have a handler, and what that handler can do beyond Forward/Reverse is
+// resolved here, once, instead of by a type assertion per committed event.
+func bindHandlers(lps []*LP) error {
+	for _, lp := range lps {
+		if lp.Handler == nil {
+			return fmt.Errorf("core: LP %d has no handler", lp.ID)
+		}
+		lp.committer, _ = lp.Handler.(Committer)
+	}
+	return nil
+}
+
+// commit runs the handler's Commit callback for ev, if it has one.
+func (lp *LP) commit(ev *Event) {
+	if lp.committer == nil {
+		return
+	}
+	lp.mode = modeCommit
+	lp.cur = ev
+	lp.committer.Commit(lp, ev)
+	lp.cur = nil
+	lp.mode = modeIdle
+}
+
+// executeFinal runs ev on an engine that never rolls back (sequential,
+// conservative): the event is committed the moment Forward returns, so it
+// is dead at once and goes back, payload and all, to the pool of the engine
+// executing lp for the next Send.
+func (lp *LP) executeFinal(ev *Event) {
+	ev.state = stateProcessed
+	ev.Bits = 0
+	lp.mode = modeForward
+	lp.cur = ev
+	lp.Handler.Forward(lp, ev)
+	lp.cur = nil
+	lp.mode = modeIdle
+	lp.commit(ev)
+	ev.state = stateCommitted
+	lp.pool.put(ev)
 }
 
 // Now returns the receive time of the event being handled. It is valid in
@@ -129,16 +184,39 @@ func (lp *LP) Send(dst LPID, delay Time, data any) *Event {
 	if target := lp.eng.lookup(dst); target == nil {
 		panic("core: Send to unknown LP")
 	}
-	ev := lp.eng.alloc()
+	ev := lp.pool.get()
 	ev.recvTime = lp.cur.recvTime + delay
 	ev.dst = dst
 	ev.src = lp.ID
 	ev.seq = lp.sendSeq
 	ev.Data = data
 	lp.sendSeq++
-	lp.cur.sent = append(lp.cur.sent, ev)
+	if lp.cancels {
+		lp.cur.sent = append(lp.cur.sent, ev)
+	}
 	lp.eng.scheduleNew(ev)
 	return ev
+}
+
+// Spare returns the payload of an event that died on this LP's PE, or nil
+// when none is held, so a handler can reuse it for its next Send instead
+// of allocating:
+//
+//	m, ok := lp.Spare().(*Msg)
+//	if !ok {
+//	    m = new(Msg)
+//	}
+//	*m = Msg{...}
+//
+// The spare may have been sent by any handler, so assert its type (one of
+// a foreign type is simply dropped), and overwrite it wholly before
+// sending: it still holds whatever its previous event carried. Only legal
+// during Forward.
+func (lp *LP) Spare() any {
+	if lp.mode != modeForward {
+		panic("core: Spare outside Forward")
+	}
+	return lp.pool.spare()
 }
 
 // SendSelf schedules an event for this LP itself.

@@ -29,6 +29,11 @@ type PE struct {
 	pool    eventPool            //simlint:owned
 	kps     []*KP                //simlint:owned
 
+	// reclaimBound and reclaim are reclaimCanceled's reused drain bound
+	// and callback (bindReclaim).
+	reclaimBound Event        //simlint:owned
+	reclaim      func(*Event) //simlint:owned
+
 	parked atomic.Bool
 	wakeCh chan struct{}
 
@@ -121,16 +126,11 @@ type PE struct {
 // ID returns the PE index.
 func (pe *PE) ID() int { return pe.id }
 
-// alloc implements engine: events come from this PE's free list.
-func (pe *PE) alloc() *Event { return pe.pool.get() }
-
-// free returns a dead event (committed or cancelled-and-discarded) to this
-// PE's pool, recycling its payload through the model if it opted in. Only
-// the PE owning the event's destination may call it — which is exactly the
-// PE whose goroutine proves the event dead.
-func (pe *PE) free(ev *Event) {
-	pe.pool.release(pe.sim.lps[ev.dst], ev)
-}
+// free returns a dead event (committed or cancelled-and-discarded) and its
+// payload to this PE's pool. Only the PE owning the event's destination
+// may call it — which is exactly the PE whose goroutine proves the event
+// dead.
+func (pe *PE) free(ev *Event) { pe.pool.put(ev) }
 
 // insert adds an event to this PE's pending queue. If the event is in the
 // past of its KP, the KP is first rolled back to just before it (a primary
@@ -538,12 +538,22 @@ func (pe *PE) reclaimCanceled(gvt Time) {
 	if gvt > pe.sim.cfg.EndTime {
 		gvt = pe.sim.cfg.EndTime
 	}
-	bound := &Event{recvTime: gvt, dst: -1 << 31, src: -1 << 31}
-	eventq.Drain(pe.pending, bound, (*Event).before, func(ev *Event) {
+	pe.reclaimBound.recvTime = gvt
+	eventq.Drain(pe.pending, &pe.reclaimBound, (*Event).before, pe.reclaim)
+}
+
+// bindReclaim builds the bound event and the callback reclaimCanceled
+// drains with, once per PE rather than per sweep: the sweep runs every GVT
+// round on every PE, and both would escape to the heap each time. The
+// bound sorts before every real event at its time (real destinations are
+// >= 0).
+func (pe *PE) bindReclaim() {
+	pe.reclaimBound.dst, pe.reclaimBound.src = -1<<31, -1<<31
+	pe.reclaim = func(ev *Event) {
 		if ev.state != stateCanceled {
 			panic(fmt.Sprintf("core: GVT violation: live pending event %s below GVT %g",
-				ev.String(), float64(gvt)))
+				ev.String(), float64(pe.reclaimBound.recvTime)))
 		}
 		pe.free(ev)
-	})
+	}
 }

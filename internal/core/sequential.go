@@ -48,9 +48,10 @@ func NewSequential(cfg Config) (*Sequential, error) {
 	q.lps = make([]*LP, cfg.NumLPs)
 	for i := range q.lps {
 		q.lps[i] = &LP{
-			ID:  LPID(i),
-			rng: rng.NewStream(streamID(cfg.Seed, i)),
-			eng: q,
+			ID:   LPID(i),
+			rng:  rng.NewStream(streamID(cfg.Seed, i)),
+			eng:  q,
+			pool: &q.pool,
 		}
 	}
 	q.pending = newEventQueue(cfg.Queue)
@@ -81,9 +82,8 @@ func (q *Sequential) Schedule(dst LPID, t Time, data any) {
 	if dst < 0 || int(dst) >= len(q.lps) {
 		panic("core: Schedule to unknown LP")
 	}
-	ev := &Event{recvTime: t, dst: dst, src: NoLP, seq: q.bootSeq, Data: data}
+	q.boot = append(q.boot, q.pool.boot(dst, t, NoLP, q.bootSeq, data))
 	q.bootSeq++
-	q.boot = append(q.boot, ev)
 }
 
 // ForEachBootstrap visits every bootstrap event scheduled so far, in
@@ -100,6 +100,9 @@ func (q *Sequential) DropBootstrap() {
 	if q.ran {
 		panic("core: DropBootstrap after Run")
 	}
+	for _, ev := range q.boot {
+		ev.Data = nil // the slab outlives the drop; do not let it pin payloads
+	}
 	q.boot = nil
 	q.bootSeq = 0
 }
@@ -109,9 +112,6 @@ func (q *Sequential) scheduleNew(ev *Event) {
 	ev.state = statePending
 	q.pending.Push(ev)
 }
-
-// alloc implements engine: events come from the executor's free list.
-func (q *Sequential) alloc() *Event { return q.pool.get() }
 
 // lookup implements engine.
 func (q *Sequential) lookup(id LPID) *LP {
@@ -129,10 +129,8 @@ func (q *Sequential) Run() (*Stats, error) {
 		return nil, errors.New("core: Run called twice")
 	}
 	q.ran = true
-	for _, lp := range q.lps {
-		if lp.Handler == nil {
-			return nil, fmt.Errorf("core: LP %d has no handler", lp.ID)
-		}
+	if err := bindHandlers(q.lps); err != nil {
+		return nil, err
 	}
 	for _, ev := range q.boot {
 		ev.state = statePending
@@ -150,23 +148,7 @@ func (q *Sequential) Run() (*Stats, error) {
 	// BulkDrain re-entrancy contract.
 	bound := &Event{recvTime: q.cfg.EndTime, dst: -1 << 31, src: -1 << 31}
 	eventq.Drain(q.pending, bound, (*Event).before, func(ev *Event) {
-		lp := q.lps[ev.dst]
-		ev.state = stateProcessed
-		ev.Bits = 0
-		ev.prevSendSeq = lp.sendSeq
-		lp.mode = modeForward
-		lp.cur = ev
-		lp.Handler.Forward(lp, ev)
-		if committer, ok := lp.Handler.(Committer); ok {
-			lp.mode = modeCommit
-			committer.Commit(lp, ev)
-		}
-		lp.cur = nil
-		lp.mode = modeIdle
-		// Sequentially, an executed event is committed and therefore dead;
-		// it goes straight back to the pool for the next Send.
-		ev.state = stateCommitted
-		q.pool.release(lp, ev)
+		q.lps[ev.dst].executeFinal(ev)
 		q.processed++
 	})
 	wall := time.Since(start)

@@ -288,12 +288,14 @@ type Simulator struct {
 	// ckptPending is the async mode's equivalent — there is no barrier to
 	// order a plain flag, so completeRound publishes it atomically and
 	// every PE's next asyncPass routes into the rendezvous. ckptLastRound
-	// is PE 0's bookkeeping only.
+	// and ckptLastGVT — the round count and estimate of the last capture —
+	// are PE 0's bookkeeping only.
 	ckptSink      CheckpointSink
 	ckptEvery     int64
 	ckptDue       bool
 	ckptPending   atomic.Bool
 	ckptLastRound int64
+	ckptLastGVT   Time
 
 	failOnce sync.Once
 	failErr  error
@@ -319,6 +321,7 @@ func New(cfg Config) (*Simulator, error) {
 			lanes:  make([]lane, cfg.NumPEs),
 			wakeCh: make(chan struct{}, 1),
 		}
+		s.pes[i].bindReclaim()
 		s.pes[i].outbox.bufs = make([][]mail, cfg.NumPEs)
 		if cfg.Faults != nil {
 			s.pes[i].faults = newPEFaults(cfg.Faults, i)
@@ -341,10 +344,12 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		kp := s.kps[kpID]
 		lp := &LP{
-			ID:  LPID(i),
-			kp:  kp,
-			rng: rng.NewStream(streamID(cfg.Seed, i)),
-			eng: kp.pe,
+			ID:      LPID(i),
+			kp:      kp,
+			rng:     rng.NewStream(streamID(cfg.Seed, i)),
+			eng:     kp.pe,
+			pool:    &kp.pe.pool,
+			cancels: true,
 		}
 		s.lps[i] = lp
 	}
@@ -438,9 +443,8 @@ func (s *Simulator) Schedule(dst LPID, t Time, data any) {
 	if dst < 0 || int(dst) >= len(s.lps) {
 		panic("core: Schedule to unknown LP")
 	}
-	ev := &Event{recvTime: t, dst: dst, src: NoLP, seq: s.bootSeq, Data: data}
+	s.boot = append(s.boot, s.lps[dst].pool.boot(dst, t, NoLP, s.bootSeq, data))
 	s.bootSeq++
-	s.boot = append(s.boot, ev)
 }
 
 // SetRecord attaches a record sink (see Config.Record). It must be called
@@ -506,6 +510,9 @@ func (s *Simulator) DropBootstrap() {
 	if s.ran {
 		panic("core: DropBootstrap after Run")
 	}
+	for _, ev := range s.boot {
+		ev.Data = nil // the slab outlives the drop; do not let it pin payloads
+	}
 	s.boot = nil
 	s.bootSeq = 0
 }
@@ -548,10 +555,8 @@ func (s *Simulator) Run() (*Stats, error) {
 		return nil, errors.New("core: Run called twice")
 	}
 	s.ran = true
-	for _, lp := range s.lps {
-		if lp.Handler == nil {
-			return nil, fmt.Errorf("core: LP %d has no handler", lp.ID)
-		}
+	if err := bindHandlers(s.lps); err != nil {
+		return nil, err
 	}
 	for _, ev := range s.boot {
 		s.lps[ev.dst].kp.pe.insert(ev)

@@ -55,10 +55,11 @@ type PEStats struct {
 	MemThrottles    int64
 	InvariantSweeps int64
 
-	// Event-pool counters (see pool.go). PoolHits are Sends served from
-	// the free list, PoolMisses the ones that had to allocate;
+	// Event-pool counters (see pool.go). PoolHits are Sends served without
+	// allocating, PoolMisses the ones that had to allocate a slab;
 	// EventsRecycled counts events returned to this PE's pool (which may
-	// have been allocated on another PE — events migrate between pools).
+	// have been allocated on another PE — events migrate between pools),
+	// PayloadsRecycled the spare payloads handlers took with LP.Spare.
 	PoolHits         int64
 	PoolMisses       int64
 	EventsRecycled   int64
@@ -123,7 +124,7 @@ type Stats struct {
 	MemThrottles    int64
 	InvariantSweeps int64
 	// Event-pool totals across all pools: allocations avoided (PoolHits),
-	// allocations performed (PoolMisses), events and payloads recycled,
+	// slabs allocated (PoolMisses), events recycled and payloads reissued,
 	// and the summed per-pool live high-water mark. PoolHitRate is
 	// PoolHits/(PoolHits+PoolMisses) — at steady state it approaches 1 and
 	// the event loop stops touching the allocator.

@@ -355,12 +355,11 @@ func TestEachVisitsAll(t *testing.T) {
 	}
 }
 
-// TestLadderSteadyStateAllocs is the zero-alloc gate the ISSUE requires:
-// after warmup grows every recycled array to its high-water mark, the
-// hold pattern (Pop, then Push slightly ahead) must allocate nothing —
-// rung structs, bucket arrays, Bottom, Top and the sort scratch are all
-// reused in place. benchjson cannot gate a 0 allocs/op cell (it treats a
-// zero field as missing), so the gate lives here as a hard test.
+// TestLadderSteadyStateAllocs is the ladder's zero-allocation gate: after
+// warmup grows every recycled array to its high-water mark, the hold
+// pattern (Pop, then Push slightly ahead) must allocate nothing — rung
+// structs, bucket arrays, Bottom, Top and the sort scratch are all reused
+// in place.
 func TestLadderSteadyStateAllocs(t *testing.T) {
 	q := NewLadder(intLess, intKey)
 	r := rand.New(rand.NewSource(3))

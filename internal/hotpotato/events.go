@@ -201,7 +201,7 @@ func (m *Model) Forward(lp *core.LP, ev *core.Event) {
 	case KindHeartbeat:
 		r := lp.State.(*Router)
 		r.stats.Heartbeats++
-		lp.SendSelf(1.0, m.newMsg(Msg{Kind: KindHeartbeat}))
+		lp.SendSelf(1.0, newMsg(lp, Msg{Kind: KindHeartbeat}))
 	default:
 		panic(fmt.Sprintf("hotpotato: unknown event kind %d", msg.Kind))
 	}
@@ -314,7 +314,7 @@ func (m *Model) arrive(lp *core.LP, ev *core.Event, msg *Msg) {
 		return
 	}
 	s := step(t)
-	lp.SendSelf(routeTime(s, p)-t, m.newMsg(Msg{Kind: KindRoute, P: *p}))
+	lp.SendSelf(routeTime(s, p)-t, newMsg(lp, Msg{Kind: KindRoute, P: *p}))
 }
 
 // route makes one routing decision: fill the LP's routing context with the
@@ -364,7 +364,7 @@ func (m *Model) route(lp *core.LP, ev *core.Event, msg *Msg) {
 	np.Prio = dec.NewPrio
 	np.Hops++
 	arrival := core.Time(float64(s+1) + p.Jitter)
-	lp.Send(core.LPID(next), arrival-t, m.newMsg(Msg{Kind: KindArrive, P: np}))
+	lp.Send(core.LPID(next), arrival-t, newMsg(lp, Msg{Kind: KindArrive, P: np}))
 }
 
 // inject runs one step of the injection application: generate a packet,
@@ -392,7 +392,7 @@ func (m *Model) inject(lp *core.LP, ev *core.Event, msg *Msg) {
 			r.qHead++
 			r.stats.Discarded++
 			msg.SavedHeadAfter = r.qHead
-			lp.SendSelf(1.0, m.newMsg(Msg{Kind: KindInject}))
+			lp.SendSelf(1.0, newMsg(lp, Msg{Kind: KindInject}))
 			return
 		}
 		ev.Bits.Set(bitInjected)
@@ -436,12 +436,12 @@ func (m *Model) inject(lp *core.LP, ev *core.Event, msg *Msg) {
 			msg.SavedWaitMax = r.stats.WaitMax
 			r.stats.WaitMax = wait
 		}
-		lp.Send(core.LPID(m.net.Neighbor(int(lp.ID), dir)), arrival-t, m.newMsg(Msg{Kind: KindArrive, P: pkt}))
+		lp.Send(core.LPID(m.net.Neighbor(int(lp.ID), dir)), arrival-t, newMsg(lp, Msg{Kind: KindArrive, P: pkt}))
 	}
 	msg.SavedHeadAfter = r.qHead
 
 	// Next attempt, one step later.
-	lp.SendSelf(1.0, m.newMsg(Msg{Kind: KindInject}))
+	lp.SendSelf(1.0, newMsg(lp, Msg{Kind: KindInject}))
 }
 
 // distBucket maps a source-destination distance onto the delivery

@@ -34,7 +34,6 @@ package hotpotato
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"repro/internal/core"
@@ -193,13 +192,6 @@ type Model struct {
 	size    int
 	maxDist int
 
-	// msgPool recycles Msg payloads through the kernel's event lifecycle
-	// (core.Recycler). It must be a sync.Pool rather than a plain free
-	// list: the Model is shared by every LP, and Recycle runs on whichever
-	// PE goroutine proves an event dead while other PEs are drawing
-	// messages concurrently.
-	msgPool sync.Pool
-
 	// scratch holds one routing context per LP, indexed by LP ID, so ROUTE
 	// and INJECT build nothing on the heap: a Ctx handed to Policy.Route
 	// escapes through the interface call, and lp.Rand / lp.RandInt written
@@ -222,23 +214,17 @@ type lpScratch struct {
 
 const cacheLine = 64
 
-// newMsg returns a message initialised to v, reusing a recycled Msg when
-// one is available.
-func (m *Model) newMsg(v Msg) *Msg {
-	nm, ok := m.msgPool.Get().(*Msg)
+// newMsg returns a message initialised to v for lp to send, taking over
+// the payload of an event that died on lp's PE when the kernel holds one
+// (core.LP.Spare). Msg holds no pointers, so reuse also relieves the
+// garbage collector of scanning dead payloads.
+func newMsg(lp *core.LP, v Msg) *Msg {
+	nm, ok := lp.Spare().(*Msg)
 	if !ok {
 		nm = new(Msg)
 	}
 	*nm = v
 	return nm
-}
-
-// Recycle implements core.Recycler: the kernel hands back each event's
-// payload once the event is committed or cancelled, and the model reissues
-// it on a later send. Msg holds no pointers, so recycling also relieves
-// the garbage collector of scanning dead payloads.
-func (m *Model) Recycle(data any) {
-	m.msgPool.Put(data.(*Msg))
 }
 
 // Host abstracts the two kernel engines (core.Simulator and
@@ -397,15 +383,15 @@ func (m *Model) install(h Host) {
 				Born:   arrival,
 				Dist:   int32(m.net.Dist(id, int(dst))),
 			}
-			h.Schedule(core.LPID(id), arrival, m.newMsg(Msg{Kind: KindArrive, P: pkt}))
+			h.Schedule(core.LPID(id), arrival, &Msg{Kind: KindArrive, P: pkt})
 		}
 	}
 	h.ForEachLP(func(lp *core.LP) {
 		if lp.State.(*Router).isInjector {
-			h.Schedule(lp.ID, injectAt, m.newMsg(Msg{Kind: KindInject}))
+			h.Schedule(lp.ID, injectAt, &Msg{Kind: KindInject})
 		}
 		if m.cfg.Heartbeat {
-			h.Schedule(lp.ID, heartbeatAt, m.newMsg(Msg{Kind: KindHeartbeat}))
+			h.Schedule(lp.ID, heartbeatAt, &Msg{Kind: KindHeartbeat})
 		}
 	})
 }

@@ -171,9 +171,9 @@ func (m *Model) install(h core.Host) {
 
 // Forward implements core.Handler: hold the job, then forward it. PHOLD
 // jobs carry no payload (Data is nil), so the kernel's event free list
-// alone makes the steady-state loop allocation-free — the model needs no
-// core.Recycler, unlike hotpotato and qnet whose message structs are
-// recycled through one.
+// alone makes the steady-state loop allocation-free — the model never
+// calls lp.Spare, unlike hotpotato and qnet whose message structs are
+// reissued through it.
 func (m *Model) Forward(lp *core.LP, ev *core.Event) {
 	lp.State.(*State).Processed++
 	dst := lp.ID

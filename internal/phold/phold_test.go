@@ -1,6 +1,7 @@
 package phold
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -143,5 +144,33 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if cfg.Population != 1 || cfg.MeanDelay != 1 || cfg.Lookahead != 0.1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
+	}
+}
+
+// TestEventPathAllocs is the PHOLD twin of hotpotato's test of that name:
+// jobs carry no payload, so the kernel's own lifecycle is all there is —
+// slab-backed events, inline sent lists, one reused reclaim bound per PE.
+// What remains is start-up growth, about one allocation per hundred
+// committed events on 2 PEs; an event or a sent list allocated per send
+// costs one per event and fails this at once.
+func TestEventPathAllocs(t *testing.T) {
+	const limit = 0.012
+	sim, _, err := Build(Config{NumLPs: 1024, Population: 8, RemoteProb: 0.5, EndTime: 60, Seed: 5, NumPEs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ks, err := sim.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks.Committed == 0 {
+		t.Fatal("nothing committed")
+	}
+	if got := float64(after.Mallocs-before.Mallocs) / float64(ks.Committed); got > limit {
+		t.Errorf("2 PEs: %.4f allocs per committed event (%d committed), want <= %v", got, ks.Committed, limit)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -124,28 +123,17 @@ type Model struct {
 	cfg  Config
 	net  topology.Torus
 	size int
-
-	// msgPool recycles Msg payloads via core.Recycler; sync.Pool because
-	// Recycle runs on the destination PE's goroutine while other PEs send
-	// concurrently.
-	msgPool sync.Pool
 }
 
-// newMsg returns a message initialised to v, reusing a recycled Msg when
-// one is available.
-func (m *Model) newMsg(v Msg) *Msg {
-	nm, ok := m.msgPool.Get().(*Msg)
+// newMsg returns a message initialised to v for lp to send, taking over
+// the payload of an event that died on lp's PE when the kernel holds one.
+func newMsg(lp *core.LP, v Msg) *Msg {
+	nm, ok := lp.Spare().(*Msg)
 	if !ok {
 		nm = new(Msg)
 	}
 	*nm = v
 	return nm
-}
-
-// Recycle implements core.Recycler: dead events hand their payloads back
-// for reuse by later sends.
-func (m *Model) Recycle(data any) {
-	m.msgPool.Put(data.(*Msg))
 }
 
 // Build constructs the parallel simulator with the model installed.
@@ -204,7 +192,7 @@ func (m *Model) install(h core.Host) {
 	for i := 0; i < m.size; i++ {
 		for j := 0; j < m.cfg.JobsPerStation; j++ {
 			t := core.Time(float64(j*m.size+i+1) * 1e-6)
-			h.Schedule(core.LPID(i), t, m.newMsg(Msg{Kind: KindArrive}))
+			h.Schedule(core.LPID(i), t, &Msg{Kind: KindArrive})
 		}
 	}
 }
@@ -221,7 +209,7 @@ func (m *Model) Forward(lp *core.LP, ev *core.Event) {
 			ev.Bits.Set(bitStartedService)
 			st.Busy = true
 			lp.SendSelf(core.Time(lp.RandExp(m.cfg.MeanService))+1e-9,
-				m.newMsg(Msg{Kind: KindDepart, EnqueuedAt: ev.RecvTime()}))
+				newMsg(lp, Msg{Kind: KindDepart, EnqueuedAt: ev.RecvTime()}))
 			return
 		}
 		st.queue = append(st.queue, ev.RecvTime())
@@ -231,14 +219,14 @@ func (m *Model) Forward(lp *core.LP, ev *core.Event) {
 		// Forward the job to a random neighbour.
 		dir := topology.Direction(lp.RandInt(0, topology.NumDirections-1))
 		next := m.net.Neighbor(int(lp.ID), dir)
-		lp.Send(core.LPID(next), 1e-9, m.newMsg(Msg{Kind: KindArrive}))
+		lp.Send(core.LPID(next), 1e-9, newMsg(lp, Msg{Kind: KindArrive}))
 		// Start the next waiting job, if any.
 		if st.qHead < st.qBase+int64(len(st.queue)) {
 			ev.Bits.Set(bitStartedService)
 			enq := st.queue[st.qHead-st.qBase]
 			st.qHead++
 			lp.SendSelf(core.Time(lp.RandExp(m.cfg.MeanService))+1e-9,
-				m.newMsg(Msg{Kind: KindDepart, EnqueuedAt: enq}))
+				newMsg(lp, Msg{Kind: KindDepart, EnqueuedAt: enq}))
 			return
 		}
 		st.Busy = false

@@ -1,6 +1,7 @@
 package simcheck
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/phold"
 	"repro/internal/qnet"
 	"repro/internal/replay"
-	"repro/internal/trace"
 )
 
 // stateCodecNames maps each harness model to its registered replay state
@@ -41,7 +41,9 @@ const CheckpointEvery = 32
 // composed fingerprint (committed count summed across the cut, trace
 // hashes folded from the checkpoint's seeded prefix) and phase two's
 // kernel stats — so Stats.Committed < FP.Committed proves the run
-// genuinely resumed mid-stream rather than re-running everything.
+// genuinely resumed mid-stream rather than re-running everything. A phase
+// one that finishes before any checkpoint falls due has nothing to resume;
+// its own result is returned, with Stats.Committed == FP.Committed.
 //
 // The composed fingerprint must equal a clean sequential reference run's:
 // that is the crash-recovery claim in miniature, and the soak harness holds
@@ -71,10 +73,18 @@ func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 		return Result{}, err
 	}
 	sim.SetCheckpoint(w, every)
-	if _, err := inst.run(); err != nil {
+	stats1, err := inst.run()
+	if err != nil {
 		return Result{}, err
 	}
 	cp, err := replay.LoadCheckpoint(dir)
+	if errors.Is(err, replay.ErrNoCheckpoint) {
+		// Nothing was ever due: the run finished before `every` rounds with
+		// a positive, non-final estimate had completed (a 1-PE cell whose
+		// GVT requests the GVTDelay fault suppresses gets there). There is
+		// nothing to resume, so the uninterrupted run is the result.
+		return inst.result(c, stats1, 0), nil
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("simcheck: cell published no loadable checkpoint: %w", err)
 	}
@@ -96,17 +106,5 @@ func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{
-		Cell: c,
-		FP: Fingerprint{
-			Committed: cp.Committed + stats.Committed,
-			TraceLen:  inst2.rec.Len(),
-			TraceHash: inst2.rec.Hash(),
-			LPHashes:  inst2.rec.LPHashes(inst2.numLPs),
-			StateHash: trace.StateHash(inst2.host),
-		},
-		Stats:   stats,
-		Summary: inst2.summary(),
-	}
-	return res, nil
+	return inst2.result(c, stats, cp.Committed), nil
 }

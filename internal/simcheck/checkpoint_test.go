@@ -1,6 +1,7 @@
 package simcheck
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -77,5 +78,31 @@ func TestRunCellResumedUnderFaults(t *testing.T) {
 	}
 	if diffs := Compare(ref.FP, res.FP); len(diffs) > 0 {
 		t.Fatalf("resumed fingerprint diverges under faults [%s]:\n%v", c, diffs)
+	}
+}
+
+// TestRunCellResumedNothingDue: a run that ends before its first checkpoint
+// falls due (the soak harness meets this on 1-PE qnet cells under the
+// GVTDelay fault) leaves an empty directory. That is "nothing to resume",
+// not a failure: the uninterrupted run is held to the oracle instead.
+func TestRunCellResumedNothingDue(t *testing.T) {
+	ref, err := RunCell(Cell{Model: "qnet", Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 3})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	c := Cell{Model: "qnet", Engine: EngOptimistic, PEs: 1, KPs: 2, Queue: "heap", Seed: 3, Faults: DefaultFaults()}
+	dir := t.TempDir()
+	res, err := RunCellResumed(c, dir, 1<<30)
+	if err != nil {
+		t.Fatalf("run with no checkpoint due [%s]: %v", c, err)
+	}
+	if _, err := replay.LoadCheckpoint(dir); !errors.Is(err, replay.ErrNoCheckpoint) {
+		t.Fatalf("LoadCheckpoint = %v, want ErrNoCheckpoint: the cadence was meant to publish nothing", err)
+	}
+	if diffs := Compare(ref.FP, res.FP); len(diffs) > 0 {
+		t.Fatalf("uninterrupted fingerprint diverges from sequential reference [%s]:\n%v", c, diffs)
+	}
+	if res.Stats.Committed != res.FP.Committed {
+		t.Fatalf("phase committed %d of %d events, want the whole run", res.Stats.Committed, res.FP.Committed)
 	}
 }

@@ -408,10 +408,16 @@ func RunCell(c Cell) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{
+	return inst.result(c, stats, 0), nil
+}
+
+// result fingerprints a finished instance. committedBefore is what a
+// checkpoint the run resumed from had already committed (0 for a whole run).
+func (inst *instance) result(c Cell, stats *core.Stats, committedBefore int64) Result {
+	return Result{
 		Cell: c,
 		FP: Fingerprint{
-			Committed: stats.Committed,
+			Committed: committedBefore + stats.Committed,
 			TraceLen:  inst.rec.Len(),
 			TraceHash: inst.rec.Hash(),
 			LPHashes:  inst.rec.LPHashes(inst.numLPs),
@@ -420,7 +426,6 @@ func RunCell(c Cell) (Result, error) {
 		Stats:   stats,
 		Summary: inst.summary(),
 	}
-	return res, nil
 }
 
 // Run executes the matrix and returns the report. logf, when non-nil,

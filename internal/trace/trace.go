@@ -283,36 +283,20 @@ func (r *Recorder) Dump(w io.Writer) error {
 // wrapped decorates a model handler with commit-time recording. It
 // preserves the inner handler's Committer behaviour.
 type wrapped struct {
-	inner    core.Handler
-	rec      *Recorder
-	describe Describe
+	inner     core.Handler
+	committer core.Committer // inner's Commit side, or nil
+	rec       *Recorder
+	describe  Describe
 }
 
 // Wrap returns a handler that behaves exactly like inner and additionally
-// records every committed event. describe may be nil (DescribeData). If the
-// inner handler recycles payloads (core.Recycler), the wrapper forwards
-// Recycle so tracing does not silently disable the payload pool; handlers
-// without one get a wrapper that does not advertise the interface.
+// records every committed event. describe may be nil (DescribeData).
 func Wrap(inner core.Handler, rec *Recorder, describe Describe) core.Handler {
 	if describe == nil {
 		describe = DescribeData
 	}
-	w := &wrapped{inner: inner, rec: rec, describe: describe}
-	if _, ok := inner.(core.Recycler); ok {
-		return &recyclingWrapped{wrapped: *w}
-	}
-	return w
-}
-
-// recyclingWrapped is the Wrap variant for inner handlers that implement
-// core.Recycler.
-type recyclingWrapped struct {
-	wrapped
-}
-
-// Recycle implements core.Recycler by forwarding to the inner handler.
-func (w *recyclingWrapped) Recycle(data any) {
-	w.inner.(core.Recycler).Recycle(data)
+	committer, _ := inner.(core.Committer)
+	return &wrapped{inner: inner, committer: committer, rec: rec, describe: describe}
 }
 
 // Forward implements core.Handler.
@@ -324,8 +308,8 @@ func (w *wrapped) Reverse(lp *core.LP, ev *core.Event) { w.inner.Reverse(lp, ev)
 // Commit implements core.Committer: the inner handler's Commit (if any)
 // runs first, then the event is recorded.
 func (w *wrapped) Commit(lp *core.LP, ev *core.Event) {
-	if committer, ok := w.inner.(core.Committer); ok {
-		committer.Commit(lp, ev)
+	if w.committer != nil {
+		w.committer.Commit(lp, ev)
 	}
 	w.rec.add(Record{
 		T:    ev.RecvTime(),
