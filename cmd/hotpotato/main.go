@@ -48,10 +48,8 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		pes        = flag.Int("pes", 0, "processing elements (0 = GOMAXPROCS)")
 		kps        = flag.Int("kps", 64, "kernel processes (the report's model uses 64)")
-		queue      = flag.String("queue", core.DefaultQueue, "pending queue: "+strings.Join(eventq.Kinds(), ", "))
-		gvtMode    = flag.String("gvt", "", "GVT algorithm: async (circulating token, the default) or barrier")
+		queue      = flag.String("queue", eventq.DefaultKind, "pending queue: "+strings.Join(eventq.Kinds(), ", "))
 		maxOpt     = flag.Float64("max-optimism", 0, "bound speculation to this many steps beyond GVT (0 = unlimited)")
-		adaptive   = flag.Bool("adaptive", false, "adapt each PE's optimism window to its rollback efficiency")
 		sequential = flag.Bool("sequential", false, "run the sequential reference engine instead of Time Warp")
 		kernel     = flag.Bool("kernel", false, "also print kernel statistics")
 		progress   = flag.Bool("progress", false, "report GVT progress to stderr during long parallel runs")
@@ -75,22 +73,20 @@ func main() {
 		fatal(err)
 	}
 	cfg := hotpotato.Config{
-		N:                *n,
-		Topology:         *topo,
-		Policy:           policy,
-		Traffic:          traf,
-		InjectorPercent:  *inject,
-		AbsorbSleeping:   *absorb,
-		InitialFill:      *fill,
-		Steps:            *steps,
-		Heartbeat:        *heartbeat,
-		Seed:             *seed,
-		NumPEs:           *pes,
-		NumKPs:           *kps,
-		Queue:            *queue,
-		GVTMode:          *gvtMode,
-		MaxOptimism:      core.Time(*maxOpt),
-		AdaptiveOptimism: *adaptive,
+		N:               *n,
+		Topology:        *topo,
+		Policy:          policy,
+		Traffic:         traf,
+		InjectorPercent: *inject,
+		AbsorbSleeping:  *absorb,
+		InitialFill:     *fill,
+		Steps:           *steps,
+		Heartbeat:       *heartbeat,
+		Seed:            *seed,
+		NumPEs:          *pes,
+		NumKPs:          *kps,
+		Queue:           *queue,
+		MaxOptimism:     core.Time(*maxOpt),
 	}
 	if *progress && !*sequential {
 		// Throttle to roughly one line per percent of virtual time; OnGVT
@@ -172,8 +168,8 @@ func main() {
 		ks.MailSent, ks.BatchesFlushed, ks.AvgBatchSize, ks.MailboxPeak, ks.Parks, ks.Wakes)
 	if ks.GVTRounds > 0 {
 		avg := ks.GVTLatency / time.Duration(ks.GVTRounds)
-		fmt.Printf("gvt: %d %s rounds, avg latency %v, %v total wait, %d throttled passes\n",
-			ks.GVTRounds, ks.GVTMode, avg.Round(time.Microsecond), ks.GVTWait.Round(time.Microsecond), ks.OptClamps)
+		fmt.Printf("gvt: %d rounds, avg latency %v, %v total wait, %d throttled passes\n",
+			ks.GVTRounds, avg.Round(time.Microsecond), ks.GVTWait.Round(time.Microsecond), ks.OptClamps)
 	}
 	fmt.Print(totals)
 	if *kernel {

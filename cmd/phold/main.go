@@ -28,10 +28,8 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		pes        = flag.Int("pes", 0, "processing elements (0 = GOMAXPROCS)")
 		kps        = flag.Int("kps", 0, "kernel processes (0 = default)")
-		queue      = flag.String("queue", core.DefaultQueue, "pending queue: "+strings.Join(eventq.Kinds(), ", "))
+		queue      = flag.String("queue", eventq.DefaultKind, "pending queue: "+strings.Join(eventq.Kinds(), ", "))
 		maxOpt     = flag.Float64("max-optimism", 0, "bound speculation to this far beyond GVT (0 = unlimited)")
-		gvtMode    = flag.String("gvt", "", "GVT algorithm: async (circulating token, the default) or barrier")
-		adaptive   = flag.Bool("adaptive", false, "adapt each PE's optimism window to its rollback efficiency")
 		sequential = flag.Bool("sequential", false, "run the sequential reference engine")
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
@@ -43,19 +41,17 @@ func main() {
 	}
 
 	cfg := phold.Config{
-		NumLPs:           *lps,
-		Population:       *population,
-		RemoteProb:       *remote,
-		MeanDelay:        *mean,
-		Lookahead:        *lookahead,
-		EndTime:          core.Time(*end),
-		Seed:             *seed,
-		NumPEs:           *pes,
-		NumKPs:           *kps,
-		Queue:            *queue,
-		MaxOptimism:      core.Time(*maxOpt),
-		GVTMode:          *gvtMode,
-		AdaptiveOptimism: *adaptive,
+		NumLPs:      *lps,
+		Population:  *population,
+		RemoteProb:  *remote,
+		MeanDelay:   *mean,
+		Lookahead:   *lookahead,
+		EndTime:     core.Time(*end),
+		Seed:        *seed,
+		NumPEs:      *pes,
+		NumKPs:      *kps,
+		Queue:       *queue,
+		MaxOptimism: core.Time(*maxOpt),
 	}
 
 	var (

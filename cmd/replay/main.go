@@ -48,7 +48,7 @@ func main() {
 		model    = flag.String("model", "hotpotato", "model to record: "+strings.Join(simcheck.ModelNames(), ", "))
 		pes      = flag.Int("pes", 2, "PE count for -record")
 		kps      = flag.Int("kps", 8, "KP count for -record")
-		queue    = flag.String("queue", "heap", "pending-queue kind for -record: "+strings.Join(eventq.Kinds(), ", "))
+		queue    = flag.String("queue", eventq.DefaultKind, "pending-queue kind for -record: "+strings.Join(eventq.Kinds(), ", "))
 		seed     = flag.Uint64("seed", 1, "model seed for -record")
 		end      = flag.Float64("end", 0, "virtual-time horizon for -record (0 = model default)")
 		mutation = flag.String("mutation", "", "arm a seeded bug when recording (demo; see simcheck -mutation)")

@@ -7,7 +7,7 @@
 //
 //   - internal/core — gotw, an optimistic (Time Warp) parallel
 //     discrete-event simulation kernel with reverse computation, kernel
-//     processes, barrier GVT and fossil collection: the ROSS analogue.
+//     processes, token-ring GVT and fossil collection: the ROSS analogue.
 //   - internal/hotpotato — the dynamic hot-potato routing model (four
 //     priority states, home-run paths, probabilistic upgrades, continuous
 //     injection) on an N×N torus or mesh.

@@ -9,7 +9,8 @@ import (
 // statistics: each PE owns its counters (processed, mailSent, ...) and
 // bumps them without atomics, so any read or write from outside methods
 // of the owning type is a data race unless it happens inside one of the
-// kernel's synchronisation windows (the GVT barrier, post-Run collection).
+// kernel's synchronisation windows (the comms fixed point's barriers, post-Run
+// collection).
 //
 // Fields are opted in with a //simlint:sharded marker on the field (or
 // its declaration group). Access is then allowed only through the

@@ -97,10 +97,10 @@ func (s *Simulator) SetCheckpoint(sink CheckpointSink, everyRounds int) {
 	s.ckptEvery = int64(everyRounds)
 }
 
-// checkpointDue is PE 0's per-round arming decision, made while it owns the
-// round (between gvtRound's barriers, or in completeRound). The estimate
-// must have advanced past the last capture's (0 before the first: there is
-// nothing committed to capture at 0). The committed prefix and frontier at
+// checkpointDue is PE 0's per-round arming decision, made in completeRound
+// while it holds the returned token. The estimate must have advanced past
+// the last capture's (0 before the first: there is nothing committed to
+// capture at 0). The committed prefix and frontier at
 // a standing estimate are the ones already on disk, and the rendezvous
 // unwinds everything at or beyond the estimate: a PE that needs more than
 // ckptEvery rounds to get through one timestamp's events would have them
@@ -114,9 +114,8 @@ func (s *Simulator) checkpointDue(round int64, est Time) bool {
 }
 
 // checkpointRendezvous is the all-PE capture protocol, entered by every PE
-// in the same GVT round (barrier mode: the ckptDue flag published inside
-// the round; async mode: the ckptPending flag set by completeRound). gvt is
-// the current published estimate, stable for the duration — only PE 0
+// after the same GVT round (the ckptPending flag set by completeRound). gvt
+// is the current published estimate, stable for the duration — only PE 0
 // advances it and PE 0 is in here.
 func (pe *PE) checkpointRendezvous(gvt Time) error {
 	s := pe.sim
@@ -126,14 +125,14 @@ func (pe *PE) checkpointRendezvous(gvt Time) error {
 	if err := pe.commsFixedPoint(); err != nil {
 		return err
 	}
-	// Commit everything below the estimate (idempotent where a mode already
-	// collected this round), then unwind everything at or beyond it. The
+	// Commit everything below the estimate (idempotent where this PE already
+	// collected against it), then unwind everything at or beyond it. The
 	// rollback key sorts before every real event at time gvt, so each KP's
 	// whole speculative suffix re-pends and its sends are cancelled; KPs end
 	// empty (live() == 0, hasLast false), LP states/RNGs/sequences end at
 	// their committed values.
 	pe.fossilCollect(gvt)
-	if s.async && gvt > pe.lastFossil {
+	if gvt > pe.lastFossil {
 		pe.lastFossil = gvt
 	}
 	key := eventKey{recvTime: gvt, dst: -1 << 31, src: -1 << 31}
@@ -150,9 +149,8 @@ func (pe *PE) checkpointRendezvous(gvt Time) error {
 	}
 	if pe.id == 0 {
 		err := s.captureCheckpoint(gvt)
-		s.ckptDue = false
 		s.ckptPending.Store(false)
-		s.ckptLastRound = s.gvtRounds.Load()
+		s.ckptLastRound = s.roundsDone.Load()
 		s.ckptLastGVT = gvt
 		if err != nil {
 			s.fail(err)

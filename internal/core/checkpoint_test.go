@@ -46,10 +46,10 @@ func (c *captureSink) Checkpoint(cs *CheckpointState) error {
 	return nil
 }
 
-func ckptTestConfig(mode string) Config {
+func ckptTestConfig() Config {
 	return Config{
 		NumLPs: 16, NumPEs: 4, NumKPs: 8, EndTime: 30, Seed: 3,
-		BatchSize: 8, GVTInterval: 2, GVTMode: mode,
+		BatchSize: 8, GVTInterval: 2,
 	}
 }
 
@@ -58,73 +58,74 @@ func ckptTestConfig(mode string) Config {
 // GVT strictly advances across captures, committed counts never regress,
 // the frontier is strictly sorted in the kernel's total event order and
 // never dips below the capture's GVT — and arming the sink leaves the
-// committed results untouched (the rendezvous is scheduling-only).
+// committed results untouched (the rendezvous is scheduling-only). The
+// subtest is named for the asynchronous token GVT the captures ride on.
 func TestCheckpointCaptureConsistentCut(t *testing.T) {
-	for _, mode := range []string{GVTAsync, GVTBarrier} {
-		t.Run(mode, func(t *testing.T) {
-			want, wantStats := runStressParallel(t, ckptTestConfig(mode), 12)
+	t.Run("async", checkpointCaptureConsistentCut)
+}
 
-			s, err := New(ckptTestConfig(mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := stressModel{numLPs: int64(s.NumLPs())}
-			s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
-			for i := 0; i < s.NumLPs(); i++ {
-				s.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 12})
-			}
-			sink := &captureSink{}
-			s.SetCheckpoint(sink, 4)
-			stats, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+func checkpointCaptureConsistentCut(t *testing.T) {
+	want, wantStats := runStressParallel(t, ckptTestConfig(), 12)
 
-			if len(sink.caps) == 0 {
-				t.Fatal("no checkpoints captured")
-			}
-			prevGVT := Time(-1)
-			prevCommitted := int64(-1)
-			for i, cap := range sink.caps {
-				if cap.GVT <= prevGVT {
-					t.Fatalf("capture %d: GVT %v did not advance past %v", i, cap.GVT, prevGVT)
-				}
-				if cap.GVT <= 0 || cap.GVT >= 30 {
-					t.Fatalf("capture %d: GVT %v outside (0, EndTime)", i, cap.GVT)
-				}
-				if cap.Committed < prevCommitted {
-					t.Fatalf("capture %d: committed %d regressed from %d", i, cap.Committed, prevCommitted)
-				}
-				prevGVT, prevCommitted = cap.GVT, cap.Committed
-				if len(cap.States) != s.NumLPs() {
-					t.Fatalf("capture %d: %d LP states, want %d", i, len(cap.States), s.NumLPs())
-				}
-				for j, ev := range cap.Frontier {
-					if ev.T < cap.GVT {
-						t.Fatalf("capture %d: frontier event %d at %v below GVT %v", i, j, ev.T, cap.GVT)
-					}
-					if j > 0 {
-						p := cap.Frontier[j-1]
-						if !(p.T < ev.T || (p.T == ev.T && (p.Dst < ev.Dst ||
-							(p.Dst == ev.Dst && (p.Src < ev.Src || (p.Src == ev.Src && p.Seq < ev.Seq)))))) {
-							t.Fatalf("capture %d: frontier events %d and %d out of order", i, j-1, j)
-						}
-					}
-				}
-			}
+	s, err := New(ckptTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := stressModel{numLPs: int64(s.NumLPs())}
+	s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
+	for i := 0; i < s.NumLPs(); i++ {
+		s.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 12})
+	}
+	sink := &captureSink{}
+	s.SetCheckpoint(sink, 4)
+	stats, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			// Scheduling-only: same committed count and final states as the
-			// uncheckpointed run.
-			if stats.Committed != wantStats.Committed {
-				t.Fatalf("checkpointed run committed %d events, want %d", stats.Committed, wantStats.Committed)
+	if len(sink.caps) == 0 {
+		t.Fatal("no checkpoints captured")
+	}
+	prevGVT := Time(-1)
+	prevCommitted := int64(-1)
+	for i, cap := range sink.caps {
+		if cap.GVT <= prevGVT {
+			t.Fatalf("capture %d: GVT %v did not advance past %v", i, cap.GVT, prevGVT)
+		}
+		if cap.GVT <= 0 || cap.GVT >= 30 {
+			t.Fatalf("capture %d: GVT %v outside (0, EndTime)", i, cap.GVT)
+		}
+		if cap.Committed < prevCommitted {
+			t.Fatalf("capture %d: committed %d regressed from %d", i, cap.Committed, prevCommitted)
+		}
+		prevGVT, prevCommitted = cap.GVT, cap.Committed
+		if len(cap.States) != s.NumLPs() {
+			t.Fatalf("capture %d: %d LP states, want %d", i, len(cap.States), s.NumLPs())
+		}
+		for j, ev := range cap.Frontier {
+			if ev.T < cap.GVT {
+				t.Fatalf("capture %d: frontier event %d at %v below GVT %v", i, j, ev.T, cap.GVT)
 			}
-			got := snapshotStress(s.NumLPs(), s.LP)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("LP %d final state %+v, want %+v", i, got[i], want[i])
+			if j > 0 {
+				p := cap.Frontier[j-1]
+				if !(p.T < ev.T || (p.T == ev.T && (p.Dst < ev.Dst ||
+					(p.Dst == ev.Dst && (p.Src < ev.Src || (p.Src == ev.Src && p.Seq < ev.Seq)))))) {
+					t.Fatalf("capture %d: frontier events %d and %d out of order", i, j-1, j)
 				}
 			}
-		})
+		}
+	}
+
+	// Scheduling-only: same committed count and final states as the
+	// uncheckpointed run.
+	if stats.Committed != wantStats.Committed {
+		t.Fatalf("checkpointed run committed %d events, want %d", stats.Committed, wantStats.Committed)
+	}
+	got := snapshotStress(s.NumLPs(), s.LP)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("LP %d final state %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -133,75 +134,76 @@ func TestCheckpointCaptureConsistentCut(t *testing.T) {
 // send sequences and the frontier with original event identities — run the
 // tail, and require the composed run to finish in exactly the
 // uninterrupted run's final states with exactly the remaining events
-// committed.
+// committed. The subtest is named for the asynchronous token GVT whose
+// estimates the captures are cut at.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	for _, mode := range []string{GVTAsync, GVTBarrier} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := ckptTestConfig(mode)
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := stressModel{numLPs: int64(cfg.NumLPs)}
-			s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
-			for i := 0; i < cfg.NumLPs; i++ {
-				s.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 12})
-			}
-			sink := &captureSink{}
-			s.SetCheckpoint(sink, 4)
-			stats, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := snapshotStress(s.NumLPs(), s.LP)
-			if len(sink.caps) == 0 {
-				t.Fatal("no checkpoints captured")
-			}
-			cp := sink.caps[len(sink.caps)-1]
+	t.Run("async", checkpointRestoreRoundTrip)
+}
 
-			r, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.ForEachLP(func(lp *LP) { lp.Handler = model })
-			for i := 0; i < cfg.NumLPs; i++ {
-				r.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 12})
-			}
-			r.DropBootstrap()
-			for i := 0; i < cfg.NumLPs; i++ {
-				st := cp.States[i]
-				r.LP(LPID(i)).State = &st
-				if err := r.RestoreLP(LPID(i), cp.RNGs[i], cp.Draws[i], cp.SendSeqs[i]); err != nil {
-					t.Fatalf("RestoreLP %d: %v", i, err)
-				}
-			}
-			for _, ev := range cp.Frontier {
-				msg := *ev.Data.(*stressMsg)
-				r.ScheduleRestored(ev.Dst, ev.T, ev.Src, ev.Seq, &msg)
-			}
-			tail, err := r.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+func checkpointRestoreRoundTrip(t *testing.T) {
+	cfg := ckptTestConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := stressModel{numLPs: int64(cfg.NumLPs)}
+	s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
+	for i := 0; i < cfg.NumLPs; i++ {
+		s.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 12})
+	}
+	sink := &captureSink{}
+	s.SetCheckpoint(sink, 4)
+	stats, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotStress(s.NumLPs(), s.LP)
+	if len(sink.caps) == 0 {
+		t.Fatal("no checkpoints captured")
+	}
+	cp := sink.caps[len(sink.caps)-1]
 
-			if cp.Committed+tail.Committed != stats.Committed {
-				t.Fatalf("committed across the cut: %d + %d != %d",
-					cp.Committed, tail.Committed, stats.Committed)
-			}
-			got := snapshotStress(r.NumLPs(), r.LP)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("LP %d resumed final state %+v, want %+v", i, got[i], want[i])
-				}
-			}
-		})
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ForEachLP(func(lp *LP) { lp.Handler = model })
+	for i := 0; i < cfg.NumLPs; i++ {
+		r.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 12})
+	}
+	r.DropBootstrap()
+	for i := 0; i < cfg.NumLPs; i++ {
+		st := cp.States[i]
+		r.LP(LPID(i)).State = &st
+		if err := r.RestoreLP(LPID(i), cp.RNGs[i], cp.Draws[i], cp.SendSeqs[i]); err != nil {
+			t.Fatalf("RestoreLP %d: %v", i, err)
+		}
+	}
+	for _, ev := range cp.Frontier {
+		msg := *ev.Data.(*stressMsg)
+		r.ScheduleRestored(ev.Dst, ev.T, ev.Src, ev.Seq, &msg)
+	}
+	tail, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if cp.Committed+tail.Committed != stats.Committed {
+		t.Fatalf("committed across the cut: %d + %d != %d",
+			cp.Committed, tail.Committed, stats.Committed)
+	}
+	got := snapshotStress(r.NumLPs(), r.LP)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("LP %d resumed final state %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
 // TestCheckpointSinkErrorPoisonsRun: a sink error must surface from Run —
 // a checkpoint that cannot be written is a failed run, not a silent skip.
 func TestCheckpointSinkErrorPoisonsRun(t *testing.T) {
-	s, err := New(ckptTestConfig(GVTAsync))
+	s, err := New(ckptTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,45 +246,46 @@ func (c *countSink) Checkpoint(cs *CheckpointState) error {
 // a checkpoint at every round, a speculation quota of 256 events so the
 // unwound suffix is long, and one throttled PE for the others to run ahead
 // of: at the old placement this failed on every run. The same shape is what
-// the checkpoint cadence must survive, hence the second assertion.
+// the checkpoint cadence must survive, hence the second assertion. The
+// subtest is named for the asynchronous token GVT the rendezvous runs under.
 func TestCheckpointRendezvousQuiescenceCheck(t *testing.T) {
-	for _, mode := range []string{GVTAsync, GVTBarrier} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := Config{
-				NumLPs: 96, NumPEs: 3, NumKPs: 6, EndTime: 40, Seed: 11,
-				BatchSize: 64, GVTInterval: 4, GVTMode: mode,
-				CheckInvariants: true,
-				Faults:          &Faults{Seed: 5, ThrottlePEs: 1},
-			}
-			want, _ := runStressSequential(t, Config{NumLPs: cfg.NumLPs, EndTime: cfg.EndTime, Seed: cfg.Seed}, 16)
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := stressModel{numLPs: int64(cfg.NumLPs)}
-			s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
-			for i := 0; i < cfg.NumLPs; i++ {
-				s.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 16})
-			}
-			sink := &countSink{}
-			s.SetCheckpoint(sink, 1)
-			st, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sink.n < 20 || st.MailSent == 0 {
-				t.Fatalf("test did not exercise the rendezvous: %d checkpoints, %d mail", sink.n, st.MailSent)
-			}
-			// Even at a cadence of one round a capture waits for the
-			// estimate to advance: re-capturing a standing estimate writes
-			// what is already on disk and, by unwinding everything at or
-			// beyond it again, can keep it standing for ever.
-			if sink.stale != 0 {
-				t.Fatalf("%d of %d checkpoints taken without the estimate advancing", sink.stale, sink.n)
-			}
-			if got := snapshotStress(cfg.NumLPs, s.LP); !reflect.DeepEqual(got, want) {
-				t.Fatal("checkpointing run diverged from the sequential reference")
-			}
-		})
+	t.Run("async", checkpointRendezvousQuiescenceCheck)
+}
+
+func checkpointRendezvousQuiescenceCheck(t *testing.T) {
+	cfg := Config{
+		NumLPs: 96, NumPEs: 3, NumKPs: 6, EndTime: 40, Seed: 11,
+		BatchSize: 64, GVTInterval: 4,
+		CheckInvariants: true,
+		Faults:          &Faults{Seed: 5, ThrottlePEs: 1},
+	}
+	want, _ := runStressSequential(t, Config{NumLPs: cfg.NumLPs, EndTime: cfg.EndTime, Seed: cfg.Seed}, 16)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := stressModel{numLPs: int64(cfg.NumLPs)}
+	s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
+	for i := 0; i < cfg.NumLPs; i++ {
+		s.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 16})
+	}
+	sink := &countSink{}
+	s.SetCheckpoint(sink, 1)
+	st, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.n < 20 || st.MailSent == 0 {
+		t.Fatalf("test did not exercise the rendezvous: %d checkpoints, %d mail", sink.n, st.MailSent)
+	}
+	// Even at a cadence of one round a capture waits for the
+	// estimate to advance: re-capturing a standing estimate writes
+	// what is already on disk and, by unwinding everything at or
+	// beyond it again, can keep it standing for ever.
+	if sink.stale != 0 {
+		t.Fatalf("%d of %d checkpoints taken without the estimate advancing", sink.stale, sink.n)
+	}
+	if got := snapshotStress(cfg.NumLPs, s.LP); !reflect.DeepEqual(got, want) {
+		t.Fatal("checkpointing run diverged from the sequential reference")
 	}
 }

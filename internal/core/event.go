@@ -1,9 +1,10 @@
 // Package core implements gotw, an optimistic parallel discrete-event
 // simulation kernel in the style of ROSS (Rensselaer's Optimistic
 // Simulation System): Time Warp synchronisation with rollback by reverse
-// computation, kernel processes (KPs) that bound rollback scope, a
-// shared-memory barrier GVT with transient-message accounting, fossil
-// collection with commit callbacks, and per-LP reversible random streams.
+// computation, kernel processes (KPs) that bound rollback scope, an
+// asynchronous token GVT whose senders cover their own in-flight mail,
+// fossil collection with commit callbacks, and per-LP reversible random
+// streams.
 //
 // A simulation is a set of logical processes (LPs) exchanging timestamped
 // events. LPs are grouped into kernel processes, and kernel processes onto

@@ -28,9 +28,9 @@ type Faults struct {
 	// a random local KP is unwound through the full reverse-computation
 	// path and re-executed. This manufactures rollback volume even in
 	// configurations (one PE, generous batches) that would never roll back
-	// naturally. Under async GVT the suffix is clamped to events at or
-	// above the PE's last token contribution — unwinding below it would
-	// violate the promise the circulating round was built on.
+	// naturally. The suffix is clamped to events at or above the PE's last
+	// token contribution — unwinding below it would violate the promise the
+	// circulating round was built on.
 	RollbackEvery int
 	// RollbackDepth bounds how many events one forced rollback unwinds
 	// (uniform in [1, RollbackDepth]; 0 or 1 means exactly one event). The
@@ -57,9 +57,10 @@ type Faults struct {
 	// the outbox for n scheduler passes, then releases everything at once.
 	// This stresses the delayed-flush coalescing path: bursts arrive as
 	// one oversized batch (often overflowing a lane into the partial-push
-	// retry path), stragglers get older, and the GVT stability loop must
-	// keep counting held mail as in flight. GVT rounds force-flush, so
-	// held mail never outlives the round that needs it.
+	// retry path), stragglers get older, and the sender's GVT coverage
+	// ledger must keep counting held mail as in flight (an epoch cannot
+	// close while its outbox holds mail). The comms fixed point force-
+	// flushes, so held mail never stalls a checkpoint or the shutdown.
 	MailBurst int
 
 	// ThrottlePEs, when positive, slows PEs with id < ThrottlePEs: their
@@ -91,7 +92,7 @@ type peFaults struct {
 
 // holdMail implements the MailBurst fault: report true (hold the outbox)
 // for MailBurst consecutive flush attempts, then false (release) once.
-// Only unforced flushes consult it — the GVT stability loop always flushes.
+// Only unforced flushes consult it — the comms fixed point always flushes.
 func (f *peFaults) holdMail() bool {
 	if f.plan.MailBurst <= 0 {
 		return false
@@ -198,23 +199,19 @@ func (pe *PE) maybeForceRollback(executed int) {
 	if live := kp.live(); depth > live {
 		depth = live
 	}
-	if pe.sim.async {
-		// A token visit promised that nothing this PE can still affect
-		// lies below its folded contribution, and the round publishes an
-		// estimate other PEs fossil-collect against. Natural rollbacks
-		// keep the promise by causality — they are triggered by mail the
-		// sender's coverage ledger already folded in — but a spontaneous
-		// unwind of processed events below the promise would emit
-		// anti-messages under the published floor, cancelling events
-		// already committed and recycled. Clamp the suffix to events
-		// at or above the last contribution. (Barrier rounds are
-		// quiescent: no injection interleaves with a cut, so no clamp.)
-		for depth > 0 && kp.processed[len(kp.processed)-depth].recvTime < pe.lastContrib {
-			depth--
-		}
-		if depth == 0 {
-			return
-		}
+	// A token visit promised that nothing this PE can still affect lies
+	// below its folded contribution, and the round publishes an estimate
+	// other PEs fossil-collect against. Natural rollbacks keep the promise
+	// by causality — they are triggered by mail the sender's coverage
+	// ledger already folded in — but a spontaneous unwind of processed
+	// events below the promise would emit anti-messages under the published
+	// floor, cancelling events already committed and recycled. Clamp the
+	// suffix to events at or above the last contribution.
+	for depth > 0 && kp.processed[len(kp.processed)-depth].recvTime < pe.lastContrib {
+		depth--
+	}
+	if depth == 0 {
+		return
 	}
 	key := kp.processed[len(kp.processed)-depth].key()
 	n := pe.rollback(kp, key)

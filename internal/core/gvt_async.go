@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// This file is the asynchronous GVT: a Mattern-style token circulating
+// This file is the kernel's GVT: a Mattern-style token circulating
 // PE 0 → 1 → … → N-1 → PE 0. No PE ever blocks on a barrier — each keeps
 // executing, learns new estimates from the published GVT word, and
-// fossil-collects on its own schedule. The synchronous barrier algorithm
-// (gvt.go) remains selectable via Config.GVTMode so the two can be
-// verified against each other.
+// fossil-collects on its own schedule. The estimate plays the role ROSS's
+// Fujimoto-style round plays on shared memory: a lower bound on every
+// receive time that can still roll anything back.
 //
 // # Transient messages: sender-side coverage
 //
@@ -78,7 +78,7 @@ type gvtToken struct {
 	_      [56]byte // the plain fields below are single-owner; keep them off the holder's line
 	// min is the running fold of this round's contributions.
 	min Time //simlint:owned
-	// round counts launches; completions are published via sim.gvtRounds.
+	// round counts launches; completions are published via sim.roundsDone.
 	round int64 //simlint:owned
 }
 
@@ -97,11 +97,11 @@ type outEpoch struct {
 // this just keeps the worst case tidy.
 const maxEpochs = 8
 
-// asyncPass is the per-pass GVT step of the async engine, called from the
-// run loop after every drain/flush. It is the whole algorithm from one PE's
-// view: notice termination, fossil-collect up to any newly published
-// estimate, and move the token along if we hold it. Returns done=true when
-// the run is over and this PE has committed everything.
+// asyncPass is the per-pass GVT step, called from the run loop after every
+// drain/flush. It is the whole algorithm from one PE's view: notice
+// termination, fossil-collect up to any newly published estimate, and move
+// the token along if we hold it. Returns done=true when the run is over and
+// this PE has committed everything.
 func (pe *PE) asyncPass() (bool, error) {
 	s := pe.sim
 	if s.finished.Load() {
@@ -117,7 +117,7 @@ func (pe *PE) asyncPass() (bool, error) {
 			}
 		}
 	}
-	if n := s.gvtRounds.Load(); n != pe.obsRound {
+	if n := s.roundsDone.Load(); n != pe.obsRound {
 		// Once per completed round: refill the speculation quota and feed
 		// the optimism controller. The controller observes rounds, not GVT
 		// advances: rounds complete even while the estimate is pinned, and
@@ -193,7 +193,7 @@ func (pe *PE) tokenPass() {
 	// machine has drained the round discovers termination rather than
 	// leaving every PE asleep with no round pending.
 	pe.visitIdle = pe.idleMarked
-	pe.visitDone = s.gvtRounds.Load() + 1
+	pe.visitDone = s.roundsDone.Load() + 1
 	if pe.id == 0 {
 		t.min = local
 		t.round++
@@ -273,7 +273,7 @@ func (pe *PE) completeRound(est Time) {
 	}
 	advanced := est > s.GVT()
 	s.setGVT(est)
-	n := s.gvtRounds.Add(1)
+	n := s.roundsDone.Add(1)
 	if hook := s.cfg.OnGVT; hook != nil {
 		hook(est)
 	}
@@ -300,12 +300,12 @@ func (pe *PE) completeRound(est Time) {
 	}
 }
 
-// asyncShutdown is the async engine's termination path. The final estimate
-// proved no rollback can reach below the end time, but mail at or beyond
-// it may still sit in lanes and outboxes; one barrier-synchronized drain to
-// the sent==delivered fixed point (the only barrier the async mode ever
-// takes, and the machine is done — nothing is stalled by it) parks that
-// mail in pending queues so the comms conservation invariants hold at
+// asyncShutdown is the termination path. The final estimate proved no
+// rollback can reach below the end time, but mail at or beyond it may
+// still sit in lanes and outboxes; one barrier-synchronized drain to the
+// sent==delivered fixed point (the only barrier outside the checkpoint
+// rendezvous, and the machine is done — nothing is stalled by it) parks
+// that mail in pending queues so the comms conservation invariants hold at
 // exit, then the unconditional final fossil collection commits everything
 // processed. Drained events here are all at or beyond the end time: they
 // insert as pending (never executing, never rolling anything back) and

@@ -1,7 +1,7 @@
 package core
 
-// Tests for the asynchronous GVT engine (Config.GVTMode = GVTAsync) and the
-// adaptive optimism controller that rides on it: token rounds must commit
+// Tests for the kernel's asynchronous token GVT and the adaptive optimism
+// controller that rides on it: token rounds must commit
 // exactly the sequential history under adversarial fault plans, the
 // controller's TCP-shaped window must narrow under rollback storms and earn
 // its width back afterwards, and the speculation quota must bound the live
@@ -12,12 +12,10 @@ import (
 	"testing"
 )
 
-// TestAsyncGVTMatchesSequential pins GVTMode explicitly (async is the
-// default, but the pin keeps the test honest if the default ever moves) and
-// drives the stress model through PE/KP/batch shapes chosen to exercise the
-// token machinery: single-PE self-handoff, uneven mappings, and tiny GVT
-// intervals that keep the token hot. This is the async arm of the CI -race
-// stress step.
+// TestAsyncGVTMatchesSequential drives the stress model through PE/KP/batch
+// shapes chosen to exercise the token machinery: single-PE self-handoff,
+// uneven mappings, and tiny GVT intervals that keep the token hot. It is
+// part of the CI -race stress step.
 func TestAsyncGVTMatchesSequential(t *testing.T) {
 	base := Config{NumLPs: 64, EndTime: 50, Seed: 11}
 	want, seqStats := runStressSequential(t, base, 20)
@@ -27,11 +25,10 @@ func TestAsyncGVTMatchesSequential(t *testing.T) {
 		{NumLPs: 64, EndTime: 50, Seed: 11, NumPEs: 2, NumKPs: 8, BatchSize: 4, GVTInterval: 1},
 		{NumLPs: 64, EndTime: 50, Seed: 11, NumPEs: 4, NumKPs: 16, BatchSize: 4, GVTInterval: 2},
 		{NumLPs: 64, EndTime: 50, Seed: 11, NumPEs: 3, NumKPs: 7}, // uneven mapping
-		{NumLPs: 64, EndTime: 50, Seed: 11, NumPEs: 4, NumKPs: 8, AdaptiveOptimism: true},
+		{NumLPs: 64, EndTime: 50, Seed: 11, NumPEs: 4, NumKPs: 8}, // default batch and interval
 	}
 	for _, cfg := range configs {
 		cfg := cfg
-		cfg.GVTMode = GVTAsync
 		name := fmt.Sprintf("pe%d_kp%d_b%d_g%d", cfg.NumPEs, cfg.NumKPs, cfg.BatchSize, cfg.GVTInterval)
 		t.Run(name, func(t *testing.T) {
 			got, parStats := runStressParallel(t, cfg, 20)
@@ -44,9 +41,6 @@ func TestAsyncGVTMatchesSequential(t *testing.T) {
 				t.Fatalf("committed events: async %d vs sequential %d",
 					parStats.Committed, seqStats.Committed)
 			}
-			if parStats.GVTMode != GVTAsync {
-				t.Fatalf("stats report GVTMode %q, want %q", parStats.GVTMode, GVTAsync)
-			}
 			if parStats.GVTRounds == 0 {
 				t.Fatal("async run completed zero token rounds")
 			}
@@ -54,32 +48,7 @@ func TestAsyncGVTMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBarrierGVTMatchesSequential keeps the synchronous barrier engine
-// covered now that async is the default: both algorithms must stay
-// differentially equal to the sequential oracle, or GVTModes sweeps in
-// simcheck lose their reference.
-func TestBarrierGVTMatchesSequential(t *testing.T) {
-	base := Config{NumLPs: 64, EndTime: 50, Seed: 11}
-	want, seqStats := runStressSequential(t, base, 20)
-
-	cfg := Config{NumLPs: 64, EndTime: 50, Seed: 11, NumPEs: 4, NumKPs: 16,
-		BatchSize: 4, GVTInterval: 2, GVTMode: GVTBarrier}
-	got, parStats := runStressParallel(t, cfg, 20)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LP %d state mismatch: barrier %+v vs sequential %+v", i, got[i], want[i])
-		}
-	}
-	if parStats.Committed != seqStats.Committed {
-		t.Fatalf("committed events: barrier %d vs sequential %d",
-			parStats.Committed, seqStats.Committed)
-	}
-	if parStats.GVTMode != GVTBarrier {
-		t.Fatalf("stats report GVTMode %q, want %q", parStats.GVTMode, GVTBarrier)
-	}
-}
-
-// TestAsyncGVTUnderFaults runs the async engine under every fault injector
+// TestAsyncGVTUnderFaults runs the token GVT under every fault injector
 // at once: forced rollbacks stress epoch coverage of anti-message mail,
 // GVTDelay stresses the request-suppression path, mail bursts hold epochs
 // open across token visits, shuffled delivery stresses the sender-side
@@ -105,7 +74,7 @@ func TestAsyncGVTUnderFaults(t *testing.T) {
 		plan := plan
 		t.Run(fmt.Sprintf("plan%d", i), func(t *testing.T) {
 			cfg := Config{NumLPs: 48, EndTime: 30, Seed: 5, NumPEs: 4, NumKPs: 8,
-				BatchSize: 4, GVTInterval: 2, GVTMode: GVTAsync,
+				BatchSize: 4, GVTInterval: 2,
 				CheckInvariants: true, Faults: &plan}
 			got, parStats := runStressParallel(t, cfg, 12)
 			for i := range want {
@@ -221,7 +190,7 @@ func TestAdaptiveWindowPinnedOnOneCPU(t *testing.T) {
 // whole run spans a few hundred microseconds while any window floor derived
 // from the end time is thousands of microseconds wide, so the horizon clamp
 // can never bind and only the count-based speculation quota stands between
-// the async engine and executing the entire population ahead of GVT.
+// the kernel and executing the entire population ahead of GVT.
 type denseState struct{ Processed int64 }
 
 type denseModel struct{ numLPs int }
@@ -264,36 +233,37 @@ func runDense(t *testing.T, cfg Config, ttl int) *Stats {
 	return stats
 }
 
-// TestSpeculationQuotaBoundsDenseBootstrap: on the dense model the barrier
-// engine with a generous interval executes most of the population ahead of
-// commitment (nothing stops it before its round fires), while the async
-// engine's quota stops execution after one interval's worth of events per
-// completed round no matter how tightly the timestamps pack. One PE makes
-// the bound exact: every completed round advances GVT to the local frontier
-// and commits everything executed, so the live peak is one quota plus at
-// most a batch of overshoot. (Multi-PE lag additionally depends on how the
-// OS schedules the starved PE, so the crisp contract is per round, not
-// global — see the quota comment in pe.go.)
+// TestSpeculationQuotaBoundsDenseBootstrap: on the dense model no time
+// window can bind, so the quota alone decides how far execution runs ahead
+// of commitment. With a generous interval (a quota of 8 192 events, most of
+// the 10 496-event population) the PE executes most of the population
+// before its first round; with a tight one it stops after one interval's
+// worth of events per completed round no matter how tightly the timestamps
+// pack. One PE makes the bound exact: every completed round advances GVT to
+// the local frontier and commits everything executed, so the live peak is
+// one quota plus at most a batch of overshoot. (Multi-PE lag additionally
+// depends on how the OS schedules the starved PE, so the crisp contract is
+// per round, not global — see the quota comment in pe.go.)
 func TestSpeculationQuotaBoundsDenseBootstrap(t *testing.T) {
 	const ttl = 40
-	barrier := runDense(t, Config{NumPEs: 1, NumKPs: 8, Seed: 1,
-		BatchSize: 16, GVTInterval: 512, GVTMode: GVTBarrier}, ttl)
+	loose := runDense(t, Config{NumPEs: 1, NumKPs: 8, Seed: 1,
+		BatchSize: 16, GVTInterval: 512}, ttl)
 
-	async := runDense(t, Config{NumPEs: 1, NumKPs: 8, Seed: 1,
-		BatchSize: 16, GVTInterval: 8, GVTMode: GVTAsync}, ttl)
+	tight := runDense(t, Config{NumPEs: 1, NumKPs: 8, Seed: 1,
+		BatchSize: 16, GVTInterval: 8}, ttl)
 
 	// Fossil collection commits strictly below GVT, and in this ring up to
 	// ttl+1 jobs coincide on the frontier tick, so those stay live past a
 	// round; add a batch of overshoot on top of the quota itself.
 	quota := int64(16 * 8)
-	if limit := quota + int64(ttl+1) + 16; async.LivePeak > limit {
-		t.Fatalf("async live peak %d exceeds quota-derived bound %d", async.LivePeak, limit)
+	if limit := quota + int64(ttl+1) + 16; tight.LivePeak > limit {
+		t.Fatalf("tight-quota live peak %d exceeds quota-derived bound %d", tight.LivePeak, limit)
 	}
-	if async.LivePeak*10 > barrier.LivePeak {
-		t.Fatalf("async live peak %d not well below unthrottled barrier peak %d",
-			async.LivePeak, barrier.LivePeak)
+	if tight.LivePeak*10 > loose.LivePeak {
+		t.Fatalf("tight-quota live peak %d not well below loose-quota peak %d",
+			tight.LivePeak, loose.LivePeak)
 	}
-	if barrier.Committed != async.Committed {
-		t.Fatalf("committed events: barrier %d vs async %d", barrier.Committed, async.Committed)
+	if loose.Committed != tight.Committed {
+		t.Fatalf("committed events: loose quota %d vs tight quota %d", loose.Committed, tight.Committed)
 	}
 }

@@ -3,15 +3,16 @@ package core
 import "fmt"
 
 // This file implements the kernel's paranoid mode: structural invariant
-// checks that run at every GVT round, when all PEs are quiescent and no
-// message is in flight. The checks are aimed at model authors — a Reverse
-// handler that fails to restore state, or a handler that mutates another
-// LP's state directly, surfaces here as a precise error instead of a
-// mysteriously wrong statistic at the end of the run.
+// checks each PE runs over its own structures whenever it fossil-collects
+// against a new GVT estimate (and at the shutdown drain, when no message is
+// in flight). The checks are aimed at model authors — a Reverse handler
+// that fails to restore state, or a handler that mutates another LP's state
+// directly, surfaces here as a precise error instead of a mysteriously
+// wrong statistic at the end of the run.
 
-// checkInvariants validates this PE's structures. Called between GVT
-// barriers (quiescent), after fossil collection, with the just-computed
-// GVT.
+// checkInvariants validates this PE's structures. Called on the owning PE
+// after fossil collection, with the estimate it collected against; every
+// structure it reads is PE-owned, so no quiescence is needed.
 func (pe *PE) checkInvariants(gvt Time) error {
 	// The pressure valve's gauge must agree with ground truth: liveEvents
 	// is maintained incrementally (execute, rollback, fossil collection)

@@ -61,12 +61,14 @@ const laneCap = 128
 // pair is the only synchronisation either side performs — no mutex, no CAS.
 //
 // Lifecycle tripwire encoded here by design rather than by check: a message
-// sitting in a lane is counted as sent-but-not-delivered (the sender bumped
-// mailSent at outbox-append time, the consumer bumps mailReceived only at
-// drain), so the GVT stability loop cannot reach its fixed point while the
-// lane is non-empty — and no event can be fossil-collected or recycled
-// while its mail is still in flight. drainMailbox additionally asserts this
-// under CheckInvariants.
+// sitting in a lane is still covered by its sender's GVT ledger (the epoch
+// that holds it retires only once head passes its index; see gvt_async.go),
+// so no estimate can overtake it and no event can be fossil-collected or
+// recycled while its mail is still in flight. It is also counted as
+// sent-but-not-delivered (the sender bumped mailSent at outbox-append time,
+// the consumer bumps mailReceived only at drain), so the comms fixed point
+// cannot be reached while the lane is non-empty. drainMailbox additionally
+// asserts the lifecycle under CheckInvariants.
 type lane struct {
 	//simlint:spsc
 	head atomic.Uint64
@@ -140,11 +142,12 @@ type outbox struct {
 	dirty []int
 }
 
-// post queues one outgoing message for a remote destination PE. The
-// per-PE mailSent counter doubles as this PE's shard of the global
-// in-flight accounting: it is bumped here, at append time, so mail parked
-// in the outbox (or a lane) keeps the GVT stability loop unstable and the
-// referenced event alive.
+// post queues one outgoing message for a remote destination PE. Both of
+// the sender's in-flight records are updated here, at append time, so mail
+// parked in the outbox (or a lane) is covered from the moment it exists:
+// the open coverage epoch's minimum keeps GVT at or below its receive time,
+// and the per-PE mailSent counter (this PE's shard of the global in-flight
+// accounting) keeps the comms fixed point unstable.
 func (pe *PE) post(dst *PE, msg mail) {
 	ob := &pe.outbox
 	d := dst.id
@@ -153,14 +156,10 @@ func (pe *PE) post(dst *PE, msg mail) {
 	}
 	ob.bufs[d] = append(ob.bufs[d], msg)
 	pe.mailSent++
-	if pe.sim.async {
-		// Token-GVT sender coverage: the open epoch's minimum receive time
-		// for this destination (see gvt_async.go). An anti-message carries
-		// its target's receive time, which bounds everything the
-		// cancellation can cause.
-		if t := msg.ev.recvTime; t < pe.outMin[d] {
-			pe.outMin[d] = t
-		}
+	// An anti-message carries its target's receive time, which bounds
+	// everything the cancellation can cause.
+	if t := msg.ev.recvTime; t < pe.outMin[d] {
+		pe.outMin[d] = t
 	}
 	if len(ob.bufs[d]) >= eagerFlushLen &&
 		(pe.faults == nil || pe.faults.plan.MailBurst == 0) {
@@ -198,11 +197,11 @@ func (pe *PE) flushDst(d int) {
 
 // flushMail pushes every dirty outbox batch into the destination's lane for
 // this sender. When a lane is full, the unsent suffix stays in the outbox —
-// in order — and is retried on the next pass or the next GVT stability
+// in order — and is retried on the next pass or the next comms fixed-point
 // iteration; the sender never spins on a full lane, which matters because
-// the consumer may itself be blocked at a GVT barrier waiting for this PE.
-// force bypasses the MailBurst fault's hold (the GVT stability loop must
-// always flush, or held mail could outlive the round that needs it).
+// the consumer may itself be blocked at a barrier waiting for this PE.
+// force bypasses the MailBurst fault's hold (the comms fixed point must
+// always flush, or it could never be reached).
 func (pe *PE) flushMail(force bool) {
 	ob := &pe.outbox
 	if len(ob.dirty) == 0 {
@@ -286,7 +285,8 @@ func (pe *PE) hasInbound() bool {
 // park; the buffered channel makes the token-send non-blocking, and a stale
 // token (left when the parking PE bailed out in its recheck) only causes a
 // benign spurious wake. Callers: flushMail after landing mail in a lane,
-// requestGVT (a parked PE must join the barrier), and fail.
+// requestGVT (PE 0 must launch the token), forwardToken, completeRound,
+// and fail.
 func (pe *PE) wake() {
 	if pe.parked.CompareAndSwap(true, false) {
 		pe.wakes.Add(1)
@@ -310,18 +310,15 @@ func (s *Simulator) wakeAll() {
 // observes parked=true after its lane push and wakes us, or pushed before
 // our store — in which case hasInbound sees its mail (the push's tail store
 // and our parked store are both sequentially consistent). The same argument
-// covers the async token: forwardToken stores the holder and then wakes the
+// covers the GVT token: forwardToken stores the holder and then wakes the
 // successor, so either the wake finds us parked or our recheck sees the
 // holder store and bails — a PE can never sleep while holding the token.
-// In barrier mode the run loop additionally only calls park after a GVT
-// round has come and gone with this PE continuously idle, which proves no
-// mail was in flight toward it when it went idle.
 func (pe *PE) park() {
 	s := pe.sim
 	pe.parked.Store(true)
 	if pe.hasInbound() || len(pe.outbox.dirty) > 0 ||
 		s.gvtRequested.Load() || s.finished.Load() || s.ckptPending.Load() ||
-		(s.async && s.token.holder.Load() == int64(pe.id)) {
+		s.token.holder.Load() == int64(pe.id) {
 		pe.parked.Store(false)
 		return
 	}

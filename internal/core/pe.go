@@ -39,18 +39,12 @@ type PE struct {
 
 	sinceGVT  int
 	idleSpins int
-	// idleRound records that a GVT round completed while this PE was
-	// continuously idle; only then may it park, because the round's
-	// stability loop proved no mail was in flight toward it. Barrier mode
-	// only; the async mode's equivalent is visitIdle/visitDone below.
-	idleRound bool
 
-	// Async-GVT state (allocated and used only under Config.GVTMode ==
-	// GVTAsync; see gvt_async.go). outMin[d] is the minimum receive time of
-	// mail posted to PE d in the open coverage epoch; epochs[d] holds the
-	// closed epochs still possibly in flight. Both are owner-only — the
-	// sender-side coverage scheme needs no cross-PE state beyond the lane
-	// indices the comms layer already publishes. lastFossil is the GVT
+	// GVT token state (see gvt_async.go). outMin[d] is the minimum receive
+	// time of mail posted to PE d in the open coverage epoch; epochs[d]
+	// holds the closed epochs still possibly in flight. Both are owner-only
+	// — the sender-side coverage scheme needs no cross-PE state beyond the
+	// lane indices the comms layer already publishes. lastFossil is the GVT
 	// estimate this PE last fossil-collected against.
 	outMin     []Time       //simlint:owned
 	epochs     [][]outEpoch //simlint:owned
@@ -64,7 +58,7 @@ type PE struct {
 	// tokenLaunched/roundStart are PE 0's round bookkeeping. idleMarked is
 	// set while the PE sits in its idle escalation; visitIdle/visitDone
 	// record whether the last token visit found it idle and which
-	// completed-round count that visit belongs to — the async parking
+	// completed-round count that visit belongs to — the parking
 	// precondition.
 	tokenLaunched bool
 	roundStart    time.Time
@@ -75,8 +69,8 @@ type PE struct {
 	// observed at, so each round feeds it exactly one sample.
 	obsRound int64
 
-	// opt is the adaptive optimism controller, non-nil only under
-	// Config.AdaptiveOptimism (see throttle.go).
+	// opt is the adaptive optimism controller, non-nil on every multi-PE
+	// run (see throttle.go).
 	opt *optimismController
 
 	// faults is non-nil only when Config.Faults is set; see faults.go.
@@ -95,9 +89,9 @@ type PE struct {
 
 	// Statistics (owned by this PE; read by others only after Run).
 	// mailSent and mailReceived double as this PE's shards of the global
-	// in-flight message accounting: the GVT stability loop sums them
-	// across PEs between barriers (gvt.go), so no live global counter —
-	// and no cross-PE cache-line ping-pong — is needed.
+	// in-flight message accounting: the comms fixed point sums them across
+	// PEs between barriers (gvt.go), so no live global counter — and no
+	// cross-PE cache-line ping-pong — is needed.
 	//
 	//simlint:sharded
 	processed          int64
@@ -317,26 +311,14 @@ func (pe *PE) run() (err error) {
 		pe.drainMailbox()
 		pe.flushMail(false)
 
-		if s.async {
-			// Asynchronous GVT: no rendezvous — notice termination, fossil-
-			// collect against any new estimate, move the token if held.
-			done, gerr := pe.asyncPass()
-			if gerr != nil {
-				return gerr
-			}
-			if done {
-				return nil
-			}
-		} else if s.gvtRequested.Load() {
-			done, gerr := pe.gvtRound()
-			if gerr != nil {
-				return gerr
-			}
-			if done {
-				return nil
-			}
-			pe.idleRound = true
-			continue
+		// No rendezvous: notice termination, fossil-collect against any new
+		// estimate, move the token if held.
+		done, gerr := pe.asyncPass()
+		if gerr != nil {
+			return gerr
+		}
+		if done {
+			return nil
 		}
 
 		n := 0
@@ -344,16 +326,15 @@ func (pe *PE) run() (err error) {
 		if pe.faults != nil {
 			batch = pe.faults.batchCap(pe.id, batch)
 		}
-		if s.async && pe.sinceGVT >= s.cfg.BatchSize*s.cfg.GVTInterval {
-			// Speculation quota: in barrier mode a PE executes at most one
-			// GVT interval's worth of events before the round stops the
-			// world, which bounds how far commits can lag execution no
-			// matter how densely events are packed in virtual time. The
-			// token round has no such stop, so enforce the same bound by
-			// count: a PE that has executed a full interval since the last
-			// completed round idles (requesting rounds, below) until one
-			// completes and resets the counter. Time-based windows cannot
-			// catch this — any fixed width is wrong for some event density.
+		if pe.sinceGVT >= s.cfg.BatchSize*s.cfg.GVTInterval {
+			// Speculation quota: the token round never stops the world, so
+			// bound how far commits can lag execution by count instead. A PE
+			// that has executed a full GVT interval's worth of events since
+			// the last completed round idles (requesting rounds, below)
+			// until one completes and resets the counter, no matter how
+			// densely events are packed in virtual time. Time-based windows
+			// cannot catch this — any fixed width is wrong for some event
+			// density.
 			batch = 0
 		}
 		horizon := s.cfg.EndTime
@@ -391,7 +372,7 @@ func (pe *PE) run() (err error) {
 			pe.pending.Pop()
 			pe.execute(ev)
 			n++
-			if s.async && s.token.holder.Load() == int64(pe.id) &&
+			if s.token.holder.Load() == int64(pe.id) &&
 				(pe.id != 0 || pe.tokenLaunched || s.gvtRequested.Load()) {
 				// An actionable token visit is worth more than batch depth:
 				// every event the holder executes first adds a full event to
@@ -406,12 +387,17 @@ func (pe *PE) run() (err error) {
 			// Nothing executable below the horizon. Spin briefly (new mail
 			// may be en route), then escalate. If the optimism throttle is
 			// what blocks us (work exists below the end time), only a GVT
-			// advance can unblock, so keep requesting rounds — likewise if
-			// no round has run since we went idle, because mail may still
-			// be in flight toward us. Only once a round has come and gone
-			// with this PE still empty-handed is it safe to park: the
-			// round's stability loop proved nothing was in flight, so any
-			// future mail comes from a future send, whose flush wakes us.
+			// advance can unblock, so keep requesting rounds. An idle PE
+			// needs one round whose token visit saw it idle to complete —
+			// that round either discovers termination or proves someone
+			// else still has the work, and only then is parking safe
+			// (otherwise every PE could fall asleep on a stale estimate
+			// with no round pending to notice the machine has drained).
+			// The token holder never parks — and it must also keep
+			// requesting rounds while idle: between rounds the token rests
+			// at its holder, so if the holder merely yielded, the other PEs
+			// could all park with the request flag clear and no round would
+			// ever launch to discover termination.
 			throttled := false
 			if ev, ok := pe.nextLive(); ok && ev.recvTime < s.cfg.EndTime {
 				throttled = true
@@ -423,46 +409,21 @@ func (pe *PE) run() (err error) {
 				continue
 			}
 			pe.idleSpins = 0
-			if s.async {
-				// No barrier to rendezvous at. A throttled PE needs rounds
-				// until GVT advances past its horizon; an unthrottled idle PE
-				// needs one round whose token visit saw it idle to complete —
-				// that round either discovers termination or proves someone
-				// else still has the work, and only then is parking safe
-				// (otherwise every PE could fall asleep on a stale estimate
-				// with no round pending to notice the machine has drained).
-				// The token holder never parks — and it must also keep
-				// requesting rounds while idle: between rounds the token
-				// rests at its holder, so if the holder merely yielded, the
-				// other PEs could all park with the request flag clear and
-				// no round would ever launch to discover termination.
-				parkable := pe.visitIdle && s.gvtRounds.Load() >= pe.visitDone
-				holding := s.token.holder.Load() == int64(pe.id)
-				if throttled || !parkable || holding {
-					// Under the GVTDelay fault the request may be suppressed;
-					// re-requesting every threshold is what keeps that safe.
-					s.requestGVT()
-					runtime.Gosched()
-				} else if s.gvtRequested.Load() {
-					runtime.Gosched()
-				} else {
-					pe.park()
-				}
-				continue
-			}
-			if throttled || !pe.idleRound {
+			parkable := pe.visitIdle && s.roundsDone.Load() >= pe.visitDone
+			holding := s.token.holder.Load() == int64(pe.id)
+			if throttled || !parkable || holding {
 				// Under the GVTDelay fault the request may be suppressed;
-				// re-requesting every threshold is what keeps that safe,
-				// and !idleRound keeps us from parking until one lands.
+				// re-requesting every threshold is what keeps that safe.
 				s.requestGVT()
 				runtime.Gosched()
-			} else if !s.gvtRequested.Load() {
+			} else if s.gvtRequested.Load() {
+				runtime.Gosched()
+			} else {
 				pe.park()
 			}
 			continue
 		}
 		pe.idleSpins = 0
-		pe.idleRound = false
 		pe.idleMarked = false
 		pe.visitIdle = false
 		pe.sinceGVT += n
@@ -490,12 +451,8 @@ func (pe *PE) run() (err error) {
 			}
 		}
 		if pe.sinceGVT >= s.cfg.BatchSize*s.cfg.GVTInterval {
-			// In async mode the counter is the speculation quota above and
-			// only a completed round (asyncPass) may reset it; in barrier
-			// mode the request itself guarantees a round is imminent.
-			if !s.async {
-				pe.sinceGVT = 0
-			}
+			// The counter is the speculation quota above; only a completed
+			// round (asyncPass) may reset it.
 			s.requestGVT()
 		}
 	}

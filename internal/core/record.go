@@ -23,12 +23,10 @@ type RecordSink interface {
 	// goroutine.
 	Rollback(pe, kp, events int, secondary, forced bool)
 	// GVTRound reports that GVT round round computed estimate gvt
-	// (TimeInfinity on the final, drained round). Runs on PE 0. In barrier
-	// mode (Config.GVTMode) the machine is quiescent — every PE is paused
-	// between the round's barriers. Under the async default the other PEs
-	// keep executing; the estimate is still a sound commit horizon (that
-	// is the GVT property recording relies on), and successive estimates
-	// are nondecreasing in both modes, which the replay subsystem's
+	// (TimeInfinity on the final, drained round). Runs on PE 0 while the
+	// other PEs keep executing; the estimate is still a sound commit
+	// horizon (that is the GVT property recording relies on), and
+	// successive estimates are nondecreasing, which the replay subsystem's
 	// prefix-hash fingerprints require.
 	GVTRound(round int64, gvt Time)
 }

@@ -39,7 +39,7 @@ func NewSequential(cfg Config) (*Sequential, error) {
 		return nil, errors.New("core: Config.EndTime must be positive")
 	}
 	if cfg.Queue == "" {
-		cfg.Queue = DefaultQueue
+		cfg.Queue = eventq.DefaultKind
 	}
 	if err := eventq.Valid(cfg.Queue); err != nil {
 		return nil, fmt.Errorf("core: %w", err)

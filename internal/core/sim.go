@@ -14,10 +14,6 @@ import (
 	"repro/internal/topology"
 )
 
-// DefaultQueue is the pending-queue kind an empty Config.Queue selects, on
-// every engine; the CLIs default their -queue flag to it.
-const DefaultQueue = "ladder"
-
 // Config parameterises a simulation run.
 type Config struct {
 	// NumLPs is the number of logical processes; required.
@@ -34,30 +30,22 @@ type Config struct {
 	// BatchSize is the number of events a PE executes between scheduler
 	// checks (mailbox drains, GVT flags). Default 32.
 	BatchSize int
-	// GVTInterval is the number of batches between GVT rounds. Default 16.
+	// GVTInterval is the number of batches between GVT rounds: a PE that
+	// has executed BatchSize*GVTInterval events since the last completed
+	// round requests the next one and stops executing until it completes
+	// (the speculation quota; see pe.go). Default 16.
+	//
+	// GVT itself is a Mattern-style token circulating over the mail lanes
+	// (gvt_async.go): no PE ever blocks on it, each learns new estimates
+	// from the token and fossil-collects on its own schedule. Because the
+	// rounds never pause anyone, every multi-PE run also arms the adaptive
+	// optimism controller (throttle.go), which keeps unthrottled
+	// speculation on tightly coupled models from collapsing into cascade
+	// thrash where GVT barely advances.
 	GVTInterval int
-	// GVTMode selects the GVT algorithm. GVTAsync (the default) circulates
-	// a Mattern-style token over the mail lanes: no PE ever blocks on a
-	// barrier, each learns new estimates from the token and fossil-collects
-	// on its own schedule. GVTBarrier is the stop-the-world Fujimoto round
-	// that rendezvouses every PE; it remains selectable so the differential
-	// harness can verify the two algorithms against each other (and the
-	// sequential oracle). See gvt.go and gvt_async.go.
-	GVTMode string
-	// AdaptiveOptimism enables the per-PE optimism controller: each PE's
-	// speculation horizon widens and narrows with its observed rollback
-	// efficiency (committed/executed per interval), generalizing the static
-	// MaxOptimism bound. Scheduling-only, so committed results are
-	// unaffected. The async GVT mode always runs the controller — barrier
-	// rounds stop the world and so quench rollback cascades as a side
-	// effect, but asynchronous rounds never pause anyone, and on tightly
-	// coupled models unthrottled speculation can collapse into cascade
-	// thrash where GVT barely advances. This flag arms the controller for
-	// barrier mode too. See throttle.go.
-	AdaptiveOptimism bool
 	// Queue selects the pending-queue implementation; any kind registered
 	// in eventq is accepted ("heap", "ladder", "splay"), and an empty
-	// value selects DefaultQueue — the calendar-family structure with
+	// value selects eventq.DefaultKind — the calendar-family structure with
 	// amortised O(1) Push/Pop on the PDES access pattern, zero
 	// steady-state allocation, and a bulk below-bound drain fast path
 	// (roughly 3x splay's kernel event rate; see DESIGN.md, "Event
@@ -65,11 +53,13 @@ type Config struct {
 	// kernel's event order is total — so the choice is purely a
 	// performance knob, enforced by simcheck's queue dimension.
 	Queue string
-	// CheckInvariants enables paranoid mode: at every GVT round, while the
-	// machine is quiescent, each PE validates its structural invariants
-	// (processed-list ordering, straggler postconditions, ownership).
-	// Costs a full queue scan per round; intended for model development
-	// and the test suite, not production runs.
+	// CheckInvariants enables paranoid mode: whenever a PE fossil-collects
+	// against a new GVT estimate, and at the shutdown drain, it validates
+	// its structural invariants (processed-list ordering, straggler
+	// postconditions, ownership); the comms fixed point additionally checks
+	// that no mail is left behind. Costs a full queue scan per round;
+	// intended for model development and the test suite, not production
+	// runs.
 	CheckInvariants bool
 	// MaxOptimism, when positive, bounds speculation: a PE will not
 	// execute events more than this far beyond the last GVT estimate
@@ -93,11 +83,14 @@ type Config struct {
 	// GVT + PressureWindow, which keeps the event at GVT itself — the
 	// global minimum — executable and the run deadlock-free. Defaults to
 	// MaxOptimism when that is set, else EndTime/64. Only meaningful with
-	// MaxLiveEvents.
+	// MaxLiveEvents. On one processor the adaptive optimism window is
+	// pinned at its floor (see throttle.go), which is narrower than that
+	// default, so there the valve clamps only with a smaller explicit
+	// window.
 	PressureWindow Time
 	// InvariantSweep, when positive, runs each PE's structural invariant
 	// checks (see CheckInvariants) every n scheduler passes in addition
-	// to the barrier-time sweep at GVT rounds. The checks touch only
+	// to the check after each fossil collection. The checks touch only
 	// PE-owned state, so no quiescence is needed; the cost is a full
 	// pending-queue scan per sweep. Intended for the soak harness, where
 	// hours-scale runs cannot wait for a round boundary to notice
@@ -118,10 +111,8 @@ type Config struct {
 
 	// OnGVT, when set, is called once per GVT round with the new estimate
 	// (TimeInfinity when the event population has drained). It runs on
-	// PE 0 — in barrier mode while every PE is paused at the round's
-	// barrier, in async mode while the other PEs keep executing — so it
-	// must not block for long, and under the async default it must not
-	// assume the machine is quiescent.
+	// PE 0 while the other PEs keep executing, so it must not block for
+	// long and must not assume the machine is quiescent.
 	OnGVT func(gvt Time)
 	// OnRollback, when set, is called after each rollback with the KP
 	// that rolled back, how many events were reversed, and whether the
@@ -196,17 +187,10 @@ func (cfg *Config) setDefaults() error {
 		}
 	}
 	if cfg.Queue == "" {
-		cfg.Queue = DefaultQueue
+		cfg.Queue = eventq.DefaultKind
 	}
 	if err := eventq.Valid(cfg.Queue); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	switch cfg.GVTMode {
-	case "":
-		cfg.GVTMode = GVTAsync
-	case GVTAsync, GVTBarrier:
-	default:
-		return fmt.Errorf("core: unknown GVT mode %q", cfg.GVTMode)
 	}
 	if cfg.MaxLiveEvents < 0 || cfg.InvariantSweep < 0 {
 		return errors.New("core: MaxLiveEvents and InvariantSweep must be non-negative")
@@ -238,14 +222,6 @@ func (cfg *Config) defaultPressureWindow() Time {
 	return cfg.EndTime / 64
 }
 
-// The Config.GVTMode values.
-const (
-	// GVTAsync is the asynchronous token GVT (gvt_async.go).
-	GVTAsync = "async"
-	// GVTBarrier is the synchronous barrier GVT (gvt.go).
-	GVTBarrier = "barrier"
-)
-
 // Host is the setup interface shared by the parallel Simulator and the
 // Sequential reference engine; models install themselves against it so one
 // setup function serves both (which is what makes the sequential-vs-
@@ -271,28 +247,21 @@ type Simulator struct {
 	bar          *barrier
 	gvtDelayed   atomic.Int64
 	gvtRequested atomic.Bool
-	gvtStable    atomic.Bool
+	commsStable  atomic.Bool
 	finished     atomic.Bool
 	gvtBits      atomic.Uint64
-	localMins    []Time
-	gvtRounds    atomic.Int64
+	roundsDone   atomic.Int64
 
-	// async selects the token GVT (Config.GVTMode == GVTAsync); token is
-	// its circulating state. See gvt_async.go.
-	async bool
+	// token is the circulating GVT token's state; see gvt_async.go.
 	token gvtToken
 
-	// Periodic checkpointing (SetCheckpoint; see checkpoint.go). ckptDue is
-	// barrier mode's round flag: PE 0 writes it between a round's barriers
-	// and every PE reads it after the next barrier, so it needs no atomic.
-	// ckptPending is the async mode's equivalent — there is no barrier to
-	// order a plain flag, so completeRound publishes it atomically and
-	// every PE's next asyncPass routes into the rendezvous. ckptLastRound
-	// and ckptLastGVT — the round count and estimate of the last capture —
-	// are PE 0's bookkeeping only.
+	// Periodic checkpointing (SetCheckpoint; see checkpoint.go).
+	// completeRound publishes ckptPending atomically and every PE's next
+	// asyncPass routes into the rendezvous. ckptLastRound and ckptLastGVT —
+	// the round count and estimate of the last capture — are PE 0's
+	// bookkeeping only.
 	ckptSink      CheckpointSink
 	ckptEvery     int64
-	ckptDue       bool
 	ckptPending   atomic.Bool
 	ckptLastRound int64
 	ckptLastGVT   Time
@@ -357,23 +326,17 @@ func New(cfg Config) (*Simulator, error) {
 		pe.pending = newEventQueue(cfg.Queue)
 	}
 	s.bar = newBarrier(cfg.NumPEs)
-	s.localMins = make([]Time, cfg.NumPEs)
-	s.async = cfg.GVTMode == GVTAsync
-	if s.async {
-		for _, pe := range s.pes {
-			pe.outMin = make([]Time, cfg.NumPEs)
-			for d := range pe.outMin {
-				pe.outMin[d] = TimeInfinity
-			}
-			pe.epochs = make([][]outEpoch, cfg.NumPEs)
+	for _, pe := range s.pes {
+		pe.outMin = make([]Time, cfg.NumPEs)
+		for d := range pe.outMin {
+			pe.outMin[d] = TimeInfinity
 		}
-	}
-	if (cfg.AdaptiveOptimism || s.async) && cfg.NumPEs > 1 {
-		// Async GVT has no stop-the-world quench, so the controller is not
-		// optional there (see Config.AdaptiveOptimism). A single-PE machine
-		// executes in timestamp order and cannot roll back, so throttling it
-		// would only cap batch depth for nothing.
-		for _, pe := range s.pes {
+		pe.epochs = make([][]outEpoch, cfg.NumPEs)
+		if cfg.NumPEs > 1 {
+			// GVT rounds never stop the world, so nothing else quenches a
+			// rollback cascade (see Config.GVTInterval). A single-PE machine
+			// executes in timestamp order and cannot roll back, so throttling
+			// it would only cap batch depth for nothing.
 			pe.opt = newOptimismController(&s.cfg, runtime.GOMAXPROCS(0))
 		}
 	}
@@ -538,11 +501,10 @@ func (s *Simulator) lookup(id LPID) *LP {
 func (s *Simulator) fail(err error) {
 	s.failOnce.Do(func() {
 		s.failErr = err
+		// Every PE — including parked ones, once woken — sees finished at
+		// its next asyncPass and enters the shutdown drain, where the
+		// poisoned barrier surfaces the failure.
 		s.finished.Store(true)
-		// Bypass requestGVT (and its GVTDelay suppression): every PE —
-		// including parked ones, once woken — must route into gvtRound,
-		// where the poisoned barrier surfaces the failure.
-		s.gvtRequested.Store(true)
 		s.bar.poison()
 		s.wakeAll()
 	})

@@ -20,12 +20,11 @@ type PEStats struct {
 	MailSent        int64
 	MailReceived    int64
 	Busy            time.Duration
-	// GVTWait is the time this PE spent blocked at GVT barriers — the
-	// per-round rendezvous in barrier mode, and only the one-time shutdown
-	// drain in async mode, whose token visits never wait (sender-side
-	// coverage; see gvt_async.go). GVTLatency, nonzero on PE 0 only,
-	// totals round latency — barrier-entry to estimate in barrier mode,
-	// token launch to return in async mode. OptClamps counts
+	// GVTWait is the time this PE spent blocked at the kernel's barrier:
+	// checkpoint rendezvous and the one-time shutdown drain. Token visits
+	// never wait (sender-side coverage; see gvt_async.go), so a run without
+	// checkpoints only accrues the drain. GVTLatency, nonzero on PE 0 only,
+	// totals round latency from token launch to return. OptClamps counts
 	// scheduler passes where the adaptive optimism window (rather than a
 	// static bound) clamped this PE's horizon.
 	GVTWait    time.Duration
@@ -98,12 +97,11 @@ type Stats struct {
 	MailSent           int64
 	MailReceived       int64
 	GVTRounds          int64
-	// GVTMode names the GVT algorithm the run used (Config.GVTMode).
-	// GVTLatency is the total round latency (launch to estimate) and
-	// GVTWait the summed per-PE time blocked at GVT barriers (async mode
-	// has none mid-run; see PEStats). OptClamps totals the passes clamped
-	// by the adaptive optimism window (Config.AdaptiveOptimism).
-	GVTMode    string
+	// GVTLatency is the total round latency (token launch to return) and
+	// GVTWait the summed per-PE time blocked at the kernel's barrier
+	// (checkpoint rendezvous and shutdown drain; see PEStats). OptClamps
+	// totals the passes clamped by the adaptive optimism window, which
+	// every multi-PE run arms (see throttle.go).
 	GVTLatency time.Duration
 	GVTWait    time.Duration
 	OptClamps  int64
@@ -171,8 +169,7 @@ func (st *Stats) finishPools() {
 //simlint:crosspe post-Run read; the goroutine joins order all PE counter writes before this
 func (s *Simulator) collectStats(wall time.Duration) *Stats {
 	st := &Stats{
-		GVTRounds: s.gvtRounds.Load(),
-		GVTMode:   s.cfg.GVTMode,
+		GVTRounds: s.roundsDone.Load(),
 		NumPEs:    len(s.pes),
 		NumKPs:    len(s.kps),
 		Wall:      wall,
@@ -270,16 +267,12 @@ func (st *Stats) String() string {
 		fmt.Fprintf(&b, "  comms:              %d batches (avg %.1f msgs), peak drain %d, %d parks, %d wakes\n",
 			st.BatchesFlushed, st.AvgBatchSize, st.MailboxPeak, st.Parks, st.Wakes)
 	}
-	mode := st.GVTMode
-	if mode == "" {
-		mode = "barrier"
-	}
 	avgLatency := time.Duration(0)
 	if st.GVTRounds > 0 {
 		avgLatency = st.GVTLatency / time.Duration(st.GVTRounds)
 	}
-	fmt.Fprintf(&b, "  GVT rounds:         %d (%s, avg latency %v, %v total wait)\n",
-		st.GVTRounds, mode, avgLatency.Round(time.Microsecond), st.GVTWait.Round(time.Microsecond))
+	fmt.Fprintf(&b, "  GVT rounds:         %d (avg latency %v, %v total wait)\n",
+		st.GVTRounds, avgLatency.Round(time.Microsecond), st.GVTWait.Round(time.Microsecond))
 	if st.OptClamps > 0 {
 		fmt.Fprintf(&b, "  adaptive optimism:  %d clamped passes\n", st.OptClamps)
 	}

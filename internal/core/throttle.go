@@ -1,6 +1,6 @@
 package core
 
-// This file is the adaptive optimism throttle (Config.AdaptiveOptimism): a
+// This file is the adaptive optimism throttle, armed on every multi-PE run: a
 // per-PE controller that widens and narrows the speculation horizon from
 // observed rollback efficiency, generalizing the static MaxOptimism bound
 // and the memory valve's fixed PressureWindow. The controller is pure
@@ -59,7 +59,8 @@ type optimismController struct {
 // to the cap within optFloorDiv-log2 rounds (a few milliseconds of real
 // time), whereas starting wide costs a full cascade storm up front on
 // tightly coupled workloads — the controller would have to narrow *through*
-// the storm it just caused, and in async mode nothing else quenches it.
+// the storm it just caused, and with GVT rounds that never stop the world
+// nothing else quenches it.
 //
 // cpus is the scheduler parallelism available to the PE goroutines
 // (runtime.GOMAXPROCS in production). With one processor the cap collapses

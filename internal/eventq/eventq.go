@@ -66,8 +66,10 @@ func Drain[T any](q Queue[T], upTo T, less func(a, b T) bool, fn func(T)) {
 	}
 }
 
-// DefaultKind is the queue an empty kind name selects.
-const DefaultKind = "splay"
+// DefaultKind is the queue an empty kind name selects: the ladder, the
+// calendar-family structure with amortised O(1) Push/Pop on the PDES access
+// pattern. It is the one default for every engine and every CLI -queue flag.
+const DefaultKind = "ladder"
 
 // kindSpec is one registry entry; registry is the single place a queue
 // kind is declared — Kinds, Valid and New all derive from it, so adding a

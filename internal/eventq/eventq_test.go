@@ -238,26 +238,28 @@ func TestNewUnknownKind(t *testing.T) {
 // TestLadderRequiresKey: calendar-family kinds cannot work without a key
 // projection; the constructor must say so instead of crashing later.
 func TestLadderRequiresKey(t *testing.T) {
-	if _, err := New[int]("ladder", intLess, nil); err == nil {
-		t.Fatal("New(ladder) without key projection succeeded")
+	for _, kind := range []string{"ladder", ""} { // "" selects the ladder
+		if _, err := New[int](kind, intLess, nil); err == nil {
+			t.Fatalf("New(%q) without key projection succeeded", kind)
+		}
 	}
 	// Comparison-only kinds must not require one.
-	for _, kind := range []string{"heap", "splay", ""} {
+	for _, kind := range []string{"heap", "splay"} {
 		if _, err := New[int](kind, intLess, nil); err != nil {
 			t.Fatalf("New(%q) with nil key: %v", kind, err)
 		}
 	}
 }
 
-// TestNewDefaultsToSplay: empty kind must produce a working queue of
-// DefaultKind.
-func TestNewDefaultsToSplay(t *testing.T) {
-	if DefaultKind != "splay" {
+// TestNewDefaultsToLadder: empty kind must produce a working queue of
+// DefaultKind, the ladder.
+func TestNewDefaultsToLadder(t *testing.T) {
+	if DefaultKind != "ladder" {
 		t.Fatalf("DefaultKind = %q", DefaultKind)
 	}
 	q := mustNew(t, "")
-	if _, ok := q.(*Splay[int]); !ok {
-		t.Fatalf("New(\"\") = %T, want *Splay", q)
+	if _, ok := q.(*Ladder[int]); !ok {
+		t.Fatalf("New(\"\") = %T, want *Ladder", q)
 	}
 	q.Push(2)
 	q.Push(1)

@@ -343,8 +343,9 @@ type TuningPoint struct {
 // TuningSweep explores the kernel's two scheduling knobs — events per
 // batch and batches per GVT round — on the hot-potato workload. Small
 // batches bound optimism (fewer rollbacks, more scheduling overhead);
-// frequent GVT rounds bound memory (more barriers). This is the tuning
-// study every Time Warp deployment runs; ROSS exposes the same two knobs.
+// frequent GVT rounds bound memory (more token circulations). This is the
+// tuning study every Time Warp deployment runs; ROSS exposes the same two
+// knobs.
 func TuningSweep(opt Options) ([]TuningPoint, error) {
 	pes := opt.PEs
 	if pes <= 0 {

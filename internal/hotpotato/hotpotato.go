@@ -106,12 +106,8 @@ type Config struct {
 	NumKPs      int
 	BatchSize   int
 	GVTInterval int
-	GVTMode     string
 	Queue       string
 	MaxOptimism core.Time
-	// AdaptiveOptimism enables the kernel's rollback-efficiency throttle
-	// (see core.Config.AdaptiveOptimism).
-	AdaptiveOptimism bool
 	// OnGVT, when set, receives every GVT estimate — progress reporting
 	// for long runs (see core.Config.OnGVT for the calling context).
 	OnGVT func(core.Time)
@@ -240,22 +236,20 @@ func Build(cfg Config) (*core.Simulator, *Model, error) {
 	}
 	net := cfg.network()
 	kcfg := core.Config{
-		NumLPs:           net.Size(),
-		NumPEs:           cfg.NumPEs,
-		NumKPs:           cfg.NumKPs,
-		EndTime:          core.Time(cfg.Steps),
-		BatchSize:        cfg.BatchSize,
-		GVTInterval:      cfg.GVTInterval,
-		GVTMode:          cfg.GVTMode,
-		Queue:            cfg.Queue,
-		Seed:             cfg.Seed,
-		MaxOptimism:      cfg.MaxOptimism,
-		AdaptiveOptimism: cfg.AdaptiveOptimism,
-		OnGVT:            cfg.OnGVT,
-		CheckInvariants:  cfg.CheckInvariants,
-		Faults:           cfg.Faults,
-		KPOfLP:           cfg.KPOfLP,
-		PEOfKP:           cfg.PEOfKP,
+		NumLPs:          net.Size(),
+		NumPEs:          cfg.NumPEs,
+		NumKPs:          cfg.NumKPs,
+		EndTime:         core.Time(cfg.Steps),
+		BatchSize:       cfg.BatchSize,
+		GVTInterval:     cfg.GVTInterval,
+		Queue:           cfg.Queue,
+		Seed:            cfg.Seed,
+		MaxOptimism:     cfg.MaxOptimism,
+		OnGVT:           cfg.OnGVT,
+		CheckInvariants: cfg.CheckInvariants,
+		Faults:          cfg.Faults,
+		KPOfLP:          cfg.KPOfLP,
+		PEOfKP:          cfg.PEOfKP,
 	}
 	sim, err := core.New(kcfg)
 	if err != nil {

@@ -41,12 +41,8 @@ type Config struct {
 	NumKPs      int
 	BatchSize   int
 	GVTInterval int
-	GVTMode     string
 	Queue       string
 	MaxOptimism core.Time
-	// AdaptiveOptimism enables the kernel's rollback-efficiency throttle
-	// (see core.Config.AdaptiveOptimism).
-	AdaptiveOptimism bool
 	// Faults arms the kernel's fault injectors (see core.Faults); only the
 	// optimistic Build honours it.
 	Faults *core.Faults
@@ -90,18 +86,16 @@ func Build(cfg Config) (*core.Simulator, *Model, error) {
 		return nil, nil, err
 	}
 	sim, err := core.New(core.Config{
-		NumLPs:           cfg.NumLPs,
-		NumPEs:           cfg.NumPEs,
-		NumKPs:           cfg.NumKPs,
-		EndTime:          cfg.EndTime,
-		BatchSize:        cfg.BatchSize,
-		GVTInterval:      cfg.GVTInterval,
-		GVTMode:          cfg.GVTMode,
-		Queue:            cfg.Queue,
-		Seed:             cfg.Seed,
-		MaxOptimism:      cfg.MaxOptimism,
-		AdaptiveOptimism: cfg.AdaptiveOptimism,
-		Faults:           cfg.Faults,
+		NumLPs:      cfg.NumLPs,
+		NumPEs:      cfg.NumPEs,
+		NumKPs:      cfg.NumKPs,
+		EndTime:     cfg.EndTime,
+		BatchSize:   cfg.BatchSize,
+		GVTInterval: cfg.GVTInterval,
+		Queue:       cfg.Queue,
+		Seed:        cfg.Seed,
+		MaxOptimism: cfg.MaxOptimism,
+		Faults:      cfg.Faults,
 	})
 	if err != nil {
 		return nil, nil, err

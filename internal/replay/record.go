@@ -8,8 +8,8 @@ import (
 // Recorder accumulates one optimistic run's kernel recording. It
 // implements core.RecordSink without locks: each per-PE stream is appended
 // to only by that PE's goroutine (MailBatch and Rollback run on the
-// observing PE), and the round stream only by PE 0 between GVT barriers;
-// Run's completion orders every write before finalize's reads.
+// observing PE), and the round stream only by PE 0 as it completes each
+// GVT round; Run's completion orders every write before finalize's reads.
 type Recorder struct {
 	pes    []PELog
 	rounds []Round

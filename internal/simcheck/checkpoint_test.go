@@ -4,56 +4,52 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/replay"
 )
 
 // TestRunCellResumedMatchesSequential is the checkpoint/resume differential:
-// for every model and both GVT algorithms, an optimistic run split across a
-// checkpoint/restore cut must compose to exactly the fingerprint a clean
-// sequential run commits. It also proves the cut was real — the resumed
+// for every model, an optimistic run split across a checkpoint/restore cut
+// must compose to exactly the fingerprint a clean sequential run commits. It also proves the cut was real — the resumed
 // phase commits strictly fewer events than the whole run, and the published
 // checkpoint sits strictly inside the horizon.
 func TestRunCellResumedMatchesSequential(t *testing.T) {
 	for _, model := range ModelNames() {
-		for _, mode := range []string{core.GVTAsync, core.GVTBarrier} {
-			t.Run(model+"/"+mode, func(t *testing.T) {
-				t.Parallel()
-				refCell := Cell{Model: model, Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 42}
-				ref, err := RunCell(refCell)
-				if err != nil {
-					t.Fatalf("reference run: %v", err)
-				}
-				c := Cell{
-					Model: model, Engine: EngOptimistic,
-					PEs: 4, KPs: 8, Queue: "heap", Seed: 42, GVTMode: mode,
-				}
-				dir := t.TempDir()
-				res, err := RunCellResumed(c, dir, 0)
-				if err != nil {
-					t.Fatalf("resumed run [%s]: %v", c, err)
-				}
-				if diffs := Compare(ref.FP, res.FP); len(diffs) > 0 {
-					t.Fatalf("resumed fingerprint diverges from sequential reference [%s]:\n%v", c, diffs)
-				}
-				// The resume must have skipped a committed prefix, not re-run
-				// the whole workload.
-				if res.Stats.Committed >= res.FP.Committed {
-					t.Fatalf("resumed phase committed %d of %d events — nothing was restored",
-						res.Stats.Committed, res.FP.Committed)
-				}
-				cp, err := replay.LoadCheckpoint(dir)
-				if err != nil {
-					t.Fatalf("load checkpoint: %v", err)
-				}
-				if cp.GVT <= 0 {
-					t.Fatalf("checkpoint GVT %v is not mid-run", cp.GVT)
-				}
-				if cp.Committed <= 0 {
-					t.Fatalf("checkpoint committed count %d is not mid-run", cp.Committed)
-				}
-			})
-		}
+		t.Run(model, func(t *testing.T) {
+			t.Parallel()
+			refCell := Cell{Model: model, Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 42}
+			ref, err := RunCell(refCell)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			c := Cell{
+				Model: model, Engine: EngOptimistic,
+				PEs: 4, KPs: 8, Queue: "heap", Seed: 42,
+			}
+			dir := t.TempDir()
+			res, err := RunCellResumed(c, dir, 0)
+			if err != nil {
+				t.Fatalf("resumed run [%s]: %v", c, err)
+			}
+			if diffs := Compare(ref.FP, res.FP); len(diffs) > 0 {
+				t.Fatalf("resumed fingerprint diverges from sequential reference [%s]:\n%v", c, diffs)
+			}
+			// The resume must have skipped a committed prefix, not re-run
+			// the whole workload.
+			if res.Stats.Committed >= res.FP.Committed {
+				t.Fatalf("resumed phase committed %d of %d events — nothing was restored",
+					res.Stats.Committed, res.FP.Committed)
+			}
+			cp, err := replay.LoadCheckpoint(dir)
+			if err != nil {
+				t.Fatalf("load checkpoint: %v", err)
+			}
+			if cp.GVT <= 0 {
+				t.Fatalf("checkpoint GVT %v is not mid-run", cp.GVT)
+			}
+			if cp.Committed <= 0 {
+				t.Fatalf("checkpoint committed count %d is not mid-run", cp.Committed)
+			}
+		})
 	}
 }
 
@@ -70,7 +66,7 @@ func TestRunCellResumedUnderFaults(t *testing.T) {
 	c := Cell{
 		Model: "hotpotato", Engine: EngOptimistic,
 		PEs: 4, KPs: 8, Queue: "heap", Seed: 7,
-		GVTMode: core.GVTAsync, Faults: DefaultFaults(),
+		Faults: DefaultFaults(),
 	}
 	res, err := RunCellResumed(c, t.TempDir(), 0)
 	if err != nil {

@@ -58,7 +58,6 @@ func buildHotpotato(c Cell, endTime core.Time) (*instance, error) {
 		NumKPs:          c.KPs,
 		BatchSize:       cellBatchSize,
 		GVTInterval:     cellGVTInterval,
-		GVTMode:         c.GVTMode,
 		Queue:           c.Queue,
 		Faults:          c.Faults,
 	}
@@ -133,7 +132,6 @@ func buildPHOLD(c Cell, endTime core.Time) (*instance, error) {
 		// GVTInterval below via kernel default would be too lazy; phold's
 		// Config exposes it directly.
 		GVTInterval: cellGVTInterval,
-		GVTMode:     c.GVTMode,
 		Queue:       c.Queue,
 		Faults:      c.Faults,
 	}
@@ -188,7 +186,6 @@ func buildQNet(c Cell, endTime core.Time) (*instance, error) {
 		NumKPs:         c.KPs,
 		BatchSize:      cellBatchSize,
 		GVTInterval:    cellGVTInterval,
-		GVTMode:        c.GVTMode,
 		Queue:          c.Queue,
 		Faults:         c.Faults,
 	}

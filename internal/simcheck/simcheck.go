@@ -58,12 +58,6 @@ type Cell struct {
 	// Faults is the kernel fault plan; only meaningful for the optimistic
 	// engine.
 	Faults *core.Faults
-	// GVTMode selects the optimistic kernel's GVT algorithm
-	// (core.GVTAsync or core.GVTBarrier; empty takes the kernel default).
-	// GVT is scheduling-only, so the two modes must fingerprint
-	// identically — that differential is the async algorithm's main
-	// correctness check.
-	GVTMode string
 	// MaxLive, when positive, arms the kernel's fossil-collection pressure
 	// valve (core.Config.MaxLiveEvents) on optimistic cells: each PE's
 	// executed-but-uncommitted events are capped at this budget. The valve
@@ -82,9 +76,6 @@ func (c Cell) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "model=%s engine=%s pes=%d kps=%d queue=%s seed=%d",
 		c.Model, c.Engine, c.PEs, c.KPs, c.Queue, c.Seed)
-	if c.GVTMode != "" {
-		fmt.Fprintf(&b, " gvt=%s", c.GVTMode)
-	}
 	if c.Faults != nil {
 		fmt.Fprintf(&b, " faults=%+v", *c.Faults)
 	}
@@ -206,10 +197,6 @@ type Matrix struct {
 	// 0 entries mean unbounded, and positive entries apply only to
 	// optimistic cells. Empty means unbounded only.
 	MemBounds []int
-	// GVTModes are the optimistic GVT algorithms to sweep (Cell.GVTMode);
-	// empty means the kernel default only. Non-optimistic engines have no
-	// GVT, so the dimension collapses for them.
-	GVTModes []string
 	// Mutation arms a seeded bug in every non-sequential cell; the
 	// reference stays clean so the self-test can assert the harness
 	// reports the divergence.
@@ -233,7 +220,6 @@ func Smoke() Matrix {
 		Seeds:     []uint64{1, 42},
 		Faults:    []*core.Faults{nil, DefaultFaults(), BurstFaults()},
 		MemBounds: []int{0, 10},
-		GVTModes:  []string{core.GVTAsync, core.GVTBarrier},
 	}
 }
 
@@ -249,7 +235,6 @@ func Full() Matrix {
 		Seeds:     []uint64{1, 7, 42, 1234},
 		Faults:    []*core.Faults{nil, DefaultFaults(), BurstFaults()},
 		MemBounds: []int{0, 6, 24},
-		GVTModes:  []string{core.GVTAsync, core.GVTBarrier},
 	}
 }
 
@@ -328,14 +313,13 @@ func (m Matrix) cells(model string, seed uint64, spec *modelSpec) []Cell {
 		if !spec.engines[eng] {
 			continue
 		}
-		pes, kps, faults, bounds, gvts := m.PEs, m.KPs, m.Faults, m.MemBounds, m.GVTModes
+		pes, kps, faults, bounds := m.PEs, m.KPs, m.Faults, m.MemBounds
 		if eng == EngSequential {
 			pes, kps = []int{1}, []int{1}
 		}
 		if eng != EngOptimistic {
 			faults = []*core.Faults{nil}
 			bounds = []int{0}
-			gvts = []string{""}
 		}
 		if len(faults) == 0 {
 			faults = []*core.Faults{nil}
@@ -343,27 +327,22 @@ func (m Matrix) cells(model string, seed uint64, spec *modelSpec) []Cell {
 		if len(bounds) == 0 {
 			bounds = []int{0}
 		}
-		if len(gvts) == 0 {
-			gvts = []string{""}
-		}
 		for _, pe := range pes {
 			for _, kp := range kps {
 				for _, q := range m.Queues {
 					for _, f := range faults {
 						for _, ml := range bounds {
-							for _, gm := range gvts {
-								c := Cell{
-									Model: model, Engine: eng,
-									PEs: pe, KPs: kp, Queue: q, Seed: seed,
-									Faults: f, MaxLive: ml, GVTMode: gm,
-								}
-								if eng != EngSequential {
-									c.Mutation = m.Mutation
-								}
-								if key := c.String(); !seen[key] {
-									seen[key] = true
-									out = append(out, c)
-								}
+							c := Cell{
+								Model: model, Engine: eng,
+								PEs: pe, KPs: kp, Queue: q, Seed: seed,
+								Faults: f, MaxLive: ml,
+							}
+							if eng != EngSequential {
+								c.Mutation = m.Mutation
+							}
+							if key := c.String(); !seen[key] {
+								seen[key] = true
+								out = append(out, c)
 							}
 						}
 					}

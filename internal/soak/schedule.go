@@ -96,10 +96,6 @@ func nextEpisode(src source, idx int, models []string, mutation simcheck.Mutatio
 		c.Engine = simcheck.EngConservative
 	}
 	if c.Engine == simcheck.EngOptimistic {
-		// Both GVT algorithms soak 50/50: the circulating token and the
-		// stop-the-world barrier must be indistinguishable in committed
-		// results, and chaos plans interleave very differently under each.
-		c.GVTMode = []string{core.GVTAsync, core.GVTBarrier}[src.Intn(2)]
 		f := &core.Faults{}
 		armed := false
 		for _, inj := range simcheck.Injectors() {
