@@ -112,7 +112,7 @@ func TestPholdCLI(t *testing.T) {
 func TestFiguresCLI(t *testing.T) {
 	outDir := t.TempDir()
 	out := run(t, "figures", "-fig", "queues", "-steps", "5", "-progress=false", "-out", outDir)
-	if !strings.Contains(out, "heap") || !strings.Contains(out, "splay") {
+	if !strings.Contains(out, "heap") || !strings.Contains(out, "ladder") {
 		t.Fatalf("queue ablation output wrong:\n%s", out)
 	}
 	csv, err := os.ReadFile(filepath.Join(outDir, "queues.csv"))

@@ -70,6 +70,7 @@ import (
 // touch them, and the holder store/load chain hands the happens-before
 // edge from each PE's visit to the next.
 type gvtToken struct {
+	_ [56]byte // keep the Simulator's GVT atomics off the holder's line
 	// holder is the ID of the PE currently holding the token. Its
 	// store/load pairs are the only synchronisation the token uses.
 	//
@@ -126,9 +127,7 @@ func (pe *PE) asyncPass() (bool, error) {
 		// its own feedback loop.
 		pe.obsRound = n
 		pe.sinceGVT = 0
-		if pe.opt != nil {
-			pe.opt.observe(pe.processed, pe.rolledBackEvents)
-		}
+		pe.opt.observe(pe.processed, pe.rolledBackEvents)
 	}
 	if s.ckptPending.Load() {
 		// A completed round armed a checkpoint: rendezvous before anything
@@ -277,7 +276,7 @@ func (pe *PE) completeRound(est Time) {
 	if hook := s.cfg.OnGVT; hook != nil {
 		hook(est)
 	}
-	if rec := s.cfg.Record; rec != nil {
+	if rec := s.record; rec != nil {
 		rec.GVTRound(n, est)
 	}
 	s.gvtRequested.Store(false)

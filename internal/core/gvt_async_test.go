@@ -90,100 +90,6 @@ func TestAsyncGVTUnderFaults(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWindowDynamics drives the controller directly through a
-// rollback storm and out the other side: slow-start to the cap on clean
-// intervals, halving with threshold tracking under the storm, and the
-// post-storm climb that goes additive at the threshold the storm set.
-func TestAdaptiveWindowDynamics(t *testing.T) {
-	cfg := &Config{EndTime: 256}
-	oc := newOptimismController(cfg, 8)
-	if oc.min != 1 || oc.max != 256 {
-		t.Fatalf("bounds: min=%v max=%v, want 1, 256", oc.min, oc.max)
-	}
-	if oc.window != oc.min {
-		t.Fatalf("window starts at %v, want the floor %v", oc.window, oc.min)
-	}
-
-	// Sub-threshold samples fold into the next interval without moving the
-	// window.
-	proc, rb := int64(optSampleMin-1), int64(0)
-	oc.observe(proc, rb)
-	if oc.window != oc.min || oc.procMark != 0 {
-		t.Fatalf("short interval moved the window (%v) or the mark (%d)", oc.window, oc.procMark)
-	}
-
-	// Clean intervals: pure slow start doubles the floor to the cap in
-	// log2(optFloorDiv) observations.
-	steps := 0
-	for oc.window < oc.max {
-		proc += optSampleMin
-		oc.observe(proc, rb)
-		if steps++; steps > 64 {
-			t.Fatalf("window stuck at %v after %d clean intervals", oc.window, steps)
-		}
-	}
-	if steps != 8 {
-		t.Fatalf("slow start took %d doublings from %v to %v, want 8", steps, oc.min, oc.max)
-	}
-
-	// Storm: every interval rollback-dominated (efficiency 0.5) halves the
-	// window down to the floor, dragging the threshold with it.
-	for i := 0; oc.window > oc.min; i++ {
-		proc += 2 * optSampleMin
-		rb += optSampleMin
-		oc.observe(proc, rb)
-		if i > 64 {
-			t.Fatalf("storm never drove the window to the floor (at %v)", oc.window)
-		}
-	}
-	if oc.thresh != oc.min {
-		t.Fatalf("threshold %v did not follow the storm down to the floor %v", oc.thresh, oc.min)
-	}
-
-	// Recovery: the threshold the storm set makes the climb additive from
-	// the first step — one floor unit per clean interval, no overshooting
-	// jump back to the width that just stormed.
-	proc += optSampleMin
-	oc.observe(proc, rb)
-	if oc.window != 2*oc.min {
-		t.Fatalf("first post-storm step took window to %v, want additive %v", oc.window, 2*oc.min)
-	}
-	for i := 0; oc.window < oc.max; i++ {
-		proc += optSampleMin
-		oc.observe(proc, rb)
-		if i > 2*optFloorDiv {
-			t.Fatalf("additive climb never reached the cap (at %v)", oc.window)
-		}
-	}
-
-	// Dead band: an interval between the thresholds leaves the window alone.
-	proc += optSampleMin
-	rb += optSampleMin * 18 / 100 // efficiency 0.82 ∈ [narrowAt, widenAt)
-	before := oc.window
-	oc.observe(proc, rb)
-	if oc.window != before {
-		t.Fatalf("dead-band interval moved the window %v -> %v", before, oc.window)
-	}
-}
-
-// TestAdaptiveWindowPinnedOnOneCPU: with one processor the cap collapses to
-// the floor and no observation stream may widen the window — speculation on
-// a timesliced core only displaces critical-path work.
-func TestAdaptiveWindowPinnedOnOneCPU(t *testing.T) {
-	oc := newOptimismController(&Config{EndTime: 256}, 1)
-	if oc.max != oc.min {
-		t.Fatalf("cap %v not collapsed to floor %v", oc.max, oc.min)
-	}
-	proc := int64(0)
-	for i := 0; i < 32; i++ {
-		proc += optSampleMin
-		oc.observe(proc, 0)
-		if oc.window != oc.min {
-			t.Fatalf("perfect efficiency widened a pinned window to %v", oc.window)
-		}
-	}
-}
-
 // denseModel reproduces the shape that defeats every time-based optimism
 // window: a population of jobs bootstrapped at microsecond spacing, each
 // hopping one microsecond ahead around a ring until its TTL expires. The

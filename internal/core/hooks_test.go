@@ -44,44 +44,25 @@ func TestOnGVTMonotonic(t *testing.T) {
 	}
 }
 
-// TestOnRollbackMatchesStats: the hook's event counts must sum to the
-// kernel's rolled-back statistic, with the right secondary attribution.
-func TestOnRollbackMatchesStats(t *testing.T) {
-	var mu sync.Mutex
-	var hookEvents int64
-	var primary, secondary int64
+// TestRollbackSinkMatchesStats: the record sink's rollback reports must
+// sum to the kernel's rolled-back statistic, with the right secondary
+// attribution.
+func TestRollbackSinkMatchesStats(t *testing.T) {
 	cfg := Config{
 		NumLPs: 64, EndTime: 60, Seed: 11, NumPEs: 4, NumKPs: 8,
 		BatchSize: 2, GVTInterval: 1,
-		OnRollback: func(kp int, events int, sec bool) {
-			mu.Lock()
-			hookEvents += int64(events)
-			if sec {
-				secondary++
-			} else {
-				primary++
-			}
-			mu.Unlock()
-		},
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	sink := &countingSink{}
+	_, stats := runStressParallel(t, cfg, 30, func(s *Simulator) { s.SetRecord(sink) })
+	if sink.violation != "" {
+		t.Fatalf("sink contract violated: %s", sink.violation)
 	}
-	model := stressModel{numLPs: 64}
-	s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
-	for i := 0; i < 64; i++ {
-		s.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 30})
+	if sink.events != stats.RolledBackEvents {
+		t.Fatalf("sink saw %d rolled-back events, stats %d", sink.events, stats.RolledBackEvents)
 	}
-	stats, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hookEvents != stats.RolledBackEvents {
-		t.Fatalf("hook saw %d rolled-back events, stats %d", hookEvents, stats.RolledBackEvents)
-	}
-	if primary != stats.PrimaryRollbacks || secondary != stats.SecondaryRollbacks {
-		t.Fatalf("hook rollbacks %d/%d, stats %d/%d",
-			primary, secondary, stats.PrimaryRollbacks, stats.SecondaryRollbacks)
+	primary := int64(sink.rollbacks - sink.secondary - sink.forced)
+	if primary != stats.PrimaryRollbacks || int64(sink.secondary) != stats.SecondaryRollbacks {
+		t.Fatalf("sink rollbacks %d/%d, stats %d/%d",
+			primary, sink.secondary, stats.PrimaryRollbacks, stats.SecondaryRollbacks)
 	}
 }

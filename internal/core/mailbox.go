@@ -228,7 +228,7 @@ func (pe *PE) flushMail(force bool) {
 // needs — holds structurally.
 func (pe *PE) drainMailbox() {
 	msgs := pe.batch[:0]
-	rec := pe.sim.cfg.Record
+	rec := pe.sim.record
 	for i := range pe.lanes {
 		before := len(msgs)
 		msgs = pe.lanes[i].drain(msgs)

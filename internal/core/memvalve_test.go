@@ -1,9 +1,9 @@
 package core
 
-// Tests for the fossil-collection pressure valve (Config.MaxLiveEvents):
-// a bounded run must commit exactly what the unbounded run commits, with a
+// Tests for the fossil-collection pressure valve (SetMemoryBound): a
+// bounded run must commit exactly what the unbounded run commits, with a
 // bounded concurrent live-event footprint, and the in-run invariant sweep
-// (Config.InvariantSweep) must actually fire.
+// (SetParanoid) must actually fire.
 
 import (
 	"sync/atomic"
@@ -36,12 +36,12 @@ func (m chainModel) Reverse(lp *LP, ev *Event) {
 // buildChain constructs a chain-model simulator. The generous GVTInterval
 // lets PEs race far ahead of commitment, which is exactly the pressure the
 // valve exists to contain. The long horizon is what lets the unbounded
-// control run build up a live-event pile on any core count: every multi-PE
-// run arms the adaptive optimism window, and on one processor that window
-// is pinned to its floor of EndTime/256 — under half a tick at a 120-tick
-// horizon, which caps the pile at about one tick of events (~20), while
-// 1024 ticks give a four-tick floor (~65 live at GOMAXPROCS=1, several
-// hundred at 2).
+// control run build up a live-event pile on any core count: on one
+// processor the optimism controller pins its window to the floor of
+// EndTime/256 — under half a tick at a 120-tick horizon, which caps the
+// pile at about one tick of events (~20), while 1024 ticks give a four-tick
+// floor (~65 live at GOMAXPROCS=1, several hundred at 2). The valve then
+// narrows to half the floor, two ticks.
 func buildChain(t *testing.T, cfg Config) *Simulator {
 	t.Helper()
 	cfg.NumLPs = 32
@@ -91,12 +91,8 @@ func TestMemoryValveBoundsLiveEvents(t *testing.T) {
 		t.Fatalf("unbounded live peak %d too small for the valve to matter; tune the model", freeStats.LivePeak)
 	}
 
-	bounded := buildChain(t, Config{
-		NumPEs:          2,
-		CheckInvariants: true,
-		MaxLiveEvents:   budget,
-		PressureWindow:  1.5,
-	})
+	bounded := buildChain(t, Config{NumPEs: 2, CheckInvariants: true})
+	bounded.SetMemoryBound(budget)
 	boundedStats, err := bounded.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +107,11 @@ func TestMemoryValveBoundsLiveEvents(t *testing.T) {
 		t.Fatalf("bounded final state %d, unbounded %d", got, want)
 	}
 	// The valve is checked once per pass, so a pass may overshoot by up to
-	// BatchSize, plus whatever already sat below GVT+window when the clamp
-	// bit; with a 1.5-tick window at most one tick's events (<= NumLPs) are
-	// below it. Anything past that slack means the clamp is not holding.
-	slack := int64(4 /* BatchSize */ + 32 /* one tick of LPs */)
+	// BatchSize, plus whatever already sat below the valve's horizon when
+	// the clamp bit; each circulating job has at most one pending event,
+	// so that is at most NumLPs events. Anything past that slack means the
+	// clamp is not holding.
+	slack := int64(4 /* BatchSize */ + 32 /* one event per job */)
 	if boundedStats.LivePeak > int64(budget)+slack {
 		t.Fatalf("bounded live peak %d exceeds budget %d + slack %d", boundedStats.LivePeak, budget, slack)
 	}
@@ -123,12 +120,13 @@ func TestMemoryValveBoundsLiveEvents(t *testing.T) {
 	}
 }
 
-// TestInvariantSweepRuns: InvariantSweep must fire between GVT rounds and
-// imply CheckInvariants.
+// TestInvariantSweepRuns: the in-run sweep must fire between GVT rounds
+// and imply CheckInvariants.
 func TestInvariantSweepRuns(t *testing.T) {
-	s := buildChain(t, Config{NumPEs: 2, InvariantSweep: 2})
+	s := buildChain(t, Config{NumPEs: 2})
+	s.SetParanoid(2)
 	if !s.cfg.CheckInvariants {
-		t.Fatal("InvariantSweep did not imply CheckInvariants")
+		t.Fatal("SetParanoid did not imply CheckInvariants")
 	}
 	stats, err := s.Run()
 	if err != nil {
@@ -142,7 +140,8 @@ func TestInvariantSweepRuns(t *testing.T) {
 // TestInvariantSweepCatchesCorruption: an in-run sweep must surface
 // planted corruption as a run error even when no GVT round would see it.
 func TestInvariantSweepCatchesCorruption(t *testing.T) {
-	s := buildChain(t, Config{NumPEs: 1, InvariantSweep: 1})
+	s := buildChain(t, Config{NumPEs: 1})
+	s.SetParanoid(1)
 	// Corrupt the gauge from the first Forward: the next sweep must fail
 	// the liveEvents identity.
 	var armed atomic.Bool
@@ -163,21 +162,30 @@ func TestInvariantSweepCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestSettersArmValveAndParanoia: the post-construction setters must be
-// equivalent to the Config fields, and reject calls after Run.
+// TestSettersArmValveAndParanoia: the post-construction setters must arm
+// every PE's controller budget and the in-run sweep, disarm on a
+// non-positive budget, and reject calls after Run.
 func TestSettersArmValveAndParanoia(t *testing.T) {
 	s := buildChain(t, Config{NumPEs: 2})
-	s.SetMemoryBound(16, 0)
-	if s.cfg.MaxLiveEvents != 16 || s.cfg.PressureWindow <= 0 {
-		t.Fatalf("SetMemoryBound: MaxLiveEvents=%d PressureWindow=%v", s.cfg.MaxLiveEvents, s.cfg.PressureWindow)
+	s.SetMemoryBound(-1)
+	for _, pe := range s.pes {
+		if pe.opt.budget != 0 {
+			t.Fatalf("SetMemoryBound(-1): PE %d budget %d, want disarmed", pe.id, pe.opt.budget)
+		}
+	}
+	s.SetMemoryBound(16)
+	for _, pe := range s.pes {
+		if pe.opt.budget != 16 {
+			t.Fatalf("SetMemoryBound(16): PE %d budget %d", pe.id, pe.opt.budget)
+		}
 	}
 	s.SetParanoid(4)
-	if !s.cfg.CheckInvariants || s.cfg.InvariantSweep != 4 {
-		t.Fatalf("SetParanoid: CheckInvariants=%v InvariantSweep=%d", s.cfg.CheckInvariants, s.cfg.InvariantSweep)
+	if !s.cfg.CheckInvariants || s.sweepEvery != 4 {
+		t.Fatalf("SetParanoid: CheckInvariants=%v sweepEvery=%d", s.cfg.CheckInvariants, s.sweepEvery)
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	mustPanic(t, "SetMemoryBound after Run", func() { s.SetMemoryBound(1, 0) })
+	mustPanic(t, "SetMemoryBound after Run", func() { s.SetMemoryBound(1) })
 	mustPanic(t, "SetParanoid after Run", func() { s.SetParanoid(1) })
 }

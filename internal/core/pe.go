@@ -69,9 +69,9 @@ type PE struct {
 	// observed at, so each round feeds it exactly one sample.
 	obsRound int64
 
-	// opt is the adaptive optimism controller, non-nil on every multi-PE
-	// run (see throttle.go).
-	opt *optimismController
+	// opt is the optimism controller that sets this PE's horizon each pass
+	// (see throttle.go). Held by value: it is PE-owned and read every pass.
+	opt optimismController
 
 	// faults is non-nil only when Config.Faults is set; see faults.go.
 	faults *peFaults
@@ -84,7 +84,7 @@ type PE struct {
 	// uncommitted event). checkInvariants asserts the identity.
 	liveEvents int64 //simlint:owned
 	// sweepSince counts scheduler passes since the last in-run invariant
-	// sweep (Config.InvariantSweep).
+	// sweep (SetParanoid).
 	sweepSince int
 
 	// Statistics (owned by this PE; read by others only after Run).
@@ -138,10 +138,7 @@ func (pe *PE) insert(ev *Event) {
 		n := pe.rollback(kp, ev.key())
 		kp.primaryRollbacks++
 		pe.primaryRollbacks++
-		if hook := pe.sim.cfg.OnRollback; hook != nil {
-			hook(kp.id, n, false)
-		}
-		if rec := pe.sim.cfg.Record; rec != nil {
+		if rec := pe.sim.record; rec != nil {
 			rec.Rollback(pe.id, kp.id, n, false, false)
 		}
 	}
@@ -162,10 +159,7 @@ func (pe *PE) cancelLocal(ev *Event) {
 		n := pe.rollback(kp, ev.key())
 		kp.secondaryRollbacks++
 		pe.secondaryRollbacks++
-		if hook := pe.sim.cfg.OnRollback; hook != nil {
-			hook(kp.id, n, true)
-		}
-		if rec := pe.sim.cfg.Record; rec != nil {
+		if rec := pe.sim.record; rec != nil {
 			rec.Rollback(pe.id, kp.id, n, true, false)
 		}
 		// The rollback returned the event to pending; discard it there.
@@ -337,32 +331,14 @@ func (pe *PE) run() (err error) {
 			// density.
 			batch = 0
 		}
-		horizon := s.cfg.EndTime
-		if s.cfg.MaxOptimism > 0 {
-			if h := s.GVT() + s.cfg.MaxOptimism; h < horizon {
-				horizon = h
-			}
+		// The optimism controller owns the whole horizon: the caller's cap,
+		// the adaptive window and the pressure valve; see throttle.go.
+		horizon, clamped, throttled := pe.opt.horizon(s.GVT(), pe.liveEvents)
+		if clamped {
+			pe.optClamps++
 		}
-		if pe.opt != nil {
-			// Adaptive optimism: the controller's window (never wider than
-			// MaxOptimism when that is set) tracks this PE's rollback
-			// efficiency; see throttle.go.
-			if h := s.GVT() + pe.opt.window; h < horizon {
-				horizon = h
-				pe.optClamps++
-			}
-		}
-		if b := s.cfg.MaxLiveEvents; b > 0 && pe.liveEvents >= int64(b) {
-			// Pressure valve engaged: this PE is at its live-event budget,
-			// so it stops advancing past GVT+window until fossil collection
-			// drains it back under. The window stays positive, so the event
-			// at GVT itself — the global minimum — remains executable and
-			// GVT keeps advancing; the overshoot within one pass is bounded
-			// by BatchSize plus whatever sits below the window.
-			if h := s.GVT() + s.cfg.PressureWindow; h < horizon {
-				horizon = h
-				pe.memThrottles++
-			}
+		if throttled {
+			pe.memThrottles++
 		}
 		for n < batch {
 			ev, ok := pe.nextLive()
@@ -427,7 +403,7 @@ func (pe *PE) run() (err error) {
 		pe.idleMarked = false
 		pe.visitIdle = false
 		pe.sinceGVT += n
-		if sw := s.cfg.InvariantSweep; sw > 0 {
+		if sw := s.sweepEvery; sw > 0 {
 			// In-run invariant sweep: validate this PE's own structures
 			// every sw non-empty passes, without waiting for a GVT round.
 			// Everything checkInvariants touches is PE-owned, so no

@@ -9,8 +9,8 @@ package core
 // neither retain a pooled event nor force an allocation at the call site.
 // A nil sink (the default) costs one pointer test per site.
 //
-// Only the optimistic Simulator emits records; the Sequential and
-// Conservative engines ignore Config.Record.
+// Attach one with Simulator.SetRecord. Only the optimistic Simulator emits
+// records; the Sequential and Conservative engines have no sink.
 type RecordSink interface {
 	// MailBatch reports that PE dst drained n messages (positive events
 	// and anti-messages alike) that sender PE src had published to its

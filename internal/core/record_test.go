@@ -15,6 +15,7 @@ type countingSink struct {
 	mailCalls int
 	mailMsgs  int
 	rollbacks int
+	events    int64
 	forced    int
 	secondary int
 	rounds    []Time
@@ -38,6 +39,7 @@ func (s *countingSink) Rollback(pe, kp, events int, secondary, forced bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rollbacks++
+	s.events += int64(events)
 	if forced {
 		s.forced++
 	}
@@ -74,9 +76,8 @@ func TestRecordSinkObservesRun(t *testing.T) {
 	cfg.CheckInvariants = true
 	cfg.Faults = &Faults{Seed: 5, RollbackEvery: 2, RollbackDepth: 4, ShuffleMail: true}
 	sink := &countingSink{}
-	cfg.Record = sink
 
-	got, stats := runStressParallel(t, cfg, 16)
+	got, stats := runStressParallel(t, cfg, 16, func(s *Simulator) { s.SetRecord(sink) })
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("attaching a record sink changed the committed trajectory")
 	}

@@ -141,7 +141,7 @@ func (q *Sequential) Run() (*Stats, error) {
 	// One bulk drain to the horizon replaces the Min/Pop loop: the bound
 	// sorts before every real event at EndTime (real destinations are
 	// >= 0), so exactly the events with recvTime < EndTime execute. The
-	// ladder consumes its sorted runs directly; heap and splay take
+	// ladder consumes its sorted runs directly; the heap takes
 	// eventq.Drain's equivalent Min/Pop fallback. Events sent during
 	// execution land strictly later than the event being executed
 	// (LP.Send requires a positive delay), which is precisely the

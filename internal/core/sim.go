@@ -38,19 +38,18 @@ type Config struct {
 	// GVT itself is a Mattern-style token circulating over the mail lanes
 	// (gvt_async.go): no PE ever blocks on it, each learns new estimates
 	// from the token and fossil-collects on its own schedule. Because the
-	// rounds never pause anyone, every multi-PE run also arms the adaptive
-	// optimism controller (throttle.go), which keeps unthrottled
+	// rounds never pause anyone, every multi-PE run's optimism controller
+	// (throttle.go) adapts its window, which keeps unthrottled
 	// speculation on tightly coupled models from collapsing into cascade
 	// thrash where GVT barely advances.
 	GVTInterval int
 	// Queue selects the pending-queue implementation; any kind registered
-	// in eventq is accepted ("heap", "ladder", "splay"), and an empty
-	// value selects eventq.DefaultKind — the calendar-family structure with
-	// amortised O(1) Push/Pop on the PDES access pattern, zero
-	// steady-state allocation, and a bulk below-bound drain fast path
-	// (roughly 3x splay's kernel event rate; see DESIGN.md, "Event
-	// queue"). The committed schedule is identical for every kind — the
-	// kernel's event order is total — so the choice is purely a
+	// in eventq is accepted ("heap", "ladder"), and an empty value selects
+	// eventq.DefaultKind — the calendar-family structure with amortised
+	// O(1) Push/Pop on the PDES access pattern, zero steady-state
+	// allocation, and a bulk below-bound drain fast path (see DESIGN.md,
+	// "Event queue"). The committed schedule is identical for every kind —
+	// the kernel's event order is total — so the choice is purely a
 	// performance knob, enforced by simcheck's queue dimension.
 	Queue string
 	// CheckInvariants enables paranoid mode: whenever a PE fossil-collects
@@ -63,39 +62,12 @@ type Config struct {
 	CheckInvariants bool
 	// MaxOptimism, when positive, bounds speculation: a PE will not
 	// execute events more than this far beyond the last GVT estimate
-	// (ROSS's max_opt_lookahead). It trades idle time for rollback
-	// volume — essential when PEs outnumber cores and one PE can race
-	// far ahead while another is descheduled. 0 means unlimited.
+	// (ROSS's max_opt_lookahead). It is the cap of each PE's optimism
+	// controller (throttle.go), whose adaptive window only ever tightens
+	// it; a single-PE run holds the window at the cap. It trades idle time
+	// for rollback volume — useful when PEs outnumber cores and one PE can
+	// race far ahead while another is descheduled. 0 means the whole run.
 	MaxOptimism Time
-	// MaxLiveEvents, when positive, bounds each PE's optimistic memory
-	// footprint: once a PE holds this many executed-but-uncommitted
-	// events (which is also its count of live state saves — one snapshot
-	// per uncommitted event under copy state saving), its optimism window
-	// collapses to GVT+PressureWindow until fossil collection drains it
-	// back under budget. This is the fossil-collection pressure valve —
-	// cancelback-lite: instead of reclaiming memory by returning events
-	// to their senders, the PE simply stops advancing (and therefore
-	// stops allocating) until commitment catches up. Scheduling-only, so
-	// committed results are unaffected. 0 means unbounded.
-	MaxLiveEvents int
-	// PressureWindow is the optimism window a memory-throttled PE falls
-	// back to: with the valve engaged it still executes events below
-	// GVT + PressureWindow, which keeps the event at GVT itself — the
-	// global minimum — executable and the run deadlock-free. Defaults to
-	// MaxOptimism when that is set, else EndTime/64. Only meaningful with
-	// MaxLiveEvents. On one processor the adaptive optimism window is
-	// pinned at its floor (see throttle.go), which is narrower than that
-	// default, so there the valve clamps only with a smaller explicit
-	// window.
-	PressureWindow Time
-	// InvariantSweep, when positive, runs each PE's structural invariant
-	// checks (see CheckInvariants) every n scheduler passes in addition
-	// to the check after each fossil collection. The checks touch only
-	// PE-owned state, so no quiescence is needed; the cost is a full
-	// pending-queue scan per sweep. Intended for the soak harness, where
-	// hours-scale runs cannot wait for a round boundary to notice
-	// corruption. Implies CheckInvariants.
-	InvariantSweep int
 	// Seed offsets every LP's random stream, so distinct seeds give
 	// statistically independent runs while identical seeds reproduce runs
 	// exactly (regardless of PE/KP counts).
@@ -114,11 +86,6 @@ type Config struct {
 	// PE 0 while the other PEs keep executing, so it must not block for
 	// long and must not assume the machine is quiescent.
 	OnGVT func(gvt Time)
-	// OnRollback, when set, is called after each rollback with the KP
-	// that rolled back, how many events were reversed, and whether the
-	// cause was a cancellation (secondary) rather than a straggler. It
-	// runs on the owning PE's goroutine in the scheduling hot path.
-	OnRollback func(kp int, events int, secondary bool)
 
 	// Faults, when set, arms the kernel's fault injectors (forced
 	// rollbacks, GVT delay, mailbox perturbation, PE throttling); see the
@@ -127,13 +94,6 @@ type Config struct {
 	// must stay nil in production runs. Only the optimistic Simulator
 	// honours the plan.
 	Faults *Faults
-
-	// Record, when set, streams kernel occurrences (mail batches,
-	// rollbacks, GVT rounds) to the record/replay subsystem; see
-	// RecordSink. nil (the default) disables recording at the cost of one
-	// pointer test per site. Models build their own Config, so callers
-	// usually attach a sink afterwards via Simulator.SetRecord.
-	Record RecordSink
 }
 
 func (cfg *Config) setDefaults() error {
@@ -192,34 +152,12 @@ func (cfg *Config) setDefaults() error {
 	if err := eventq.Valid(cfg.Queue); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if cfg.MaxLiveEvents < 0 || cfg.InvariantSweep < 0 {
-		return errors.New("core: MaxLiveEvents and InvariantSweep must be non-negative")
-	}
-	if cfg.InvariantSweep > 0 {
-		cfg.CheckInvariants = true
-	}
-	if cfg.MaxLiveEvents > 0 && cfg.PressureWindow <= 0 {
-		cfg.PressureWindow = cfg.defaultPressureWindow()
-	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// defaultPressureWindow derives the throttled-PE optimism window when the
-// caller armed MaxLiveEvents without choosing one. Any positive value is
-// correct (the valve is scheduling-only); MaxOptimism, when set, is the
-// window the caller already considered reasonable, and EndTime/64 is
-// otherwise small enough to bite yet wide enough that GVT rounds make
-// visible progress per engagement.
-func (cfg *Config) defaultPressureWindow() Time {
-	if cfg.MaxOptimism > 0 {
-		return cfg.MaxOptimism
-	}
-	return cfg.EndTime / 64
 }
 
 // Host is the setup interface shared by the parallel Simulator and the
@@ -237,6 +175,15 @@ type Host interface {
 // handlers and bootstrap events, then Run.
 type Simulator struct {
 	cfg Config
+	// record streams kernel occurrences to the record/replay subsystem
+	// (SetRecord); nil disables recording at one pointer test per site.
+	// sweepEvery, when positive, runs each PE's invariant checks every
+	// sweepEvery scheduler passes (SetParanoid). Both are set before Run
+	// and only read during it, so they sit with cfg, away from the
+	// atomics below.
+	record     RecordSink
+	sweepEvery int
+
 	lps []*LP
 	kps []*KP
 	pes []*PE
@@ -332,13 +279,7 @@ func New(cfg Config) (*Simulator, error) {
 			pe.outMin[d] = TimeInfinity
 		}
 		pe.epochs = make([][]outEpoch, cfg.NumPEs)
-		if cfg.NumPEs > 1 {
-			// GVT rounds never stop the world, so nothing else quenches a
-			// rollback cascade (see Config.GVTInterval). A single-PE machine
-			// executes in timestamp order and cannot roll back, so throttling
-			// it would only cap batch depth for nothing.
-			pe.opt = newOptimismController(&s.cfg, runtime.GOMAXPROCS(0))
-		}
+		pe.opt = newOptimismController(&s.cfg, runtime.GOMAXPROCS(0))
 	}
 	s.setGVT(0)
 	return s, nil
@@ -410,49 +351,52 @@ func (s *Simulator) Schedule(dst LPID, t Time, data any) {
 	s.bootSeq++
 }
 
-// SetRecord attaches a record sink (see Config.Record). It must be called
-// before Run; models construct the kernel Config internally, so this is
-// how the replay subsystem reaches a model-built simulator.
+// SetRecord attaches a record sink that receives kernel occurrences (mail
+// batches, rollbacks, GVT rounds); see RecordSink. It must be called before
+// Run; models construct the kernel Config internally, so this is how the
+// replay subsystem reaches a model-built simulator. nil detaches.
 func (s *Simulator) SetRecord(r RecordSink) {
 	if s.ran {
 		panic("core: SetRecord after Run")
 	}
-	s.cfg.Record = r
+	s.record = r
 }
 
-// SetMemoryBound arms the fossil-collection pressure valve after
-// construction (see Config.MaxLiveEvents/PressureWindow): each PE caps its
-// executed-but-uncommitted events at maxLive, falling back to a
-// GVT+window optimism horizon while over budget. window <= 0 picks the
-// default. Models build the kernel Config internally, so — like SetRecord
-// — this is how harnesses reach a model-built simulator; it must be
-// called before Run. maxLive <= 0 disarms the valve.
-func (s *Simulator) SetMemoryBound(maxLive int, window Time) {
+// SetMemoryBound arms the fossil-collection pressure valve: once a PE holds
+// maxLive executed-but-uncommitted events (which is also its count of live
+// state saves — one snapshot per uncommitted event under copy state
+// saving), its optimism controller narrows the horizon below the adaptive
+// window's floor until fossil collection drains it back under budget (see
+// throttle.go). Scheduling-only, so committed results are unaffected. Like
+// SetRecord, this is how harnesses reach a model-built simulator; it must
+// be called before Run. maxLive <= 0 disarms the valve.
+func (s *Simulator) SetMemoryBound(maxLive int) {
 	if s.ran {
 		panic("core: SetMemoryBound after Run")
 	}
-	if maxLive <= 0 {
-		s.cfg.MaxLiveEvents, s.cfg.PressureWindow = 0, 0
-		return
+	if maxLive < 0 {
+		maxLive = 0
 	}
-	s.cfg.MaxLiveEvents = maxLive
-	s.cfg.PressureWindow = window
-	if window <= 0 {
-		s.cfg.PressureWindow = s.cfg.defaultPressureWindow()
+	for _, pe := range s.pes {
+		pe.opt.budget = int64(maxLive)
 	}
 }
 
 // SetParanoid enables the kernel's invariant checks after construction
-// (Config.CheckInvariants), with an additional in-run sweep every
-// sweepEvery scheduler passes when sweepEvery is positive (see
-// Config.InvariantSweep). Must be called before Run.
+// (Config.CheckInvariants). When sweepEvery is positive each PE also
+// validates its own structures every sweepEvery scheduler passes, without
+// waiting for a GVT round: the checks touch only PE-owned state, so no
+// quiescence is needed, and the cost is a full pending-queue scan per
+// sweep. That is what the soak harness relies on, since hours-scale runs
+// cannot wait for a round boundary to notice corruption. Must be called
+// before Run.
 func (s *Simulator) SetParanoid(sweepEvery int) {
 	if s.ran {
 		panic("core: SetParanoid after Run")
 	}
 	s.cfg.CheckInvariants = true
 	if sweepEvery > 0 {
-		s.cfg.InvariantSweep = sweepEvery
+		s.sweepEvery = sweepEvery
 	}
 }
 

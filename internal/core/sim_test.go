@@ -71,12 +71,16 @@ func runStressSequential(t *testing.T, cfg Config, ttl int) ([]stressState, *Sta
 	return snapshotStress(q.NumLPs(), q.LP), stats
 }
 
-// runStressParallel runs the stress model on the parallel kernel.
-func runStressParallel(t *testing.T, cfg Config, ttl int) ([]stressState, *Stats) {
+// runStressParallel runs the stress model on the parallel kernel; arm, if
+// given, runs on the built simulator before Run (e.g. to attach a sink).
+func runStressParallel(t *testing.T, cfg Config, ttl int, arm ...func(*Simulator)) ([]stressState, *Stats) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	for _, f := range arm {
+		f(s)
 	}
 	model := stressModel{numLPs: int64(cfg.NumLPs)}
 	s.ForEachLP(func(lp *LP) {
@@ -114,7 +118,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 2, NumKPs: 8},
 		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 4, NumKPs: 16, BatchSize: 4, GVTInterval: 2},
 		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 4, NumKPs: 4, BatchSize: 2, GVTInterval: 1},
-		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 8, NumKPs: 64, Queue: "splay"},
+		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 8, NumKPs: 64, Queue: "ladder"},
 		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 3, NumKPs: 7}, // uneven mapping
 	}
 	for _, cfg := range configs {

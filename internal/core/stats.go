@@ -25,8 +25,8 @@ type PEStats struct {
 	// never wait (sender-side coverage; see gvt_async.go), so a run without
 	// checkpoints only accrues the drain. GVTLatency, nonzero on PE 0 only,
 	// totals round latency from token launch to return. OptClamps counts
-	// scheduler passes where the adaptive optimism window (rather than a
-	// static bound) clamped this PE's horizon.
+	// scheduler passes where the optimism controller's adaptive window
+	// (rather than MaxOptimism or the end of the run) set this PE's horizon.
 	GVTWait    time.Duration
 	GVTLatency time.Duration
 	OptClamps  int64
@@ -43,13 +43,13 @@ type PEStats struct {
 	Parks           int64
 	Wakes           int64
 
-	// Memory-bound counters (see Config.MaxLiveEvents). LivePeak is the
+	// Memory-bound counters (see Simulator.SetMemoryBound). LivePeak is the
 	// high-water mark of this PE's executed-but-uncommitted events — the
 	// concurrent optimistic memory footprint the pressure valve bounds
 	// (and, under copy state saving, the peak live snapshot count).
-	// MemThrottles counts scheduler passes run with the valve engaged;
-	// InvariantSweeps counts in-run invariant sweeps performed
-	// (Config.InvariantSweep).
+	// MemThrottles counts scheduler passes whose horizon the valve
+	// narrowed; InvariantSweeps counts in-run invariant sweeps performed
+	// (Simulator.SetParanoid).
 	LivePeak        int64
 	MemThrottles    int64
 	InvariantSweeps int64
@@ -100,8 +100,8 @@ type Stats struct {
 	// GVTLatency is the total round latency (token launch to return) and
 	// GVTWait the summed per-PE time blocked at the kernel's barrier
 	// (checkpoint rendezvous and shutdown drain; see PEStats). OptClamps
-	// totals the passes clamped by the adaptive optimism window, which
-	// every multi-PE run arms (see throttle.go).
+	// totals the passes clamped by the optimism controller's adaptive
+	// window (see throttle.go).
 	GVTLatency time.Duration
 	GVTWait    time.Duration
 	OptClamps  int64
@@ -114,10 +114,10 @@ type Stats struct {
 	// memory footprint in events.
 	PeakLiveEvents int
 	// LivePeak is the largest concurrent per-PE live-event count seen on
-	// any PE — the number the pressure valve (Config.MaxLiveEvents)
-	// bounds. MemThrottles totals the passes PEs ran with the valve
-	// engaged (0 in unbounded runs); InvariantSweeps totals the in-run
-	// invariant sweeps (Config.InvariantSweep).
+	// any PE — the number the pressure valve (Simulator.SetMemoryBound)
+	// bounds. MemThrottles totals the passes whose horizon the valve
+	// narrowed (0 in unbounded runs); InvariantSweeps totals the in-run
+	// invariant sweeps (Simulator.SetParanoid).
 	LivePeak        int64
 	MemThrottles    int64
 	InvariantSweeps int64

@@ -141,8 +141,8 @@ func BenchmarkQueue(b *testing.B) {
 							}
 							prefill(q, n, &seq)
 							// Warm the structure past its build-up
-							// transient (ladder rung spawning, splay
-							// reshaping) before the timer starts.
+							// transient (ladder rung spawning) before
+							// the timer starts.
 							hold(q, inc, ops/4, &seq)
 							b.ReportAllocs()
 							b.ResetTimer()
@@ -160,13 +160,12 @@ func BenchmarkQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueLadderVsSplay reports the ladder's speedup over the splay
-// tree on the mostly-increasing pattern — the cells the perf acceptance
-// gates on (speedup >= 1 at n=1e5 and n=1e6). Both queues run the
+// BenchmarkQueueLadderVsHeap reports the ladder's speedup over the binary
+// heap on the mostly-increasing pattern at n=1e5 and n=1e6. Both queues run the
 // identical schedule inside one sample and the fastest of three rounds of
 // each is compared, so one interference spike cannot manufacture or mask
 // a regression. ns/op covers the whole harness and is not itself a gate.
-func BenchmarkQueueLadderVsSplay(b *testing.B) {
+func BenchmarkQueueLadderVsHeap(b *testing.B) {
 	const rounds = 3
 	for _, n := range []int{100_000, 1_000_000} {
 		b.Run("n="+itoa(n), func(b *testing.B) {
@@ -192,9 +191,9 @@ func BenchmarkQueueLadderVsSplay(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				splay := run("splay")
+				heap := run("heap")
 				ladder := run("ladder")
-				b.ReportMetric(float64(splay)/float64(ladder), "speedup")
+				b.ReportMetric(float64(heap)/float64(ladder), "speedup")
 				b.ReportMetric(float64(ladder.Nanoseconds())/float64(ops), "ns/hold")
 			}
 		})

@@ -1,14 +1,14 @@
 // Package eventq provides the pending-event priority queues used by the
-// Time Warp kernel: a binary heap, a splay tree and a ladder queue, all
-// parameterised over the element type and a strict-weak-ordering
-// comparison function.
+// Time Warp kernel: a ladder queue and a binary heap, both parameterised
+// over the element type and a strict-weak-ordering comparison function.
 //
-// ROSS ships a splay tree as its default pending queue and a heap as an
-// alternative; the ladder queue (Tang, Goh & Thng) is the calendar-family
-// structure whose Push/Pop are amortised O(1) for the PDES access pattern
-// (mostly-increasing inserts with occasional rollback re-insertions). All
-// three are provided so the event-queue ablation benchmark can compare
-// them under that pattern.
+// The ladder queue (Tang, Goh & Thng) is the calendar-family structure
+// whose Push/Pop are amortised O(1) for the PDES access pattern
+// (mostly-increasing inserts with occasional rollback re-insertions); it is
+// every engine's default. The heap is the simple comparison-only
+// cross-check: the differential harness runs its reference on it, and the
+// queue benchmarks measure the ladder against it. (ROSS's default, a splay
+// tree, lost that ablation at every population and was removed.)
 //
 // Queues are not safe for concurrent use; each processing element owns one.
 package eventq
@@ -41,7 +41,7 @@ type Queue[T any] interface {
 // are delivered later in the same drain. The ladder implements this
 // without per-element rebalancing — delivery walks the sorted Bottom run,
 // refilling it bucket-at-a-time; a comparison-based queue gains nothing,
-// so heap and splay rely on the Drain fallback instead.
+// so the heap relies on the Drain fallback instead.
 type BulkDrainer[T any] interface {
 	BulkDrain(upTo T, fn func(T))
 }
@@ -87,7 +87,6 @@ func registry[T any]() []kindSpec[T] {
 	return []kindSpec[T]{
 		{name: "heap", build: func(less func(a, b T) bool, _ func(T) float64) Queue[T] { return NewHeap(less) }},
 		{name: "ladder", needsKey: true, build: func(less func(a, b T) bool, key func(T) float64) Queue[T] { return NewLadder(less, key) }},
-		{name: "splay", build: func(less func(a, b T) bool, _ func(T) float64) Queue[T] { return NewSplay(less) }},
 	}
 }
 
@@ -144,7 +143,7 @@ func New[T any](kind string, less func(a, b T) bool, key func(T) float64) (Queue
 // by construction (its comparator — recvTime, then destination, source and
 // sequence number — is a total order, so equal elements never occur), but
 // model-level users with partial keys must not read FIFO semantics into
-// ties; use the splay tree if insertion order among equals matters.
+// ties; use the ladder if insertion order among equals matters.
 type Heap[T any] struct {
 	less  func(a, b T) bool
 	items []T
@@ -226,170 +225,4 @@ func (h *Heap[T]) down(i int) {
 		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
 		i = smallest
 	}
-}
-
-// Splay is a bottom-less top-down splay tree keyed by the comparison
-// function. Equal elements are permitted; an element inserted equal to
-// existing ones lands after ALL of them, so Pop returns equal elements in
-// insertion order — FIFO ties. The kernel does not rely on this (its
-// comparator is a total order, so ties never occur there), but models and
-// tests with partial keys get a contract they can reason about.
-type Splay[T any] struct {
-	less func(a, b T) bool
-	root *splayNode[T]
-	n    int
-}
-
-type splayNode[T any] struct {
-	v           T
-	left, right *splayNode[T]
-}
-
-// NewSplay returns an empty splay tree ordered by less.
-func NewSplay[T any](less func(a, b T) bool) *Splay[T] {
-	return &Splay[T]{less: less}
-}
-
-// Len returns the number of elements in the tree.
-func (s *Splay[T]) Len() int { return s.n }
-
-// splay reorganises the tree so that the node closest to v (by the tree's
-// ordering) becomes the root. Standard top-down splay, except that the
-// search treats an element equal to v as smaller and keeps descending
-// right. That guarantee is what makes Push's tie contract hold: after the
-// splay, every element <= v (equals included) sits in the root's left
-// spine or at the root itself, so the caller can splice a new equal node
-// in after ALL existing equals, not merely after whichever equal the
-// search happened to reach first.
-func (s *Splay[T]) splay(v T) {
-	if s.root == nil {
-		return
-	}
-	var header splayNode[T]
-	l, r := &header, &header
-	t := s.root
-	for {
-		if s.less(v, t.v) {
-			if t.left == nil {
-				break
-			}
-			if s.less(v, t.left.v) { // rotate right
-				y := t.left
-				t.left = y.right
-				y.right = t
-				t = y
-				if t.left == nil {
-					break
-				}
-			}
-			r.left = t // link right
-			r = t
-			t = t.left
-		} else { // t.v <= v: equals descend right too
-			if t.right == nil {
-				break
-			}
-			if !s.less(v, t.right.v) { // rotate left
-				y := t.right
-				t.right = y.left
-				y.left = t
-				t = y
-				if t.right == nil {
-					break
-				}
-			}
-			l.right = t // link left
-			l = t
-			t = t.right
-		}
-	}
-	l.right = t.left
-	r.left = t.right
-	t.left = header.right
-	t.right = header.left
-	s.root = t
-}
-
-// Push inserts v.
-func (s *Splay[T]) Push(v T) {
-	n := &splayNode[T]{v: v}
-	if s.root == nil {
-		s.root = n
-		s.n = 1
-		return
-	}
-	s.splay(v)
-	if s.less(v, s.root.v) {
-		n.left = s.root.left
-		n.right = s.root
-		s.root.left = nil
-	} else {
-		n.right = s.root.right
-		n.left = s.root
-		s.root.right = nil
-	}
-	s.root = n
-	s.n++
-}
-
-// splayMin brings the minimum element to the root using zig/zig-zig
-// rotations down the left spine, halving the spine per pass (semi-splay),
-// which preserves the amortised O(log n) bound.
-func (s *Splay[T]) splayMin() {
-	t := s.root
-	for t != nil && t.left != nil {
-		l := t.left
-		if l.left != nil {
-			// zig-zig: rotate l above t, then l.left above l.
-			t.left = l.right
-			l.right = t
-			ll := l.left
-			l.left = ll.right
-			ll.right = l
-			t = ll
-		} else {
-			// zig: single rotation.
-			t.left = l.right
-			l.right = t
-			t = l
-		}
-	}
-	s.root = t
-}
-
-// Min returns the smallest element without removing it.
-func (s *Splay[T]) Min() (T, bool) {
-	if s.root == nil {
-		var zero T
-		return zero, false
-	}
-	s.splayMin()
-	return s.root.v, true
-}
-
-// Each visits every element in-order (ascending).
-func (s *Splay[T]) Each(fn func(T)) {
-	var walk func(n *splayNode[T])
-	walk = func(n *splayNode[T]) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		fn(n.v)
-		walk(n.right)
-	}
-	walk(s.root)
-}
-
-// Pop removes and returns the smallest element.
-func (s *Splay[T]) Pop() (T, bool) {
-	if s.root == nil {
-		var zero T
-		return zero, false
-	}
-	s.splayMin()
-	v := s.root.v
-	s.root = s.root.right
-	s.n--
-	return v, true
 }

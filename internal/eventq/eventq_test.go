@@ -33,11 +33,11 @@ func queues(t testing.TB) map[string]Queue[int] {
 	return m
 }
 
-// TestKinds pins the registry contents: the three implementations, in
+// TestKinds pins the registry contents: the two implementations, in
 // deterministic order (soak schedules index into this slice by seed).
 func TestKinds(t *testing.T) {
 	got := Kinds()
-	want := []string{"heap", "ladder", "splay"}
+	want := []string{"heap", "ladder"}
 	if len(got) != len(want) {
 		t.Fatalf("Kinds() = %v, want %v", got, want)
 	}
@@ -243,11 +243,9 @@ func TestLadderRequiresKey(t *testing.T) {
 			t.Fatalf("New(%q) without key projection succeeded", kind)
 		}
 	}
-	// Comparison-only kinds must not require one.
-	for _, kind := range []string{"heap", "splay"} {
-		if _, err := New[int](kind, intLess, nil); err != nil {
-			t.Fatalf("New(%q) with nil key: %v", kind, err)
-		}
+	// The comparison-only heap must not require one.
+	if _, err := New[int]("heap", intLess, nil); err != nil {
+		t.Fatalf("New(heap) with nil key: %v", err)
 	}
 }
 
@@ -303,7 +301,7 @@ func TestDrainHelper(t *testing.T) {
 }
 
 // TestLadderImplementsBulkDrainer pins the type assertion the kernel
-// relies on: ladder has the fast path, heap and splay take the fallback.
+// relies on: ladder has the fast path, heap takes the fallback.
 func TestLadderImplementsBulkDrainer(t *testing.T) {
 	var q Queue[int]
 	q = NewLadder(intLess, intKey)
@@ -313,10 +311,6 @@ func TestLadderImplementsBulkDrainer(t *testing.T) {
 	q = NewHeap(intLess)
 	if _, ok := q.(BulkDrainer[int]); ok {
 		t.Fatal("*Heap unexpectedly implements BulkDrainer")
-	}
-	q = NewSplay(intLess)
-	if _, ok := q.(BulkDrainer[int]); ok {
-		t.Fatal("*Splay unexpectedly implements BulkDrainer")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"repro/internal/eventq"
 )
 
-// Example shows the queue API shared by the heap, splay and ladder
+// Example shows the queue API shared by the heap and ladder
 // implementations; the kernel schedules events through exactly this
 // interface.
 func Example() {

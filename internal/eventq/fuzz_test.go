@@ -60,15 +60,15 @@ func runFuzzOps(t *testing.T, kind string, ops []fuzzStep) []keyed {
 //     stream (and on emptiness at every step);
 //  2. drain-order determinism — a second identical run must produce a
 //     bitwise-identical pop stream, ids included;
-//  3. the kind's documented tiebreak contract: splay and ladder pop
-//     equal keys in insertion order (FIFO ids), heap's equal-key order
+//  3. the kind's documented tiebreak contract: the ladder pops equal
+//     keys in insertion order (FIFO ids), heap's equal-key order
 //     is only required to be deterministic (covered by 2).
 func FuzzQueuesDifferential(f *testing.F) {
 	f.Add([]byte{2, 4, 6, 1, 3, 5})
 	f.Add([]byte{0, 0, 0, 1, 1, 1})
 	f.Add([]byte{255, 254, 253, 252, 251})
 	f.Add([]byte{8, 8, 8, 8, 8, 8, 8, 8, 1, 1, 8, 8, 1, 1})
-	fifoKinds := map[string]bool{"splay": true, "ladder": true}
+	fifoKinds := map[string]bool{"ladder": true}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzOps(data)
 

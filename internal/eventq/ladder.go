@@ -24,7 +24,7 @@ import "math"
 // drain order is exactly the sorted order under less and is a pure
 // function of the Push/Pop sequence — identical op sequences drain
 // identically. Elements comparing equal under less pop in insertion
-// order (FIFO ties, the same contract as Splay): bucket lists keep
+// order (FIFO ties): bucket lists keep
 // arrival order, the refill sorts are stable, and an element pushed
 // equal to elements already in the sorted Bottom is inserted after all
 // of them. This requires key to be monotone with respect to less

@@ -16,45 +16,6 @@ func keyedLess(a, b keyed) bool { return a.key < b.key }
 
 func keyedKey(k keyed) float64 { return float64(k.key) }
 
-// TestSplayTieFIFO pins the splay tree's documented tie contract: elements
-// comparing equal pop in insertion order, even when the equal run is
-// interleaved with other keys and partial drains (which reshape the tree
-// via splaying).
-func TestSplayTieFIFO(t *testing.T) {
-	q := NewSplay(keyedLess)
-	next := 0
-	push := func(key int) {
-		q.Push(keyed{key: key, id: next})
-		next++
-	}
-	// Three ties at key 5 (ids 0,1,2) wrapped in other keys...
-	push(9)
-	push(5)
-	push(5)
-	push(3)
-	push(5)
-	// ...drain past the smaller key to force splaying...
-	if v, _ := q.Pop(); v.key != 3 {
-		t.Fatalf("first pop key = %d, want 3", v.key)
-	}
-	// ...then add two more ties (ids 5,6) after the tree reshaped.
-	push(5)
-	push(5)
-	wantIDs := []int{1, 2, 4, 5, 6} // insertion order among the key-5 ties
-	for i, want := range wantIDs {
-		v, ok := q.Pop()
-		if !ok || v.key != 5 {
-			t.Fatalf("pop %d: got (%+v, %v), want a key-5 element", i, v, ok)
-		}
-		if v.id != want {
-			t.Fatalf("tie order violated at pop %d: got id %d, want %d", i, v.id, want)
-		}
-	}
-	if v, ok := q.Pop(); !ok || v.key != 9 {
-		t.Fatalf("last pop = (%+v, %v), want key 9", v, ok)
-	}
-}
-
 // TestHeapTieDeterministic pins the heap's (weaker) documented contract:
 // the drain order of equal elements is a pure function of the operation
 // sequence. Two queues fed the identical randomized Push/Pop schedule must
@@ -94,10 +55,9 @@ func TestHeapTieDeterministic(t *testing.T) {
 	}
 }
 
-// TestLadderTieFIFO pins the ladder's tie contract, which matches the
-// splay tree's: elements comparing equal pop in insertion order. The
-// first half replays the splay scenario (ties interleaved with other
-// keys and a partial drain); the second half forces the equal run to
+// TestLadderTieFIFO pins the ladder's tie contract: elements comparing
+// equal pop in insertion order. The first half interleaves ties with
+// other keys and a partial drain; the second half forces the equal run to
 // straddle the ladder's band boundaries — some ties drain out of a
 // sorted Bottom while later equal arrivals land in the Top band — which
 // is exactly where a calendar structure would lose FIFO if bucket

@@ -63,7 +63,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{1, 4, 0, 0, ""},
 		{2, 8, 8, 4, ""},
 		{4, 16, 4, 2, ""},
-		{4, 4, 2, 1, "splay"},
+		{4, 4, 2, 1, "ladder"},
 		{8, 64, 0, 0, "heap"},
 		{4, 64, 4, 2, ""}, // report-style 64 KPs
 	}

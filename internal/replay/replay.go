@@ -36,7 +36,7 @@ type Spec struct {
 	// Codec names the registered payload codec for the model's messages.
 	Codec string
 	// Queue is the pending-queue kind (any registered eventq kind:
-	// "heap", "ladder", or "splay").
+	// "heap" or "ladder").
 	Queue string
 	// Mutation optionally names a seeded bug the Runner arms on
 	// non-sequential builds (simcheck's Mutation); recorded so a shrunk

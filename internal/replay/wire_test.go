@@ -16,7 +16,7 @@ import (
 func sampleLog() *Log {
 	return &Log{
 		Spec: Spec{
-			Model: "hotpotato", Codec: "hotpotato.v1", Queue: "splay",
+			Model: "hotpotato", Codec: "hotpotato.v1", Queue: "ladder",
 			Mutation: "broken-reverse",
 			PEs:      4, KPs: 16, BatchSize: 8, GVTInterval: 2,
 			Seed:    0xDEADBEEF,

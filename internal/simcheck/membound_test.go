@@ -1,24 +1,18 @@
 package simcheck
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
+import "testing"
 
 // TestMemoryBoundDifferential is the pressure valve's differential gate:
 // a PHOLD cell run with the per-PE live-event budget squeezed to at most
 // ~25% of the unbounded run's peak must commit the identical trace and
 // final state, while core.Stats proves the valve both engaged and held.
 //
-// The squeezed run takes an explicit pressure window below the adaptive
-// optimism window's floor (EndTime/256 = 0.156 here). On one processor the
-// controller pins its window to that floor, which is narrower than the
-// default pressure window (EndTime/64), so a default valve never clamps
-// anything there; 0.1 — the model's lookahead — bites on any core count.
-// The budget is fixed because the unbounded peak swings with scheduling
-// (36 on one processor, 40–66 on two) while the pile the floor guarantees
-// does not.
+// The valve narrows an over-budget PE to half the optimism controller's
+// floor (EndTime/256 = 0.156 here, so 0.078), below the window even where
+// one processor pins it at the floor, so it bites on any core count. The
+// budget is fixed because the unbounded peak swings with scheduling (36 on
+// one processor, 40–66 on two) while the pile the floor guarantees does
+// not.
 func TestMemoryBoundDifferential(t *testing.T) {
 	const budget = 8
 	base := Cell{Model: "phold", Engine: EngOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 42}
@@ -33,16 +27,10 @@ func TestMemoryBoundDifferential(t *testing.T) {
 	bounded := base
 	bounded.MaxLive = budget
 	bounded.Paranoid = true // the gauge identity is checked every sweep
-	inst, err := models[bounded.Model].build(bounded, 0)
+	got, err := RunCell(bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.host.(*core.Simulator).SetMemoryBound(bounded.MaxLive, 0.1)
-	stats, err := inst.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := inst.result(bounded, stats, 0)
 	if diffs := compare(free.FP, got.FP); len(diffs) > 0 {
 		t.Fatalf("bounded run diverged from unbounded: %v", diffs)
 	}

@@ -59,7 +59,7 @@ type Cell struct {
 	// engine.
 	Faults *core.Faults
 	// MaxLive, when positive, arms the kernel's fossil-collection pressure
-	// valve (core.Config.MaxLiveEvents) on optimistic cells: each PE's
+	// valve (core.Simulator.SetMemoryBound) on optimistic cells: each PE's
 	// executed-but-uncommitted events are capped at this budget. The valve
 	// is scheduling-only, so a bounded cell must fingerprint identically
 	// to its unbounded twin.
@@ -503,7 +503,7 @@ const cellSweepEvery = 8
 func (in *instance) instrument(c Cell) {
 	if sim, ok := in.host.(*core.Simulator); ok {
 		if c.MaxLive > 0 {
-			sim.SetMemoryBound(c.MaxLive, 0)
+			sim.SetMemoryBound(c.MaxLive)
 		}
 		if c.Paranoid {
 			sim.SetParanoid(cellSweepEvery)

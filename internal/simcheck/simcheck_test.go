@@ -37,7 +37,7 @@ func TestQNetMatrix(t *testing.T) {
 		Engines: Engines(),
 		PEs:     []int{2, 4},
 		KPs:     []int{9},
-		Queues:  []string{"heap", "splay"},
+		Queues:  []string{"heap", "ladder"},
 		Seeds:   []uint64{3},
 		Faults:  []*core.Faults{nil, DefaultFaults()},
 	}, t.Logf)
@@ -158,12 +158,12 @@ func TestRunCellRejectsBadInput(t *testing.T) {
 func TestCellStringIsReproductionRecipe(t *testing.T) {
 	c := Cell{
 		Model: "phold", Engine: EngOptimistic, PEs: 4, KPs: 16,
-		Queue: "splay", Seed: 99,
+		Queue: "ladder", Seed: 99,
 		Faults:   &core.Faults{RollbackEvery: 2},
 		Mutation: MutBrokenReverse,
 	}
 	s := c.String()
-	for _, want := range []string{"model=phold", "engine=optimistic", "pes=4", "kps=16", "queue=splay", "seed=99", "RollbackEvery:2", "mutation=broken-reverse"} {
+	for _, want := range []string{"model=phold", "engine=optimistic", "pes=4", "kps=16", "queue=ladder", "seed=99", "RollbackEvery:2", "mutation=broken-reverse"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("cell artifact %q missing %q", s, want)
 		}
