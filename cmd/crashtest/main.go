@@ -318,8 +318,7 @@ func runChild(logPath, dir string, every int) {
 	if err != nil {
 		fatal(err)
 	}
-	diffs, err := replay.ReplayCheckpointed(simcheck.Runner{}, lg,
-		dir, simcheck.StateCodecName(lg.Spec.Model), every)
+	diffs, err := replay.ReplayCheckpointed(simcheck.Runner{}, lg, dir, every)
 	if err != nil {
 		fatal(err)
 	}

@@ -153,8 +153,7 @@ func main() {
 				fatal(fmt.Errorf("-checkpoint-dir requires -mode verify (the optimistic engine)"))
 			}
 			what = "checkpointed verify"
-			diffs, err = replay.ReplayCheckpointed(simcheck.Runner{}, lg,
-				*ckptDir, simcheck.StateCodecName(lg.Spec.Model), *ckptN)
+			diffs, err = replay.ReplayCheckpointed(simcheck.Runner{}, lg, *ckptDir, *ckptN)
 		default:
 			diffs, err = replay.Replay(simcheck.Runner{}, lg, eng)
 		}

@@ -25,12 +25,12 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	for i, f := range fields {
 		*f = int64(100 + i)
 	}
-	enc, err := stateCodec{}.EncodeState(nil, r)
+	enc, err := codec{}.EncodeState(nil, r)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	got := &Router{}
-	if err := (stateCodec{}).DecodeState(enc, got); err != nil {
+	if err := (codec{}).DecodeState(enc, got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, r) {
@@ -38,7 +38,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	}
 	// Truncations must error, never panic.
 	for i := 0; i < len(enc); i++ {
-		if err := (stateCodec{}).DecodeState(enc[:i], &Router{}); err == nil {
+		if err := (codec{}).DecodeState(enc[:i], &Router{}); err == nil {
 			t.Fatalf("state prefix of %d/%d bytes decoded", i, len(enc))
 		}
 	}

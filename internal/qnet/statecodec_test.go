@@ -21,12 +21,12 @@ func TestStateCodecRoundTrip(t *testing.T) {
 		Departs:   7,
 		WaitTicks: 123456,
 	}
-	enc, err := stateCodec{}.EncodeState(nil, s)
+	enc, err := codec{}.EncodeState(nil, s)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	got := &Station{}
-	if err := (stateCodec{}).DecodeState(enc, got); err != nil {
+	if err := (codec{}).DecodeState(enc, got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, s) {
@@ -34,7 +34,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	}
 	// Truncations must error, never panic.
 	for i := 0; i < len(enc); i++ {
-		if err := (stateCodec{}).DecodeState(enc[:i], &Station{}); err == nil {
+		if err := (codec{}).DecodeState(enc[:i], &Station{}); err == nil {
 			t.Fatalf("state prefix of %d/%d bytes decoded", i, len(enc))
 		}
 	}

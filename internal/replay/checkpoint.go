@@ -65,7 +65,8 @@ const (
 var ErrNoCheckpoint = errors.New("replay: no checkpoint in directory")
 
 // CheckpointLP is one LP's serialized committed state: the model state
-// bytes (via a StateCodec), the RNG stream position and the send sequence.
+// bytes (via the model Codec's EncodeState), the RNG stream position and
+// the send sequence.
 type CheckpointLP struct {
 	State   []byte
 	RNG     [4]uint64
@@ -89,8 +90,8 @@ type CheckpointEvent struct {
 // as an exact continuation. Frontier is sorted by the kernel's total event
 // order, strictly increasing.
 type Checkpoint struct {
-	// StateCodec and Codec name the registered codecs that serialized LP
-	// states and frontier payloads.
+	// Codec names the registered codec that serialized LP states and
+	// frontier payloads; StateCodec is that codec's StateName.
 	StateCodec string
 	Codec      string
 	GVT        core.Time
@@ -188,206 +189,77 @@ func appendCheckpoint(dst, scratch []byte, cp *Checkpoint) (out, scratchOut []by
 
 // ---- decoding ----
 
-func (c *cursor) u32() (uint32, error) {
-	if c.remaining() < 4 {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint32(c.buf[c.off:])
-	c.off += 4
-	return v, nil
-}
-
-func decodeCkptHeader(p []byte) (*Checkpoint, error) {
-	c := &cursor{buf: p}
-	cp := &Checkpoint{}
-	m, err := c.bytes(uint64(len(ckptMagic)))
-	if err != nil {
-		return nil, err
-	}
-	if string(m) != ckptMagic {
-		return nil, errors.New("replay: bad magic (not a checkpoint)")
-	}
-	ver, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ver != ckptVersion {
-		return nil, fmt.Errorf("replay: unsupported checkpoint version %d (want %d)", ver, ckptVersion)
-	}
-	if cp.StateCodec, err = c.str(); err != nil {
-		return nil, err
-	}
-	if cp.Codec, err = c.str(); err != nil {
-		return nil, err
-	}
-	bits, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	if cp.GVT, err = timeFromBits(bits); err != nil {
-		return nil, err
-	}
+func (cp *Checkpoint) decodeHeader(r *Reader) {
+	r.prologue(ckptMagic, ckptVersion, "checkpoint")
+	cp.StateCodec, cp.Codec, cp.GVT = r.Str(), r.Str(), r.Time()
 	if cp.GVT < 0 {
-		return nil, errors.New("replay: checkpoint GVT is negative")
+		r.Fail("replay: checkpoint GVT is negative")
 	}
-	committed, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	committed := r.Uvarint()
 	if committed > math.MaxInt64 {
-		return nil, errors.New("replay: committed count out of range")
+		r.Fail("replay: committed count out of range")
 	}
-	cp.Committed = int64(committed)
-	if cp.NumLPs, err = c.intField(); err != nil {
-		return nil, err
-	}
-	if c.remaining() != 0 {
-		return nil, errors.New("replay: trailing bytes in checkpoint header frame")
-	}
-	return cp, nil
+	cp.Committed, cp.NumLPs = int64(committed), r.Int()
 }
 
-func decodeCkptTrace(p []byte, cp *Checkpoint) error {
-	c := &cursor{buf: p}
-	var err error
-	if cp.TraceLen, err = c.intField(); err != nil {
-		return err
-	}
-	if cp.TraceHash, err = c.u64(); err != nil {
-		return err
-	}
-	n, err := c.count(8)
-	if err != nil {
-		return err
-	}
+func (cp *Checkpoint) decodeTrace(r *Reader) {
+	cp.HasTrace = true
+	cp.TraceLen, cp.TraceHash = r.Int(), r.U64()
+	n := r.Count(8)
 	if n != cp.NumLPs {
-		return fmt.Errorf("replay: trace frame has %d LP hashes, checkpoint has %d LPs", n, cp.NumLPs)
+		r.Fail("replay: trace frame has %d LP hashes, checkpoint has %d LPs", n, cp.NumLPs)
 	}
 	cp.LPHashes = make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
-		h, err := c.u64()
-		if err != nil {
-			return err
-		}
-		cp.LPHashes = append(cp.LPHashes, h)
+		cp.LPHashes = append(cp.LPHashes, r.U64())
 	}
-	if c.remaining() != 0 {
-		return errors.New("replay: trailing bytes in checkpoint trace frame")
-	}
-	cp.HasTrace = true
-	return nil
 }
 
-func decodeCkptLPs(p []byte, cp *Checkpoint) error {
-	c := &cursor{buf: p}
+func (cp *Checkpoint) decodeLPs(r *Reader) {
 	// state len + 4 rng components + draws + sendSeq ≥ 7 bytes per LP.
-	n, err := c.count(7)
-	if err != nil {
-		return err
-	}
+	n := r.Count(7)
 	if n != cp.NumLPs {
-		return fmt.Errorf("replay: lps frame has %d LPs, checkpoint header says %d", n, cp.NumLPs)
+		r.Fail("replay: lps frame has %d LPs, checkpoint header says %d", n, cp.NumLPs)
 	}
 	cp.LPs = make([]CheckpointLP, 0, n)
 	for i := 0; i < n; i++ {
-		var lp CheckpointLP
-		sz, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		b, err := c.bytes(sz)
-		if err != nil {
-			return err
-		}
-		if len(b) > 0 {
-			lp.State = append([]byte(nil), b...)
-		}
+		lp := CheckpointLP{State: r.Bytes()}
 		for j := range lp.RNG {
-			if lp.RNG[j], err = c.uvarint(); err != nil {
-				return err
-			}
+			lp.RNG[j] = r.Uvarint()
 		}
-		if lp.Draws, err = c.uvarint(); err != nil {
-			return err
-		}
-		if lp.SendSeq, err = c.uvarint(); err != nil {
-			return err
-		}
+		lp.Draws, lp.SendSeq = r.Uvarint(), r.Uvarint()
 		cp.LPs = append(cp.LPs, lp)
 	}
-	if c.remaining() != 0 {
-		return errors.New("replay: trailing bytes in checkpoint lps frame")
-	}
-	return nil
 }
 
-func decodeCkptFrontier(p []byte, cp *Checkpoint) error {
-	c := &cursor{buf: p}
+func (cp *Checkpoint) decodeFrontier(r *Reader) {
 	// time delta + dst delta + src + seq + payload len ≥ 5 bytes per event.
-	n, err := c.count(5)
-	if err != nil {
-		return err
-	}
+	n := r.Count(5)
 	if n > 0 {
 		cp.Frontier = make([]CheckpointEvent, 0, n)
 	}
 	var prevBits uint64
 	var prevDst int64
 	for i := 0; i < n; i++ {
-		var ev CheckpointEvent
-		d, err := c.varint()
-		if err != nil {
-			return err
+		prevBits += uint64(r.Varint())
+		t := core.Time(r.float(prevBits))
+		if t < cp.GVT {
+			r.Fail("replay: frontier event %d at %v is below checkpoint GVT %v", i, t, cp.GVT)
 		}
-		prevBits += uint64(d)
-		if ev.T, err = timeFromBits(prevBits); err != nil {
-			return err
-		}
-		if ev.T < cp.GVT {
-			return fmt.Errorf("replay: frontier event %d at %v is below checkpoint GVT %v", i, ev.T, cp.GVT)
-		}
-		dd, err := c.varint()
-		if err != nil {
-			return err
-		}
-		prevDst += dd
+		prevDst += r.Varint()
 		if prevDst < 0 || prevDst >= int64(cp.NumLPs) {
-			return fmt.Errorf("replay: frontier event %d targets LP %d, checkpoint has %d", i, prevDst, cp.NumLPs)
+			r.Fail("replay: frontier event %d targets LP %d, checkpoint has %d", i, prevDst, cp.NumLPs)
 		}
-		ev.Dst = core.LPID(prevDst)
-		src, err := c.varint()
-		if err != nil {
-			return err
-		}
+		src := r.Varint()
 		if src < int64(core.NoLP) || src >= int64(cp.NumLPs) {
-			return fmt.Errorf("replay: frontier event %d has source LP %d out of range", i, src)
+			r.Fail("replay: frontier event %d has source LP %d out of range", i, src)
 		}
-		ev.Src = core.LPID(src)
-		if ev.Seq, err = c.uvarint(); err != nil {
-			return err
-		}
-		sz, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		b, err := c.bytes(sz)
-		if err != nil {
-			return err
-		}
-		if len(b) > 0 {
-			ev.Data = append([]byte(nil), b...)
-		}
-		if i > 0 {
-			if prev := cp.Frontier[i-1]; !beforeCkptEvent(prev, ev) {
-				return fmt.Errorf("replay: frontier events %d and %d out of order", i-1, i)
-			}
+		ev := CheckpointEvent{T: t, Dst: core.LPID(prevDst), Src: core.LPID(src), Seq: r.Uvarint(), Data: r.Bytes()}
+		if i > 0 && !beforeCkptEvent(cp.Frontier[i-1], ev) {
+			r.Fail("replay: frontier events %d and %d out of order", i-1, i)
 		}
 		cp.Frontier = append(cp.Frontier, ev)
 	}
-	if c.remaining() != 0 {
-		return errors.New("replay: trailing bytes in checkpoint frontier frame")
-	}
-	return nil
 }
 
 // beforeCkptEvent is the kernel's total event order on serialized frontier
@@ -408,78 +280,17 @@ func beforeCkptEvent(a, b CheckpointEvent) bool {
 // DecodeCheckpoint parses a framed checkpoint. It never panics: any
 // malformed input returns an error.
 func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
-	c := &cursor{buf: buf}
-	frame := func() (byte, []byte, error) {
-		typ, err := c.byte()
-		if err != nil {
-			return 0, nil, err
-		}
-		sz, err := c.uvarint()
-		if err != nil {
-			return 0, nil, err
-		}
-		if sz > uint64(c.remaining()) {
-			return 0, nil, errTruncated
-		}
-		payload, err := c.bytes(sz)
-		if err != nil {
-			return 0, nil, err
-		}
-		want, err := c.bytes(4)
-		if err != nil {
-			return 0, nil, err
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(want) {
-			return 0, nil, fmt.Errorf("replay: CRC mismatch in checkpoint frame type %d", typ)
-		}
-		return typ, payload, nil
+	c := NewReader(buf)
+	cp := &Checkpoint{}
+	c.section(ckptFrameHeader, "checkpoint header", cp.decodeHeader)
+	if c.peek() == ckptFrameTrace {
+		c.section(ckptFrameTrace, "checkpoint trace", cp.decodeTrace)
 	}
-
-	typ, payload, err := frame()
-	if err != nil {
+	c.section(ckptFrameLPs, "checkpoint lps", cp.decodeLPs)
+	c.section(ckptFrameFrontier, "checkpoint frontier", cp.decodeFrontier)
+	c.section(ckptFrameEnd, "checkpoint end", func(*Reader) {})
+	if err := c.Done("checkpoint after its end frame"); err != nil {
 		return nil, err
-	}
-	if typ != ckptFrameHeader {
-		return nil, errors.New("replay: checkpoint does not start with a header frame")
-	}
-	cp, err := decodeCkptHeader(payload)
-	if err != nil {
-		return nil, err
-	}
-	if typ, payload, err = frame(); err != nil {
-		return nil, err
-	}
-	if typ == ckptFrameTrace {
-		if err := decodeCkptTrace(payload, cp); err != nil {
-			return nil, err
-		}
-		if typ, payload, err = frame(); err != nil {
-			return nil, err
-		}
-	}
-	if typ != ckptFrameLPs {
-		return nil, fmt.Errorf("replay: expected lps frame, got type %d", typ)
-	}
-	if err := decodeCkptLPs(payload, cp); err != nil {
-		return nil, err
-	}
-	if typ, payload, err = frame(); err != nil {
-		return nil, err
-	}
-	if typ != ckptFrameFrontier {
-		return nil, fmt.Errorf("replay: expected frontier frame, got type %d", typ)
-	}
-	if err := decodeCkptFrontier(payload, cp); err != nil {
-		return nil, err
-	}
-	if typ, payload, err = frame(); err != nil {
-		return nil, err
-	}
-	if typ != ckptFrameEnd || len(payload) != 0 {
-		return nil, errors.New("replay: bad checkpoint end frame")
-	}
-	if c.remaining() != 0 {
-		return nil, errors.New("replay: trailing bytes after checkpoint end frame")
 	}
 	return cp, nil
 }
@@ -509,39 +320,19 @@ func decodeManifest(buf []byte) (manifest, error) {
 		return m, errTruncated
 	}
 	p, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(tail) {
+	if crc32.ChecksumIEEE(p) != NewReader(tail).u32() {
 		return m, errors.New("replay: manifest CRC mismatch")
 	}
-	c := &cursor{buf: p}
-	mg, err := c.bytes(uint64(len(manifestMagic)))
-	if err != nil {
-		return m, err
-	}
-	if string(mg) != manifestMagic {
-		return m, errors.New("replay: bad manifest magic")
-	}
-	ver, err := c.uvarint()
-	if err != nil {
-		return m, err
-	}
-	if ver != manifestVersion {
-		return m, fmt.Errorf("replay: unsupported manifest version %d", ver)
-	}
-	if m.file, err = c.str(); err != nil {
-		return m, err
-	}
+	r := NewReader(p)
+	r.prologue(manifestMagic, manifestVersion, "checkpoint manifest")
+	m.file = r.Str()
 	// The filename must stay inside the checkpoint directory: manifests come
 	// from disk and must not be able to point a loader at an arbitrary path.
 	if m.file == "" || m.file == "." || m.file == ".." || m.file != filepath.Base(m.file) {
-		return m, fmt.Errorf("replay: manifest names invalid file %q", m.file)
+		r.Fail("replay: manifest names invalid file %q", m.file)
 	}
-	if m.sum, err = c.u32(); err != nil {
-		return m, err
-	}
-	if c.remaining() != 0 {
-		return m, errors.New("replay: trailing bytes in manifest")
-	}
-	return m, nil
+	m.sum = r.u32()
+	return m, r.Done("manifest")
 }
 
 // ---- writer ----
@@ -551,12 +342,11 @@ func decodeManifest(buf []byte) (manifest, error) {
 // Only the manifest-named file is ever considered published; at most one
 // previous checkpoint file is kept until the next publication completes.
 type CheckpointWriter struct {
-	dir        string
-	stateCodec StateCodec
-	codec      Codec
-	rec        *trace.Recorder
-	seq        int
-	lastFile   string
+	dir      string
+	codec    Codec
+	rec      *trace.Recorder
+	seq      int
+	lastFile string
 
 	// Encode buffers, reused from one publication to the next: every LP
 	// state and frontier payload is encoded back to back into arena and cp's
@@ -566,7 +356,9 @@ type CheckpointWriter struct {
 	arena, frame, file []byte
 }
 
-// NewCheckpointWriter builds a writer over dir (created if needed). rec,
+// NewCheckpointWriter builds a writer over dir (created if needed) that
+// serializes through the codec registered as codecName, whose StateName
+// must be stateCodecName. rec,
 // when non-nil, must be the run's unbounded commit recorder: each
 // checkpoint then carries the recorder's digests at the cut, which is what
 // lets a resumed run's trace be verified as an exact continuation. Stale
@@ -574,18 +366,17 @@ type CheckpointWriter struct {
 // published checkpoints are left alone (file numbering continues past
 // them), so resuming and re-checkpointing into the same directory works.
 func NewCheckpointWriter(dir, stateCodecName, codecName string, rec *trace.Recorder) (*CheckpointWriter, error) {
-	sc, err := StateCodecFor(stateCodecName)
+	codec, err := CodecFor(codecName)
 	if err != nil {
 		return nil, err
 	}
-	pc, err := CodecFor(codecName)
-	if err != nil {
+	if err := checkStateName(codec, stateCodecName); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &CheckpointWriter{dir: dir, stateCodec: sc, codec: pc, rec: rec, seq: 1}
+	w := &CheckpointWriter{dir: dir, codec: codec, rec: rec, seq: 1}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -618,7 +409,7 @@ func NewCheckpointWriter(dir, stateCodecName, codecName string, rec *trace.Recor
 func (w *CheckpointWriter) Checkpoint(cs *core.CheckpointState) error {
 	cp := &w.cp
 	*cp = Checkpoint{
-		StateCodec: w.stateCodec.Name(),
+		StateCodec: w.codec.StateName(),
 		Codec:      w.codec.Name(),
 		GVT:        cs.GVT,
 		Committed:  cs.Committed,
@@ -638,7 +429,7 @@ func (w *CheckpointWriter) Checkpoint(cs *core.CheckpointState) error {
 	var err error
 	for i, lp := range cs.LPs {
 		start := len(w.arena)
-		if w.arena, err = w.stateCodec.EncodeState(w.arena, lp.State); err != nil {
+		if w.arena, err = w.codec.EncodeState(w.arena, lp.State); err != nil {
 			return fmt.Errorf("replay: encoding LP %d state: %w", i, err)
 		}
 		cp.LPs = append(cp.LPs, CheckpointLP{State: w.arena[start:len(w.arena):len(w.arena)], RNG: lp.RNG, Draws: lp.RNGDraws, SendSeq: lp.SendSeq})
@@ -766,47 +557,31 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 
 // ---- restore ----
 
-// Resumable is the engine surface a checkpoint restore needs;
-// *core.Simulator implements it. The sequential engine does not — resume
-// is an optimistic-kernel feature (the sequential oracle re-runs from
-// scratch instead, which is what makes it an oracle).
-type Resumable interface {
-	core.Host
-	DropBootstrap()
-	RestoreLP(id core.LPID, state [4]uint64, draws, sendSeq uint64) error
-	ScheduleRestored(dst core.LPID, t core.Time, src core.LPID, seq uint64, data any)
-}
-
-// Checkpointable is the engine surface periodic checkpointing needs;
-// *core.Simulator implements it.
-type Checkpointable interface {
-	SetCheckpoint(sink core.CheckpointSink, everyRounds int)
-}
-
 // RestoreCheckpoint reinstates cp into a freshly built, not-yet-run
 // simulator: model bootstrap is dropped, every LP's state (decoded in
-// place through the checkpoint's StateCodec), RNG stream and send sequence
+// place through the checkpoint's codec), RNG stream and send sequence
 // are reinstated, and the frontier is scheduled with original event
 // identities so the kernel's total order continues exactly where the
 // checkpointed run left it. rec, when non-nil, is the new run's empty
 // commit recorder, seeded with the checkpoint's trace digests (an error if
-// the checkpoint carries none).
-func RestoreCheckpoint(cp *Checkpoint, sim Resumable, rec *trace.Recorder) error {
-	if sim.NumLPs() != cp.NumLPs {
-		return fmt.Errorf("replay: checkpoint has %d LPs, model has %d", cp.NumLPs, sim.NumLPs())
-	}
-	sc, err := StateCodecFor(cp.StateCodec)
-	if err != nil {
-		return err
-	}
+// the checkpoint carries none). Resume is an optimistic-kernel feature:
+// the sequential oracle re-runs from scratch instead, which is what makes
+// it an oracle.
+func RestoreCheckpoint(cp *Checkpoint, sim *core.Simulator, rec *trace.Recorder) error {
 	codec, err := CodecFor(cp.Codec)
 	if err != nil {
 		return err
 	}
+	if err := checkStateName(codec, cp.StateCodec); err != nil {
+		return err
+	}
+	if sim.NumLPs() != cp.NumLPs {
+		return fmt.Errorf("replay: checkpoint has %d LPs, model has %d", cp.NumLPs, sim.NumLPs())
+	}
 	sim.DropBootstrap()
 	for i, clp := range cp.LPs {
 		lp := sim.LP(core.LPID(i))
-		if err := sc.DecodeState(clp.State, lp.State); err != nil {
+		if err := codec.DecodeState(clp.State, lp.State); err != nil {
 			return fmt.Errorf("replay: decoding LP %d state: %w", i, err)
 		}
 		if err := sim.RestoreLP(core.LPID(i), clp.RNG, clp.Draws, clp.SendSeq); err != nil {
@@ -829,24 +604,40 @@ func RestoreCheckpoint(cp *Checkpoint, sim Resumable, rec *trace.Recorder) error
 	return nil
 }
 
+// checkStateName rejects a state codec name that is not codec's own: the
+// pair is registered once, so a checkpoint naming any other pairing was
+// written by something else.
+func checkStateName(codec Codec, stateName string) error {
+	if stateName != codec.StateName() {
+		return fmt.Errorf("replay: state codec %q does not belong to codec %q (its state codec is %q)",
+			stateName, codec.Name(), codec.StateName())
+	}
+	return nil
+}
+
 // ---- drivers ----
 
 // ReplayCheckpointed is Replay under the optimistic engine with periodic
 // checkpointing armed: every `every` GVT rounds a checkpoint is published
 // into dir, and the run is still held to the recording's fingerprints (the
 // checkpoint rendezvous is scheduling-only, so arming it must not change
-// committed results). This is the victim the crash harness SIGKILLs.
-func ReplayCheckpointed(r Runner, lg *Log, dir, stateCodecName string, every int) ([]string, error) {
+// committed results). The log's codec serializes the checkpoints. This is
+// the victim the crash harness SIGKILLs.
+func ReplayCheckpointed(r Runner, lg *Log, dir string, every int) ([]string, error) {
+	codec, err := CodecFor(lg.Spec.Codec)
+	if err != nil {
+		return nil, err
+	}
 	out, err := runWith(r, lg.Spec, lg.Inject, EngineOptimistic, func(inst *Instance) error {
-		ck, ok := inst.Host.(Checkpointable)
+		sim, ok := inst.Host.(*core.Simulator)
 		if !ok {
 			return fmt.Errorf("replay: %T does not support checkpointing", inst.Host)
 		}
-		w, err := NewCheckpointWriter(dir, stateCodecName, lg.Spec.Codec, inst.Trace)
+		w, err := NewCheckpointWriter(dir, codec.StateName(), codec.Name(), inst.Trace)
 		if err != nil {
 			return err
 		}
-		ck.SetCheckpoint(w, every)
+		sim.SetCheckpoint(w, every)
 		return nil
 	})
 	if err != nil {
@@ -880,11 +671,11 @@ func ResumeVerify(r Runner, lg *Log, dir string) ([]string, error) {
 	if inst.Trace == nil {
 		return nil, errors.New("replay: runner instance has no trace recorder")
 	}
-	rsm, ok := inst.Host.(Resumable)
+	sim, ok := inst.Host.(*core.Simulator)
 	if !ok {
 		return nil, fmt.Errorf("replay: %T does not support resume", inst.Host)
 	}
-	if err := RestoreCheckpoint(cp, rsm, inst.Trace); err != nil {
+	if err := RestoreCheckpoint(cp, sim, inst.Trace); err != nil {
 		return nil, err
 	}
 	stats, err := inst.Run()

@@ -2,7 +2,9 @@ package replay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,21 +13,17 @@ import (
 	"repro/internal/core"
 )
 
-// Minimal codecs so writer-construction tests can run without a model.
-type fakeStateCodec struct{}
-
-func (fakeStateCodec) Name() string                                      { return "fake-state" }
-func (fakeStateCodec) EncodeState(dst []byte, state any) ([]byte, error) { return dst, nil }
-func (fakeStateCodec) DecodeState(src []byte, state any) error           { return nil }
-
+// A minimal codec so writer-construction tests can run without a model.
 type fakeCodec struct{}
 
-func (fakeCodec) Name() string                                { return "fake-payload" }
-func (fakeCodec) Encode(dst []byte, data any) ([]byte, error) { return dst, nil }
-func (fakeCodec) Decode(src []byte) (any, error)              { return nil, nil }
+func (fakeCodec) Name() string                                      { return "fake-payload" }
+func (fakeCodec) Encode(dst []byte, data any) ([]byte, error)       { return dst, nil }
+func (fakeCodec) Decode(src []byte) (any, error)                    { return nil, nil }
+func (fakeCodec) StateName() string                                 { return "fake-state" }
+func (fakeCodec) EncodeState(dst []byte, state any) ([]byte, error) { return dst, nil }
+func (fakeCodec) DecodeState(src []byte, state any) error           { return nil }
 
 func init() {
-	RegisterStateCodec(fakeStateCodec{})
 	RegisterCodec(fakeCodec{})
 }
 
@@ -161,6 +159,58 @@ func TestCheckpointDecodeRejects(t *testing.T) {
 		})
 	}
 	_ = base
+}
+
+// TestCheckpointDecodeRejectsNonMinimalVarint: a header frame whose
+// NumLPs field is padded to two bytes, under a valid CRC, must be
+// rejected, since re-encoding it would not reproduce the input.
+func TestCheckpointDecodeRejectsNonMinimalVarint(t *testing.T) {
+	cp := sampleCheckpoint()
+	withNumLPs := func(numLPs ...byte) []byte {
+		p := []byte(ckptMagic)
+		p = binary.AppendUvarint(p, ckptVersion)
+		p = appendString(p, cp.StateCodec)
+		p = appendString(p, cp.Codec)
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(float64(cp.GVT)))
+		p = binary.AppendUvarint(p, uint64(cp.Committed))
+		p = append(p, numLPs...)
+		dst := appendFrame(nil, ckptFrameHeader, p)
+		dst, _ = appendCkptTrace(dst, nil, cp)
+		dst, _ = appendCkptLPs(dst, nil, cp)
+		dst, _ = appendCkptFrontier(dst, nil, cp)
+		return appendFrame(dst, ckptFrameEnd, nil)
+	}
+	minimal := withNumLPs(byte(cp.NumLPs))
+	if !bytes.Equal(minimal, EncodeCheckpoint(cp)) {
+		t.Fatal("hand-built checkpoint differs from EncodeCheckpoint")
+	}
+	if got, err := DecodeCheckpoint(withNumLPs(byte(cp.NumLPs)|0x80, 0x00)); err == nil {
+		t.Fatalf("padded varint accepted (NumLPs=%d)", got.NumLPs)
+	}
+}
+
+// TestCheckpointCodecPairMismatch: a checkpoint's state codec must be its
+// codec's own. Both the writer and the restore reject any other pairing.
+func TestCheckpointCodecPairMismatch(t *testing.T) {
+	if _, err := NewCheckpointWriter(t.TempDir(), "other-state", "fake-payload", nil); err == nil {
+		t.Fatal("writer accepted a state codec that is not the codec's own")
+	}
+	if _, err := NewCheckpointWriter(t.TempDir(), "fake-state", "fake-payload", nil); err != nil {
+		t.Fatalf("writer rejected the registered pair: %v", err)
+	}
+	sim, err := core.New(core.Config{NumLPs: 3, EndTime: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := sampleCheckpoint()
+	cp.StateCodec, cp.Codec = "other-state", "fake-payload"
+	if err := RestoreCheckpoint(cp, sim, nil); err == nil {
+		t.Fatal("restore accepted a state codec that is not the codec's own")
+	}
+	cp.StateCodec = "fake-state"
+	if err := RestoreCheckpoint(cp, sim, nil); err != nil {
+		t.Fatalf("restore rejected the registered pair: %v", err)
+	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {

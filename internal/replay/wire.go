@@ -2,8 +2,6 @@ package replay
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -16,13 +14,13 @@ import (
 //
 //	frame := type:1 | payloadLen:uvarint | payload | crc32(payload):4 LE
 //
-// The header frame must come first and the end frame last; inject, pe,
-// rounds and final frames appear between them (inject/rounds/final at most
-// once, one pe frame per PE). Integers are uvarints, signed deltas are
-// zigzag varints, hashes and float bit patterns are fixed 8-byte LE.
-// Decode is total: malformed input of any kind — truncation, bad CRC, bad
-// magic, absurd counts — yields an error, never a panic or an outsized
-// allocation (FuzzReplayCodec holds it to that).
+// Frames come in one order: header, inject, one pe frame per PE in
+// ascending PE order, rounds, final, end. Integers are minimal uvarints,
+// signed deltas are zigzag varints, hashes and float bit patterns are
+// fixed 8-byte LE. Decode is total: malformed input of any kind —
+// truncation, bad CRC, bad magic, absurd counts — yields an error, never a
+// panic or an outsized allocation, and anything accepted is canonical
+// (FuzzReplayCodec holds it to that).
 
 const (
 	logMagic   = "GTWR"
@@ -38,8 +36,6 @@ const (
 	// maxName bounds decoded string fields; registry names are short.
 	maxName = 256
 )
-
-var errTruncated = errors.New("replay: truncated log")
 
 // ---- encoding ----
 
@@ -166,461 +162,101 @@ func WriteFile(path string, lg *Log) error {
 
 // ---- decoding ----
 
-// cursor is a bounds-checked reader over one frame payload.
-type cursor struct {
-	buf []byte
-	off int
-}
-
-func (c *cursor) remaining() int { return len(c.buf) - c.off }
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf[c.off:])
-	if n <= 0 {
-		return 0, errTruncated
+func (lg *Log) decodeHeader(r *Reader) {
+	r.prologue(logMagic, logVersion, ".replay log")
+	lg.Spec = Spec{
+		Model: r.Str(), Codec: r.Str(), Queue: r.Str(), Mutation: r.Str(),
+		PEs: r.Int(), KPs: r.Int(), BatchSize: r.Int(), GVTInterval: r.Int(),
+		Seed: r.Uvarint(), EndTime: r.Time(),
 	}
-	c.off += n
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.buf[c.off:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	if c.remaining() < 8 {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint64(c.buf[c.off:])
-	c.off += 8
-	return v, nil
-}
-
-func (c *cursor) byte() (byte, error) {
-	if c.remaining() < 1 {
-		return 0, errTruncated
-	}
-	b := c.buf[c.off]
-	c.off++
-	return b, nil
-}
-
-func (c *cursor) bytes(n uint64) ([]byte, error) {
-	if n > uint64(c.remaining()) {
-		return nil, errTruncated
-	}
-	out := c.buf[c.off : c.off+int(n)]
-	c.off += int(n)
-	return out, nil
-}
-
-func (c *cursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxName {
-		return "", fmt.Errorf("replay: string field of %d bytes exceeds limit", n)
-	}
-	b, err := c.bytes(n)
-	return string(b), err
-}
-
-// count reads an element count and rejects counts that cannot fit in the
-// remaining payload at minBytes per element, so a corrupt count can never
-// drive an outsized allocation.
-func (c *cursor) count(minBytes int) (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(c.remaining()/minBytes) {
-		return 0, fmt.Errorf("replay: count %d exceeds payload", v)
-	}
-	return int(v), nil
-}
-
-// intField reads a uvarint that must fit in an int.
-func (c *cursor) intField() (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("replay: integer field %d out of range", v)
-	}
-	return int(v), nil
-}
-
-func timeFromBits(bits uint64) (core.Time, error) {
-	f := math.Float64frombits(bits)
-	if math.IsNaN(f) {
-		return 0, errors.New("replay: NaN time in log")
-	}
-	return core.Time(f), nil
-}
-
-func decodeHeader(p []byte) (Spec, error) {
-	c := &cursor{buf: p}
-	var s Spec
-	m, err := c.bytes(uint64(len(logMagic)))
-	if err != nil {
-		return s, err
-	}
-	if string(m) != logMagic {
-		return s, errors.New("replay: bad magic (not a .replay log)")
-	}
-	ver, err := c.uvarint()
-	if err != nil {
-		return s, err
-	}
-	if ver != logVersion {
-		return s, fmt.Errorf("replay: unsupported log version %d (want %d)", ver, logVersion)
-	}
-	if s.Model, err = c.str(); err != nil {
-		return s, err
-	}
-	if s.Codec, err = c.str(); err != nil {
-		return s, err
-	}
-	if s.Queue, err = c.str(); err != nil {
-		return s, err
-	}
-	if s.Mutation, err = c.str(); err != nil {
-		return s, err
-	}
-	if s.PEs, err = c.intField(); err != nil {
-		return s, err
-	}
-	if s.KPs, err = c.intField(); err != nil {
-		return s, err
-	}
-	if s.BatchSize, err = c.intField(); err != nil {
-		return s, err
-	}
-	if s.GVTInterval, err = c.intField(); err != nil {
-		return s, err
-	}
-	if s.Seed, err = c.uvarint(); err != nil {
-		return s, err
-	}
-	bits, err := c.u64()
-	if err != nil {
-		return s, err
-	}
-	if s.EndTime, err = timeFromBits(bits); err != nil {
-		return s, err
-	}
-	present, err := c.byte()
-	if err != nil {
-		return s, err
-	}
-	switch present {
-	case 0:
-	case 1:
-		f := &core.Faults{}
-		if f.Seed, err = c.uvarint(); err != nil {
-			return s, err
+	if r.Flag() {
+		lg.Spec.Faults = &core.Faults{
+			Seed: r.Uvarint(), RollbackEvery: r.Int(), RollbackDepth: r.Int(),
+			GVTDelay: r.Int(), MailBurst: r.Int(), ThrottlePEs: r.Int(),
+			ThrottleBatch: r.Int(), ShuffleMail: r.Flag(),
 		}
-		if f.RollbackEvery, err = c.intField(); err != nil {
-			return s, err
-		}
-		if f.RollbackDepth, err = c.intField(); err != nil {
-			return s, err
-		}
-		if f.GVTDelay, err = c.intField(); err != nil {
-			return s, err
-		}
-		if f.MailBurst, err = c.intField(); err != nil {
-			return s, err
-		}
-		if f.ThrottlePEs, err = c.intField(); err != nil {
-			return s, err
-		}
-		if f.ThrottleBatch, err = c.intField(); err != nil {
-			return s, err
-		}
-		sm, err := c.byte()
-		if err != nil {
-			return s, err
-		}
-		if sm > 1 {
-			return s, fmt.Errorf("replay: bad ShuffleMail flag %d", sm)
-		}
-		f.ShuffleMail = sm == 1
-		s.Faults = f
-	default:
-		return s, fmt.Errorf("replay: bad faults-present flag %d", present)
 	}
-	if c.remaining() != 0 {
-		return s, errors.New("replay: trailing bytes in header frame")
-	}
-	return s, nil
 }
 
-func decodeInject(p []byte) ([]Injection, error) {
-	c := &cursor{buf: p}
-	n, err := c.count(3) // dst delta + time delta + payload len ≥ 3 bytes
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Injection, 0, n)
+func (lg *Log) decodeInject(r *Reader) {
+	n := r.Count(3) // dst delta + time delta + payload len ≥ 3 bytes
+	lg.Inject = make([]Injection, 0, n)
 	var prevDst int64
 	var prevBits uint64
 	for i := 0; i < n; i++ {
-		var in Injection
-		d, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		prevDst += d
+		prevDst += r.Varint()
 		if prevDst < 0 || prevDst > math.MaxInt32 {
-			return nil, fmt.Errorf("replay: injection %d: LP %d out of range", i, prevDst)
+			r.Fail("replay: injection %d: LP %d out of range", i, prevDst)
 		}
-		in.Dst = core.LPID(prevDst)
-		db, err := c.varint()
-		if err != nil {
-			return nil, err
+		prevBits += uint64(r.Varint())
+		t := core.Time(r.float(prevBits))
+		if t < 0 {
+			r.Fail("replay: injection %d has negative time", i)
 		}
-		prevBits += uint64(db)
-		if in.T, err = timeFromBits(prevBits); err != nil {
-			return nil, err
-		}
-		if in.T < 0 {
-			return nil, fmt.Errorf("replay: injection %d has negative time", i)
-		}
-		sz, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.bytes(sz)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) > 0 {
-			in.Data = append([]byte(nil), b...)
-		}
-		out = append(out, in)
+		lg.Inject = append(lg.Inject, Injection{T: t, Dst: core.LPID(prevDst), Data: r.Bytes()})
 	}
-	if c.remaining() != 0 {
-		return nil, errors.New("replay: trailing bytes in inject frame")
-	}
-	return out, nil
 }
 
-func decodePE(p []byte) (PELog, error) {
-	c := &cursor{buf: p}
-	var pl PELog
-	var err error
-	if pl.PE, err = c.intField(); err != nil {
-		return pl, err
+func (lg *Log) decodePE(r *Reader) {
+	pl := PELog{PE: r.Int()}
+	if n := len(lg.PEs); n > 0 && pl.PE <= lg.PEs[n-1].PE {
+		r.Fail("replay: pe frames out of order")
 	}
-	nm, err := c.count(2)
-	if err != nil {
-		return pl, err
-	}
-	if nm > 0 {
-		pl.Mail = make([]MailBatch, 0, nm)
-	}
-	for i := 0; i < nm; i++ {
-		var mb MailBatch
-		if mb.Src, err = c.intField(); err != nil {
-			return pl, err
+	if n := r.Count(2); n > 0 {
+		pl.Mail = make([]MailBatch, 0, n)
+		for i := 0; i < n; i++ {
+			pl.Mail = append(pl.Mail, MailBatch{Src: r.Int(), N: r.Int()})
 		}
-		if mb.N, err = c.intField(); err != nil {
-			return pl, err
-		}
-		pl.Mail = append(pl.Mail, mb)
 	}
-	nr, err := c.count(3)
-	if err != nil {
-		return pl, err
-	}
-	if nr > 0 {
-		pl.Rollbacks = make([]Rollback, 0, nr)
-	}
-	for i := 0; i < nr; i++ {
-		var rb Rollback
-		if rb.KP, err = c.intField(); err != nil {
-			return pl, err
+	if n := r.Count(3); n > 0 {
+		pl.Rollbacks = make([]Rollback, 0, n)
+		for i := 0; i < n; i++ {
+			rb := Rollback{KP: r.Int(), Events: r.Int()}
+			flags := r.Byte()
+			if flags > 3 {
+				r.Fail("replay: bad rollback flags %#x", flags)
+			}
+			rb.Secondary, rb.Forced = flags&1 != 0, flags&2 != 0
+			pl.Rollbacks = append(pl.Rollbacks, rb)
 		}
-		if rb.Events, err = c.intField(); err != nil {
-			return pl, err
-		}
-		flags, err := c.byte()
-		if err != nil {
-			return pl, err
-		}
-		if flags > 3 {
-			return pl, fmt.Errorf("replay: bad rollback flags %#x", flags)
-		}
-		rb.Secondary = flags&1 != 0
-		rb.Forced = flags&2 != 0
-		pl.Rollbacks = append(pl.Rollbacks, rb)
 	}
-	if c.remaining() != 0 {
-		return pl, errors.New("replay: trailing bytes in pe frame")
-	}
-	return pl, nil
+	lg.PEs = append(lg.PEs, pl)
 }
 
-func decodeRounds(p []byte) ([]Round, error) {
-	c := &cursor{buf: p}
-	n, err := c.count(9) // gvt delta + fixed8 hash
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Round, 0, n)
+func (lg *Log) decodeRounds(r *Reader) {
+	n := r.Count(9) // gvt delta + fixed8 hash
+	lg.Rounds = make([]Round, 0, n)
 	var prevBits uint64
 	for i := 0; i < n; i++ {
-		var rd Round
-		db, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		prevBits += uint64(db)
-		if rd.GVT, err = timeFromBits(prevBits); err != nil {
-			return nil, err
-		}
-		if rd.TraceHash, err = c.u64(); err != nil {
-			return nil, err
-		}
-		out = append(out, rd)
+		prevBits += uint64(r.Varint())
+		lg.Rounds = append(lg.Rounds, Round{GVT: core.Time(r.float(prevBits)), TraceHash: r.U64()})
 	}
-	if c.remaining() != 0 {
-		return nil, errors.New("replay: trailing bytes in rounds frame")
-	}
-	return out, nil
 }
 
-func decodeFinal(p []byte) (Fingerprint, error) {
-	c := &cursor{buf: p}
-	var fp Fingerprint
-	committed, err := c.uvarint()
-	if err != nil {
-		return fp, err
-	}
+func (lg *Log) decodeFinal(r *Reader) {
+	committed := r.Uvarint()
 	if committed > math.MaxInt64 {
-		return fp, errors.New("replay: committed count out of range")
+		r.Fail("replay: committed count out of range")
 	}
-	fp.Committed = int64(committed)
-	if fp.TraceLen, err = c.intField(); err != nil {
-		return fp, err
-	}
-	if fp.TraceHash, err = c.u64(); err != nil {
-		return fp, err
-	}
-	if fp.StateHash, err = c.u64(); err != nil {
-		return fp, err
-	}
-	if c.remaining() != 0 {
-		return fp, errors.New("replay: trailing bytes in final frame")
-	}
-	return fp, nil
+	lg.Final = Fingerprint{Committed: int64(committed), TraceLen: r.Int(), TraceHash: r.U64(), StateHash: r.U64()}
 }
 
 // Decode parses a framed binary log. It never panics: any malformed input
-// returns an error.
+// returns an error. Frames must come in the order Encode writes them, so
+// that anything accepted re-encodes to the same bytes.
 func Decode(buf []byte) (*Log, error) {
-	c := &cursor{buf: buf}
-	frame := func() (byte, []byte, error) {
-		typ, err := c.byte()
-		if err != nil {
-			return 0, nil, err
-		}
-		sz, err := c.uvarint()
-		if err != nil {
-			return 0, nil, err
-		}
-		if sz > uint64(c.remaining()) {
-			return 0, nil, errTruncated
-		}
-		payload, err := c.bytes(sz)
-		if err != nil {
-			return 0, nil, err
-		}
-		want, err := c.bytes(4)
-		if err != nil {
-			return 0, nil, err
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(want) {
-			return 0, nil, fmt.Errorf("replay: CRC mismatch in frame type %d", typ)
-		}
-		return typ, payload, nil
-	}
-
-	typ, payload, err := frame()
-	if err != nil {
-		return nil, err
-	}
-	if typ != frameHeader {
-		return nil, errors.New("replay: log does not start with a header frame")
-	}
+	c := NewReader(buf)
 	lg := &Log{}
-	if lg.Spec, err = decodeHeader(payload); err != nil {
+	c.section(frameHeader, "header", lg.decodeHeader)
+	c.section(frameInject, "inject", lg.decodeInject)
+	for c.peek() == framePE {
+		c.section(framePE, "pe", lg.decodePE)
+	}
+	c.section(frameRounds, "rounds", lg.decodeRounds)
+	c.section(frameFinal, "final", lg.decodeFinal)
+	c.section(frameEnd, "end", func(*Reader) {})
+	if err := c.Done("log after its end frame"); err != nil {
 		return nil, err
-	}
-	var sawInject, sawRounds, sawFinal, sawEnd bool
-	for !sawEnd {
-		typ, payload, err := frame()
-		if err != nil {
-			return nil, err
-		}
-		switch typ {
-		case frameInject:
-			if sawInject {
-				return nil, errors.New("replay: duplicate inject frame")
-			}
-			sawInject = true
-			if lg.Inject, err = decodeInject(payload); err != nil {
-				return nil, err
-			}
-		case framePE:
-			pl, err := decodePE(payload)
-			if err != nil {
-				return nil, err
-			}
-			if len(lg.PEs) > 0 && pl.PE <= lg.PEs[len(lg.PEs)-1].PE {
-				return nil, errors.New("replay: pe frames out of order")
-			}
-			lg.PEs = append(lg.PEs, pl)
-		case frameRounds:
-			if sawRounds {
-				return nil, errors.New("replay: duplicate rounds frame")
-			}
-			sawRounds = true
-			if lg.Rounds, err = decodeRounds(payload); err != nil {
-				return nil, err
-			}
-		case frameFinal:
-			if sawFinal {
-				return nil, errors.New("replay: duplicate final frame")
-			}
-			sawFinal = true
-			if lg.Final, err = decodeFinal(payload); err != nil {
-				return nil, err
-			}
-		case frameEnd:
-			if len(payload) != 0 {
-				return nil, errors.New("replay: end frame with payload")
-			}
-			sawEnd = true
-		case frameHeader:
-			return nil, errors.New("replay: duplicate header frame")
-		default:
-			return nil, fmt.Errorf("replay: unknown frame type %d", typ)
-		}
-	}
-	if !sawFinal {
-		return nil, errors.New("replay: log has no final frame")
-	}
-	if c.remaining() != 0 {
-		return nil, errors.New("replay: trailing bytes after end frame")
 	}
 	return lg, nil
 }

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"strings"
@@ -188,5 +189,63 @@ func TestWireRejectsStructuralAbuse(t *testing.T) {
 	bad.PEs[1].PE = 0 // duplicate of PEs[0]
 	if _, err := Decode(Encode(bad)); err == nil {
 		t.Error("out-of-order pe frames accepted")
+	}
+}
+
+// TestWireRejectsNonMinimalVarint: a header whose PEs field is the
+// two-byte encoding 0x81 0x00 of 1, under a valid CRC, must be rejected.
+// Accepting it would break canonicality — Encode writes the one-byte form
+// — and the CRC hides the padding from the fuzzer.
+func TestWireRejectsNonMinimalVarint(t *testing.T) {
+	logWithPEs := func(pes ...byte) []byte {
+		p := []byte(logMagic)
+		p = appendVarintHelper(p, logVersion)
+		for _, s := range []string{"m", "c", "heap", ""} {
+			p = appendString(p, s)
+		}
+		p = append(p, pes...)
+		p = append(p, 0, 0, 0, 0) // KPs, BatchSize, GVTInterval, Seed
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1))
+		p = append(p, 0) // no faults
+		buf := appendFrame(nil, frameHeader, p)
+		buf = appendInject(buf, nil)
+		buf = appendRounds(buf, nil)
+		buf = appendFinal(buf, Fingerprint{})
+		return appendFrame(buf, frameEnd, nil)
+	}
+	minimal := logWithPEs(0x01)
+	lg, err := Decode(minimal)
+	if err != nil || lg.Spec.PEs != 1 || !bytes.Equal(Encode(lg), minimal) {
+		t.Fatalf("minimal header does not round-trip: %v", err)
+	}
+	if lg, err := Decode(logWithPEs(0x81, 0x00)); err == nil {
+		t.Fatalf("padded varint accepted (PEs=%d); re-encodes to %d bytes, not %d",
+			lg.Spec.PEs, len(Encode(lg)), len(minimal)+1)
+	}
+}
+
+// TestWireRejectsNonCanonicalFrameOrder: Encode writes every frame, in
+// one order, so a log that omits the inject or rounds frame or reorders
+// frames would re-encode differently and must be rejected.
+func TestWireRejectsNonCanonicalFrameOrder(t *testing.T) {
+	lg := sampleLog()
+	hdr, inj := appendHeader(nil, lg.Spec), appendInject(nil, lg.Inject)
+	var pes []byte
+	for _, pl := range lg.PEs {
+		pes = appendPE(pes, pl)
+	}
+	rounds, final, end := appendRounds(nil, lg.Rounds), appendFinal(nil, lg.Final), appendFrame(nil, frameEnd, nil)
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	if !bytes.Equal(cat(hdr, inj, pes, rounds, final, end), Encode(lg)) {
+		t.Fatal("hand-assembled log differs from Encode")
+	}
+	for name, buf := range map[string][]byte{
+		"no inject or rounds":  cat(hdr, pes, final, end),
+		"rounds before inject": cat(hdr, rounds, inj, pes, final, end),
+		"final before pe":      cat(hdr, inj, final, pes, rounds, end),
+	} {
+		if _, err := Decode(buf); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

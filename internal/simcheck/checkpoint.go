@@ -5,25 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hotpotato"
-	"repro/internal/phold"
-	"repro/internal/qnet"
 	"repro/internal/replay"
 )
-
-// stateCodecNames maps each harness model to its registered replay state
-// codec, mirroring codecNames for event payloads. A model missing here
-// cannot checkpoint (its LP state has no serialisation).
-var stateCodecNames = map[string]string{
-	"hotpotato": hotpotato.StateCodecName,
-	"phold":     phold.StateCodecName,
-	"qnet":      qnet.StateCodecName,
-}
-
-// StateCodecName returns the registered replay state codec for a harness
-// model, or "" if the model is unknown. The crash harness and the CLIs use
-// it to arm checkpoint writers without hard-coding the model→codec mapping.
-func StateCodecName(model string) string { return stateCodecNames[model] }
 
 // CheckpointEvery is the default checkpoint cadence in GVT rounds for
 // harness-driven runs. The rendezvous rolls every KP back to GVT, so the
@@ -68,7 +51,11 @@ func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("simcheck: %T cannot checkpoint", inst.host)
 	}
-	w, err := replay.NewCheckpointWriter(dir, stateCodecNames[c.Model], codecNames[c.Model], inst.rec)
+	codec, err := replay.CodecFor(spec.codec)
+	if err != nil {
+		return Result{}, err
+	}
+	w, err := replay.NewCheckpointWriter(dir, codec.StateName(), codec.Name(), inst.rec)
 	if err != nil {
 		return Result{}, err
 	}

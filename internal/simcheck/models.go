@@ -11,28 +11,33 @@ import (
 )
 
 // modelSpec adapts one bundled model to the harness: which engines it can
-// build, and how to build an instrumented instance for a cell. Model sizes
+// build, the replay codec its logs and checkpoints use, and how to build an
+// instrumented instance for a cell. Model sizes
 // are fixed small so a full matrix stays in CI territory; the seed is the
 // only knob a cell turns on the workload itself. endTime, when positive,
 // overrides the model's default horizon (the replay shrinker bisects it);
 // models with quantized horizons round it up.
 type modelSpec struct {
 	engines map[EngineKind]bool
+	codec   string
 	build   func(c Cell, endTime core.Time) (*instance, error)
 }
 
 var models = map[string]*modelSpec{
 	"hotpotato": {
 		engines: map[EngineKind]bool{EngSequential: true, EngConservative: true, EngOptimistic: true},
+		codec:   hotpotato.CodecName,
 		build:   buildHotpotato,
 	},
 	"phold": {
 		engines: map[EngineKind]bool{EngSequential: true, EngConservative: true, EngOptimistic: true},
+		codec:   phold.CodecName,
 		build:   buildPHOLD,
 	},
 	// qnet ships no conservative builder, so it sweeps two engines.
 	"qnet": {
 		engines: map[EngineKind]bool{EngSequential: true, EngOptimistic: true},
+		codec:   qnet.CodecName,
 		build:   buildQNet,
 	},
 }

@@ -7,27 +7,16 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/hotpotato"
-	"repro/internal/phold"
-	"repro/internal/qnet"
 	"repro/internal/replay"
 )
-
-// codecNames maps each harness model to its registered replay codec.
-var codecNames = map[string]string{
-	"hotpotato": hotpotato.CodecName,
-	"phold":     phold.CodecName,
-	"qnet":      qnet.CodecName,
-}
 
 // SpecForCell builds the replay spec describing cell c: the complete
 // recipe — model, codec, engine shape, scheduling knobs, seed, fault plan
 // and mutation — for re-recording the cell's run. EndTime is left zero
 // (model default); recording resolves it.
 func SpecForCell(c Cell) replay.Spec {
-	return replay.Spec{
+	spec := replay.Spec{
 		Model:       c.Model,
-		Codec:       codecNames[c.Model],
 		Queue:       c.Queue,
 		Mutation:    string(c.Mutation),
 		PEs:         c.PEs,
@@ -37,6 +26,10 @@ func SpecForCell(c Cell) replay.Spec {
 		Seed:        c.Seed,
 		Faults:      c.Faults,
 	}
+	if ms, ok := models[c.Model]; ok {
+		spec.Codec = ms.codec
+	}
+	return spec
 }
 
 // Runner adapts the harness's model registry to the replay subsystem: it
