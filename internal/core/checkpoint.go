@@ -208,7 +208,7 @@ func (s *Simulator) captureCheckpoint(gvt Time) error {
 
 // RestoreLP reinstates one LP's checkpointed RNG stream and send sequence
 // (the model state itself is restored in place through lp.State by the
-// caller, typically via a replay.StateCodec). Only legal before Run.
+// caller, with its replay.Codec's DecodeState). Only legal before Run.
 func (s *Simulator) RestoreLP(id LPID, state [4]uint64, draws, sendSeq uint64) error {
 	if s.ran {
 		panic("core: RestoreLP after Run")
