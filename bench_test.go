@@ -341,7 +341,7 @@ func BenchmarkSyncEngines(b *testing.B) {
 		ccfg := cfg
 		ccfg.NumPEs = 4
 		for i := 0; i < b.N; i++ {
-			cons, _, err := hotpotato.BuildConservative(ccfg)
+			cons, _, err := hotpotato.BuildEngine(core.KindConservative, ccfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/replay"
 	"repro/internal/simcheck"
@@ -163,7 +164,7 @@ func (h *harness) record(model string, pes, kps int, seed uint64) (*replay.Log, 
 	if err != nil {
 		return nil, fmt.Errorf("recording %s: %w", key, err)
 	}
-	if diffs, err := replay.Replay(simcheck.Runner{}, lg, replay.EngineSequential); err != nil {
+	if diffs, err := replay.Replay(simcheck.Runner{}, lg, core.KindSequential); err != nil {
 		return nil, fmt.Errorf("oracle run for %s: %w", key, err)
 	} else if len(diffs) > 0 {
 		return nil, fmt.Errorf("recording %s diverges from the sequential oracle: %v", key, diffs)
@@ -240,7 +241,7 @@ func (h *harness) kill(lg *replay.Log, name, point string, hit int) bool {
 	how := "resumed"
 	if errors.Is(err, replay.ErrNoCheckpoint) {
 		how = "restarted"
-		diffs, err = replay.Replay(simcheck.Runner{}, lg, replay.EngineOptimistic)
+		diffs, err = replay.Replay(simcheck.Runner{}, lg, core.KindOptimistic)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crashtest: %s: recovery failed: %v\n", name, err)

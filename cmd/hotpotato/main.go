@@ -104,58 +104,46 @@ func main() {
 		}
 	}
 
-	var (
-		totals hotpotato.Totals
-		ks     *core.Stats
-	)
+	kind := core.KindOptimistic
 	if *sequential {
 		if *ckptDir != "" || *resume {
 			fatal(fmt.Errorf("checkpointing is a Time Warp feature; drop -sequential"))
 		}
-		seq, model, err := hotpotato.BuildSequential(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		ks, err = seq.Run()
-		if err != nil {
-			fatal(err)
-		}
-		totals = model.Totals(seq)
-	} else {
-		sim, model, err := hotpotato.Build(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if *resume {
-			if *ckptDir == "" {
-				fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
-			}
-			cp, err := replay.LoadCheckpoint(*ckptDir)
-			if err != nil {
-				fatal(err)
-			}
-			if err := replay.RestoreCheckpoint(cp, sim, nil); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("resumed from checkpoint: gvt=%.2f, %d events already committed\n",
-				float64(cp.GVT), cp.Committed)
-		}
-		if *ckptDir != "" {
-			// The CLI run carries no commit recorder, so its checkpoints omit
-			// the trace digests; state, RNG streams and the event frontier
-			// still travel, which is all a stats run needs to continue.
-			w, err := replay.NewCheckpointWriter(*ckptDir, hotpotato.StateCodecName, hotpotato.CodecName, nil)
-			if err != nil {
-				fatal(err)
-			}
-			sim.SetCheckpoint(w, *ckptN)
-		}
-		ks, err = sim.Run()
-		if err != nil {
-			fatal(err)
-		}
-		totals = model.Totals(sim)
+		kind = core.KindSequential
 	}
+	eng, model, err := hotpotato.BuildEngine(kind, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if *resume {
+		if *ckptDir == "" {
+			fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
+		}
+		cp, err := replay.LoadCheckpoint(*ckptDir)
+		if err != nil {
+			fatal(err)
+		}
+		if err := replay.RestoreCheckpoint(cp, eng.(*core.Simulator), nil); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("resumed from checkpoint: gvt=%.2f, %d events already committed\n",
+			float64(cp.GVT), cp.Committed)
+	}
+	if *ckptDir != "" {
+		// The CLI run carries no commit recorder, so its checkpoints omit
+		// the trace digests; state, RNG streams and the event frontier
+		// still travel, which is all a stats run needs to continue.
+		w, err := replay.NewCheckpointWriter(*ckptDir, hotpotato.StateCodecName, hotpotato.CodecName, nil)
+		if err != nil {
+			fatal(err)
+		}
+		eng.(*core.Simulator).SetCheckpoint(w, *ckptN)
+	}
+	ks, err := eng.Run()
+	if err != nil {
+		fatal(err)
+	}
+	totals := model.Totals(eng)
 
 	fmt.Printf("hot-potato routing: %dx%d %s, policy=%s, %d steps, seed=%d\n",
 		*n, *n, cfg.Topology, policy.Name(), *steps, *seed)

@@ -54,36 +54,20 @@ func main() {
 		MaxOptimism: core.Time(*maxOpt),
 	}
 
-	var (
-		ks    *core.Stats
-		total int64
-		err   error
-	)
+	kind := core.KindOptimistic
 	if *sequential {
-		var seq *core.Sequential
-		var m *phold.Model
-		seq, m, err = phold.BuildSequential(cfg)
-		if err == nil {
-			ks, err = seq.Run()
-			if err == nil {
-				total = m.TotalProcessed(seq)
-			}
-		}
-	} else {
-		var sim *core.Simulator
-		var m *phold.Model
-		sim, m, err = phold.Build(cfg)
-		if err == nil {
-			ks, err = sim.Run()
-			if err == nil {
-				total = m.TotalProcessed(sim)
-			}
-		}
+		kind = core.KindSequential
+	}
+	eng, m, err := phold.BuildEngine(kind, cfg)
+	var ks *core.Stats
+	if err == nil {
+		ks, err = eng.Run()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "phold:", err)
 		os.Exit(1)
 	}
+	total := m.TotalProcessed(eng)
 	fmt.Printf("phold: %d LPs, population %d, remote %.2f, horizon %g\n",
 		*lps, *population, *remote, *end)
 	fmt.Printf("  jobs processed: %d\n", total)

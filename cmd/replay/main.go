@@ -125,12 +125,12 @@ func main() {
 			path, dst, res.FromInjections, res.ToInjections, res.FromEndTime, res.ToEndTime, res.Tests)
 
 	default:
-		var eng replay.Engine
+		var eng core.EngineKind
 		switch *mode {
 		case "verify":
-			eng = replay.EngineOptimistic
+			eng = core.KindOptimistic
 		case "sequential":
-			eng = replay.EngineSequential
+			eng = core.KindSequential
 		default:
 			fatal(fmt.Errorf("unknown -mode %q (verify or sequential)", *mode))
 		}
@@ -143,13 +143,13 @@ func main() {
 			if *ckptDir == "" {
 				fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
 			}
-			if eng != replay.EngineOptimistic {
+			if eng != core.KindOptimistic {
 				fatal(fmt.Errorf("-resume requires -mode verify (the optimistic engine)"))
 			}
 			what = "resume"
 			diffs, err = replay.ResumeVerify(simcheck.Runner{}, lg, *ckptDir)
 		case *ckptDir != "":
-			if eng != replay.EngineOptimistic {
+			if eng != core.KindOptimistic {
 				fatal(fmt.Errorf("-checkpoint-dir requires -mode verify (the optimistic engine)"))
 			}
 			what = "checkpointed verify"

@@ -61,7 +61,7 @@ func main() {
 	if *engines != "" {
 		m.Engines = nil
 		for _, e := range strings.Split(*engines, ",") {
-			m.Engines = append(m.Engines, simcheck.EngineKind(e))
+			m.Engines = append(m.Engines, core.EngineKind(e))
 		}
 	}
 	if *pes != "" {

@@ -1,6 +1,7 @@
 // Determinism demo (the report's Attachment 3): run the same hot-potato
-// configuration on the sequential engine and on the optimistic parallel
-// kernel, and show that every statistic matches exactly.
+// configuration on the sequential engine, the conservative window-
+// synchronous executor and the optimistic parallel kernel, and show that
+// every statistic matches exactly. It exits 1 if the engines disagree.
 //
 // The report's argument (§4.2.1): an optimistic simulator executes events
 // out of order and rolls back, so the only way its results can equal the
@@ -16,65 +17,48 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/hotpotato"
 )
 
 func main() {
-	cfg := hotpotato.DefaultConfig(16)
-	cfg.Steps = 100
-	cfg.Seed = 2002 // the report's year
+	base := hotpotato.DefaultConfig(16)
+	base.Steps = 100
+	base.Seed = 2002 // the report's year
 
-	seq, seqModel, err := hotpotato.BuildSequential(cfg)
-	if err != nil {
-		log.Fatal(err)
+	var totals []hotpotato.Totals
+	for _, kind := range core.EngineKinds() {
+		cfg := base
+		if kind != core.KindSequential {
+			cfg.NumPEs = 4
+		}
+		if kind == core.KindOptimistic {
+			cfg.NumKPs = 64
+			cfg.BatchSize = 8 // small batches provoke more optimism and rollbacks
+			cfg.GVTInterval = 4
+		}
+		eng, model, err := hotpotato.BuildEngine(kind, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ks, err := eng.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s engine (%d PEs, %d rounds, %d events rolled back):\n",
+			kind, ks.NumPEs, ks.GVTRounds, ks.RolledBackEvents)
+		t := model.Totals(eng)
+		fmt.Print(t)
+		fmt.Println()
+		totals = append(totals, t)
 	}
-	if _, err := seq.Run(); err != nil {
-		log.Fatal(err)
-	}
-	seqTotals := seqModel.Totals(seq)
 
-	pcfg := cfg
-	pcfg.NumPEs = 4
-	pcfg.NumKPs = 64
-	pcfg.BatchSize = 8 // small batches provoke more optimism and rollbacks
-	pcfg.GVTInterval = 4
-	sim, parModel, err := hotpotato.Build(pcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ks, err := sim.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	parTotals := parModel.Totals(sim)
-
-	// Third engine: the conservative window-synchronous executor.
-	ccfg := cfg
-	ccfg.NumPEs = 4
-	cons, consModel, err := hotpotato.BuildConservative(ccfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cks, err := cons.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	consTotals := consModel.Totals(cons)
-
-	fmt.Println("sequential engine:")
-	fmt.Print(seqTotals)
-	fmt.Printf("\nparallel Time Warp (%d PEs, %d KPs, %d events rolled back):\n",
-		ks.NumPEs, ks.NumKPs, ks.RolledBackEvents)
-	fmt.Print(parTotals)
-	fmt.Printf("\nconservative engine (%d PEs, %d windows):\n", cks.NumPEs, cks.GVTRounds)
-	fmt.Print(consTotals)
-
-	if seqTotals == parTotals && seqTotals == consTotals {
-		fmt.Println("\nRESULT: every statistic identical across all three engines —")
+	if totals[0] == totals[1] && totals[0] == totals[2] {
+		fmt.Println("RESULT: every statistic identical across all three engines —")
 		fmt.Println("the model is deterministic and repeatable, despite optimistic")
 		fmt.Println("execution with rollbacks on one engine and windowed barriers on another.")
 		return
 	}
-	fmt.Println("\nRESULT: MISMATCH — this should never happen; please file a bug.")
+	fmt.Println("RESULT: MISMATCH — this should never happen; please file a bug.")
 	os.Exit(1)
 }

@@ -230,14 +230,5 @@ func (s *Simulator) RestoreLP(id LPID, state [4]uint64, draws, sendSeq uint64) e
 // where the original run did. Use after DropBootstrap when resuming; do not
 // mix with Schedule, whose events draw from the bootstrap sequence.
 func (s *Simulator) ScheduleRestored(dst LPID, t Time, src LPID, seq uint64, data any) {
-	if s.ran {
-		panic("core: ScheduleRestored after Run")
-	}
-	if t < 0 {
-		panic("core: ScheduleRestored with negative time")
-	}
-	if dst < 0 || int(dst) >= len(s.lps) {
-		panic("core: ScheduleRestored to unknown LP")
-	}
-	s.boot = append(s.boot, s.lps[dst].pool.boot(dst, t, src, seq, data))
+	s.enqueue("ScheduleRestored", dst, t, src, seq, data)
 }

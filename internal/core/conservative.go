@@ -32,13 +32,11 @@ import (
 // cross-LP events are independent, and each PE executes its own LPs'
 // events in the kernel's total order.
 type Conservative struct {
+	lpTable
 	cfg       Config
 	lookahead Time
-	lps       []*LP
 	pes       []*consPE
 	bar       *barrier
-	bootSeq   uint64
-	ran       bool
 
 	windowMins []Time
 	windowEnd  Time // current window [start, end) shared after barrier
@@ -87,50 +85,17 @@ func NewConservative(cfg Config, lookahead Time) (*Conservative, error) {
 	for i := range c.lps {
 		kpID := cfg.KPOfLP(i)
 		peID := cfg.PEOfKP(kpID)
-		lp := &LP{
+		c.lps[i] = &LP{
 			ID:   LPID(i),
 			rng:  newLPStream(cfg.Seed, i),
 			eng:  c.pes[peID],
 			pool: &c.pes[peID].pool,
 			kp:   &KP{id: kpID},
 		}
-		c.lps[i] = lp
 	}
 	c.bar = newBarrier(cfg.NumPEs)
 	c.windowMins = make([]Time, cfg.NumPEs)
 	return c, nil
-}
-
-// NumLPs returns the number of logical processes.
-func (c *Conservative) NumLPs() int { return len(c.lps) }
-
-// LP returns the logical process with the given ID.
-func (c *Conservative) LP(id LPID) *LP { return c.lps[id] }
-
-// ForEachLP applies fn to every LP in ID order.
-func (c *Conservative) ForEachLP(fn func(lp *LP)) {
-	for _, lp := range c.lps {
-		fn(lp)
-	}
-}
-
-// Schedule enqueues a bootstrap event; same semantics as
-// Simulator.Schedule.
-func (c *Conservative) Schedule(dst LPID, t Time, data any) {
-	if c.ran {
-		panic("core: Schedule after Run")
-	}
-	if t < 0 {
-		panic("core: Schedule with negative time")
-	}
-	if dst < 0 || int(dst) >= len(c.lps) {
-		panic("core: Schedule to unknown LP")
-	}
-	pe := c.peOf(dst)
-	ev := pe.pool.boot(dst, t, NoLP, c.bootSeq, data)
-	c.bootSeq++
-	ev.state = statePending
-	pe.pending.Push(ev)
 }
 
 func (c *Conservative) peOf(dst LPID) *consPE {
@@ -160,13 +125,7 @@ func (pe *consPE) scheduleNew(ev *Event) {
 }
 
 // lookup implements engine.
-func (pe *consPE) lookup(id LPID) *LP {
-	c := pe.sim
-	if id < 0 || int(id) >= len(c.lps) {
-		return nil
-	}
-	return c.lps[id]
-}
+func (pe *consPE) lookup(id LPID) *LP { return pe.sim.lookup(id) }
 
 func (c *Conservative) fail(err error) {
 	c.failOnce.Do(func() {
@@ -177,11 +136,11 @@ func (c *Conservative) fail(err error) {
 
 // Run executes windows until the horizon. It may be called once.
 func (c *Conservative) Run() (*Stats, error) {
-	if c.ran {
-		return nil, errors.New("core: Run called twice")
-	}
-	c.ran = true
-	if err := bindHandlers(c.lps); err != nil {
+	err := c.start(func(ev *Event) {
+		ev.state = statePending
+		c.peOf(ev.dst).pending.Push(ev)
+	})
+	if err != nil {
 		return nil, err
 	}
 	start := time.Now()

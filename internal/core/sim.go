@@ -146,6 +146,18 @@ func (cfg *Config) setDefaults() error {
 			}
 		}
 	}
+	// Both engines that place LPs index their tables with these values, so
+	// one range check here serves New and NewConservative.
+	for kp := 0; kp < cfg.NumKPs; kp++ {
+		if pe := cfg.PEOfKP(kp); pe < 0 || pe >= cfg.NumPEs {
+			return fmt.Errorf("core: PEOfKP(%d) = %d out of range", kp, pe)
+		}
+	}
+	for lp := 0; lp < cfg.NumLPs; lp++ {
+		if kp := cfg.KPOfLP(lp); kp < 0 || kp >= cfg.NumKPs {
+			return fmt.Errorf("core: KPOfLP(%d) = %d out of range", lp, kp)
+		}
+	}
 	if cfg.Queue == "" {
 		cfg.Queue = eventq.DefaultKind
 	}
@@ -158,17 +170,6 @@ func (cfg *Config) setDefaults() error {
 		}
 	}
 	return nil
-}
-
-// Host is the setup interface shared by the parallel Simulator and the
-// Sequential reference engine; models install themselves against it so one
-// setup function serves both (which is what makes the sequential-vs-
-// parallel equality tests possible).
-type Host interface {
-	NumLPs() int
-	LP(LPID) *LP
-	ForEachLP(func(*LP))
-	Schedule(dst LPID, t Time, data any)
 }
 
 // Simulator is the optimistic parallel kernel. Build one with New, attach
@@ -184,12 +185,9 @@ type Simulator struct {
 	record     RecordSink
 	sweepEvery int
 
-	lps []*LP
+	lpTable
 	kps []*KP
 	pes []*PE
-
-	boot    []*Event
-	bootSeq uint64
 
 	bar          *barrier
 	gvtDelayed   atomic.Int64
@@ -215,8 +213,6 @@ type Simulator struct {
 
 	failOnce sync.Once
 	failErr  error
-
-	ran bool
 }
 
 // New builds a simulator: LPs, their KP/PE placement, queues and random
@@ -245,20 +241,13 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	for i := range s.kps {
 		peID := cfg.PEOfKP(i)
-		if peID < 0 || peID >= cfg.NumPEs {
-			return nil, fmt.Errorf("core: PEOfKP(%d) = %d out of range", i, peID)
-		}
 		kp := &KP{id: i, pe: s.pes[peID]}
 		s.kps[i] = kp
 		s.pes[peID].kps = append(s.pes[peID].kps, kp)
 	}
 	s.lps = make([]*LP, cfg.NumLPs)
 	for i := range s.lps {
-		kpID := cfg.KPOfLP(i)
-		if kpID < 0 || kpID >= cfg.NumKPs {
-			return nil, fmt.Errorf("core: KPOfLP(%d) = %d out of range", i, kpID)
-		}
-		kp := s.kps[kpID]
+		kp := s.kps[cfg.KPOfLP(i)]
 		lp := &LP{
 			ID:      LPID(i),
 			kp:      kp,
@@ -313,43 +302,12 @@ func newLPStream(seed uint64, lp int) *rng.Stream {
 	return rng.NewStream(streamID(seed, lp))
 }
 
-// NumLPs returns the number of logical processes.
-func (s *Simulator) NumLPs() int { return len(s.lps) }
-
 // NumKPs returns the number of kernel processes after mapping adjustment.
 func (s *Simulator) NumKPs() int { return len(s.kps) }
 
 // NumPEs returns the number of processing elements after mapping
 // adjustment.
 func (s *Simulator) NumPEs() int { return len(s.pes) }
-
-// LP returns the logical process with the given ID.
-func (s *Simulator) LP(id LPID) *LP { return s.lps[id] }
-
-// ForEachLP applies fn to every LP in ID order; the idiomatic place to
-// install handlers and initial state.
-func (s *Simulator) ForEachLP(fn func(lp *LP)) {
-	for _, lp := range s.lps {
-		fn(lp)
-	}
-}
-
-// Schedule enqueues a bootstrap event before the run starts. Bootstrap
-// events have source NoLP and a global sequence, so their order is as
-// deterministic as every other event's.
-func (s *Simulator) Schedule(dst LPID, t Time, data any) {
-	if s.ran {
-		panic("core: Schedule after Run")
-	}
-	if t < 0 {
-		panic("core: Schedule with negative time")
-	}
-	if dst < 0 || int(dst) >= len(s.lps) {
-		panic("core: Schedule to unknown LP")
-	}
-	s.boot = append(s.boot, s.lps[dst].pool.boot(dst, t, NoLP, s.bootSeq, data))
-	s.bootSeq++
-}
 
 // SetRecord attaches a record sink that receives kernel occurrences (mail
 // batches, rollbacks, GVT rounds); see RecordSink. It must be called before
@@ -400,30 +358,6 @@ func (s *Simulator) SetParanoid(sweepEvery int) {
 	}
 }
 
-// ForEachBootstrap visits every bootstrap event scheduled so far, in
-// schedule (sequence) order. The replay subsystem uses it to harvest a
-// model's injections; data is the payload passed to Schedule and must not
-// be mutated.
-func (s *Simulator) ForEachBootstrap(fn func(dst LPID, t Time, data any)) {
-	for _, ev := range s.boot {
-		fn(ev.dst, ev.recvTime, ev.Data)
-	}
-}
-
-// DropBootstrap discards every bootstrap event scheduled so far and resets
-// the bootstrap sequence, so a recorded injection list can be re-scheduled
-// in its place (internal/replay). Only legal before Run.
-func (s *Simulator) DropBootstrap() {
-	if s.ran {
-		panic("core: DropBootstrap after Run")
-	}
-	for _, ev := range s.boot {
-		ev.Data = nil // the slab outlives the drop; do not let it pin payloads
-	}
-	s.boot = nil
-	s.bootSeq = 0
-}
-
 // GVT returns the last computed global virtual time.
 func (s *Simulator) GVT() Time {
 	return Time(math.Float64frombits(s.gvtBits.Load()))
@@ -431,15 +365,6 @@ func (s *Simulator) GVT() Time {
 
 func (s *Simulator) setGVT(t Time) {
 	s.gvtBits.Store(math.Float64bits(float64(t)))
-}
-
-// lookup implements part of the engine interface on the simulator's
-// behalf; PEs delegate to it.
-func (s *Simulator) lookup(id LPID) *LP {
-	if id < 0 || int(id) >= len(s.lps) {
-		return nil
-	}
-	return s.lps[id]
 }
 
 func (s *Simulator) fail(err error) {
@@ -457,17 +382,10 @@ func (s *Simulator) fail(err error) {
 // Run executes the simulation to completion and returns kernel statistics.
 // It may be called once.
 func (s *Simulator) Run() (*Stats, error) {
-	if s.ran {
-		return nil, errors.New("core: Run called twice")
-	}
-	s.ran = true
-	if err := bindHandlers(s.lps); err != nil {
+	err := s.start(func(ev *Event) { s.lps[ev.dst].kp.pe.insert(ev) })
+	if err != nil {
 		return nil, err
 	}
-	for _, ev := range s.boot {
-		s.lps[ev.dst].kp.pe.insert(ev)
-	}
-	s.boot = nil
 
 	start := time.Now()
 	var wg sync.WaitGroup

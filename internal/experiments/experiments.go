@@ -27,9 +27,6 @@ import (
 	"repro/internal/stats"
 )
 
-// coreStats shortens internal signatures that thread kernel statistics.
-type coreStats = core.Stats
-
 // Options scales the sweeps. The zero value gives laptop-quick settings;
 // Full approaches the report's ranges (N up to 256 — 65 536 LPs — which
 // takes serious time and memory).
@@ -79,32 +76,18 @@ func (o Options) networkSizes() []int {
 // loads is the report's injector percentages for Figures 3 and 4.
 var loads = []float64{0, 50, 75, 100}
 
-// runParallel builds and runs one hot-potato configuration on the
-// parallel kernel.
-func runParallel(cfg hotpotato.Config) (hotpotato.Totals, *core.Stats, error) {
-	sim, model, err := hotpotato.Build(cfg)
+// runHotpotato builds and runs one hot-potato configuration on the named
+// engine.
+func runHotpotato(kind core.EngineKind, cfg hotpotato.Config) (hotpotato.Totals, *core.Stats, error) {
+	eng, model, err := hotpotato.BuildEngine(kind, cfg)
 	if err != nil {
 		return hotpotato.Totals{}, nil, err
 	}
-	ks, err := sim.Run()
+	ks, err := eng.Run()
 	if err != nil {
 		return hotpotato.Totals{}, nil, err
 	}
-	return model.Totals(sim), ks, nil
-}
-
-// runSequential builds and runs one hot-potato configuration on the
-// sequential engine.
-func runSequential(cfg hotpotato.Config) (hotpotato.Totals, *core.Stats, error) {
-	seq, model, err := hotpotato.BuildSequential(cfg)
-	if err != nil {
-		return hotpotato.Totals{}, nil, err
-	}
-	ks, err := seq.Run()
-	if err != nil {
-		return hotpotato.Totals{}, nil, err
-	}
-	return model.Totals(seq), ks, nil
+	return model.Totals(eng), ks, nil
 }
 
 // LoadPoint is one (N, load) cell of the Figure 3/4 sweep.
@@ -131,7 +114,7 @@ func DeliverySweep(opt Options) ([]LoadPoint, error) {
 			cfg.Seed = opt.seed()
 			cfg.NumPEs = opt.PEs
 			start := time.Now()
-			totals, _, err := runParallel(cfg)
+			totals, _, err := runHotpotato(core.KindOptimistic, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("N=%d load=%.0f%%: %w", n, load, err)
 			}

@@ -33,7 +33,7 @@ func Determinism(opt Options) (DeterminismResult, error) {
 	cfg.Steps = opt.steps(50)
 	cfg.Seed = opt.seed()
 
-	seqTotals, _, err := runSequential(cfg)
+	seqTotals, _, err := runHotpotato(core.KindSequential, cfg)
 	if err != nil {
 		return DeterminismResult{}, err
 	}
@@ -43,7 +43,7 @@ func Determinism(opt Options) (DeterminismResult, error) {
 		pcfg.NumPEs = 4
 	}
 	pcfg.NumKPs = 16 * pcfg.NumPEs
-	parTotals, _, err := runParallel(pcfg)
+	parTotals, _, err := runHotpotato(core.KindOptimistic, pcfg)
 	if err != nil {
 		return DeterminismResult{}, err
 	}
@@ -87,7 +87,7 @@ func BaselineSweep(opt Options) ([]PolicyPoint, error) {
 			cfg.Seed = opt.seed()
 			cfg.NumPEs = opt.PEs
 			start := time.Now()
-			totals, _, err := runParallel(cfg)
+			totals, _, err := runHotpotato(core.KindOptimistic, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("policy %s N=%d: %w", name, n, err)
 			}
@@ -199,7 +199,7 @@ func TopologySweep(opt Options) ([]TopologyPoint, error) {
 			cfg.Steps = opt.steps(8 * n)
 			cfg.Seed = opt.seed()
 			cfg.NumPEs = opt.PEs
-			totals, _, err := runParallel(cfg)
+			totals, _, err := runHotpotato(core.KindOptimistic, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s N=%d: %w", topo, n, err)
 			}
@@ -263,7 +263,7 @@ func MemorySweep(opt Options) ([]MemoryPoint, error) {
 		cfg.NumPEs = pes
 		cfg.GVTInterval = c.interval
 		cfg.MaxOptimism = core.Time(c.maxOpt)
-		_, ks, err := runParallel(cfg)
+		_, ks, err := runHotpotato(core.KindOptimistic, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("interval=%d: %w", c.interval, err)
 		}
@@ -315,7 +315,7 @@ func HeartbeatAblation(opt Options) ([]HeartbeatPoint, error) {
 		cfg.Seed = opt.seed()
 		cfg.Heartbeat = hb
 		cfg.NumPEs = opt.PEs
-		_, ks, err := runParallel(cfg)
+		_, ks, err := runHotpotato(core.KindOptimistic, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -374,7 +374,7 @@ func TuningSweep(opt Options) ([]TuningPoint, error) {
 		cfg.BatchSize = c.batch
 		cfg.GVTInterval = c.interval
 		cfg.MaxOptimism = core.Time(c.maxOpt)
-		totals, ks, err := runParallel(cfg)
+		totals, ks, err := runHotpotato(core.KindOptimistic, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("batch=%d interval=%d: %w", c.batch, c.interval, err)
 		}

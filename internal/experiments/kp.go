@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hotpotato"
 	"repro/internal/stats"
 )
@@ -56,7 +57,7 @@ func KPSweep(opt Options) ([]KPPoint, error) {
 			cfg.Seed = opt.seed()
 			cfg.NumPEs = pes
 			cfg.NumKPs = kps
-			_, ks, err := runParallel(cfg)
+			_, ks, err := runHotpotato(core.KindOptimistic, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("N=%d KPs=%d: %w", n, kps, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hotpotato"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -43,7 +44,7 @@ func PatternSweep(opt Options) ([]PatternPoint, error) {
 		cfg.Seed = opt.seed()
 		cfg.NumPEs = opt.PEs
 		start := time.Now()
-		totals, _, err := runParallel(cfg)
+		totals, _, err := runHotpotato(core.KindOptimistic, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("pattern %s: %w", name, err)
 		}

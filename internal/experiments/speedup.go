@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hotpotato"
 	"repro/internal/stats"
 )
@@ -33,38 +34,22 @@ func SpeedupSweep(opt Options) ([]SpeedupPoint, error) {
 			cfg.Steps = opt.steps(speedupSteps(n))
 			cfg.Seed = opt.seed()
 			cfg.NumPEs = pes
-			var (
-				p   SpeedupPoint
-				err error
-			)
+			kind := core.KindOptimistic
 			if pes == 1 {
-				p, err = speedupRun(cfg, runSequential)
-			} else {
-				p, err = speedupRun(cfg, runParallel)
+				kind = core.KindSequential
 			}
+			_, ks, err := runHotpotato(kind, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("N=%d PEs=%d: %w", n, pes, err)
 			}
-			p.N, p.PEs = n, pes
+			p := SpeedupPoint{N: n, PEs: pes, EventRate: ks.EventRate,
+				Committed: ks.Committed, Processed: ks.Processed, Wall: ks.Wall}
 			out = append(out, p)
 			opt.progressf("fig5/6: N=%d PEs=%d rate=%.0f ev/s (%v)\n",
 				n, pes, p.EventRate, p.Wall.Round(time.Millisecond))
 		}
 	}
 	return out, nil
-}
-
-func speedupRun(cfg hotpotato.Config, run func(hotpotato.Config) (hotpotato.Totals, *coreStats, error)) (SpeedupPoint, error) {
-	_, ks, err := run(cfg)
-	if err != nil {
-		return SpeedupPoint{}, err
-	}
-	return SpeedupPoint{
-		EventRate: ks.EventRate,
-		Committed: ks.Committed,
-		Processed: ks.Processed,
-		Wall:      ks.Wall,
-	}, nil
 }
 
 // speedupSteps keeps speed-up runs long enough to dominate start-up cost

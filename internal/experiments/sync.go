@@ -13,7 +13,7 @@ import (
 // SyncPoint is one engine measurement in the synchronisation comparison.
 type SyncPoint struct {
 	Workload   string
-	Engine     string // "sequential", "timewarp", "conservative"
+	Engine     core.EngineKind
 	Lookahead  float64
 	EventRate  float64
 	Committed  int64
@@ -38,10 +38,18 @@ func SyncComparison(opt Options) ([]SyncPoint, error) {
 		pes = 4
 	}
 	var out []SyncPoint
-	add := func(p SyncPoint, err error) error {
-		if err != nil {
-			return err
+	// run runs one built engine (err is its build error) and records it.
+	run := func(workload string, lookahead float64, kind core.EngineKind, eng core.Engine, err error) error {
+		var ks *core.Stats
+		if err == nil {
+			ks, err = eng.Run()
 		}
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", workload, kind, err)
+		}
+		p := SyncPoint{Workload: workload, Engine: kind, Lookahead: lookahead,
+			EventRate: ks.EventRate, Committed: ks.Committed, Rounds: ks.GVTRounds,
+			RolledBack: ks.RolledBackEvents, Wall: ks.Wall}
 		out = append(out, p)
 		opt.progressf("sync: %s/%s la=%g rate=%.0f\n", p.Workload, p.Engine, p.Lookahead, p.EventRate)
 		return nil
@@ -51,15 +59,12 @@ func SyncComparison(opt Options) ([]SyncPoint, error) {
 	hp := hotpotato.DefaultConfig(16)
 	hp.Steps = opt.steps(60)
 	hp.Seed = opt.seed()
-
-	if err := add(runSyncHotpotato(hp, "sequential", pes)); err != nil {
-		return nil, err
-	}
-	if err := add(runSyncHotpotato(hp, "timewarp", pes)); err != nil {
-		return nil, err
-	}
-	if err := add(runSyncHotpotato(hp, "conservative", pes)); err != nil {
-		return nil, err
+	hp.NumPEs = pes
+	for _, kind := range []core.EngineKind{core.KindSequential, core.KindOptimistic, core.KindConservative} {
+		eng, _, err := hotpotato.BuildEngine(kind, hp)
+		if err := run("hotpotato-16", float64(hotpotato.Lookahead), kind, eng, err); err != nil {
+			return nil, err
+		}
 	}
 
 	// PHOLD lookahead ladder.
@@ -73,70 +78,14 @@ func SyncComparison(opt Options) ([]SyncPoint, error) {
 			Seed:       opt.seed(),
 			NumPEs:     pes,
 		}
-		if err := add(runSyncPhold(pcfg, "timewarp")); err != nil {
-			return nil, err
-		}
-		if err := add(runSyncPhold(pcfg, "conservative")); err != nil {
-			return nil, err
+		for _, kind := range []core.EngineKind{core.KindOptimistic, core.KindConservative} {
+			eng, _, err := phold.BuildEngine(kind, pcfg)
+			if err := run("phold-1024", la, kind, eng, err); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
-}
-
-func runSyncHotpotato(cfg hotpotato.Config, engine string, pes int) (SyncPoint, error) {
-	p := SyncPoint{Workload: "hotpotato-16", Engine: engine, Lookahead: float64(hotpotato.Lookahead)}
-	var ks *core.Stats
-	var err error
-	switch engine {
-	case "sequential":
-		var seq *core.Sequential
-		seq, _, err = hotpotato.BuildSequential(cfg)
-		if err == nil {
-			ks, err = seq.Run()
-		}
-	case "timewarp":
-		cfg.NumPEs = pes
-		_, ks, err = runParallel(cfg)
-	case "conservative":
-		cfg.NumPEs = pes
-		var cons *core.Conservative
-		cons, _, err = hotpotato.BuildConservative(cfg)
-		if err == nil {
-			ks, err = cons.Run()
-		}
-	}
-	if err != nil {
-		return p, fmt.Errorf("hotpotato/%s: %w", engine, err)
-	}
-	p.EventRate, p.Committed, p.Rounds, p.RolledBack, p.Wall =
-		ks.EventRate, ks.Committed, ks.GVTRounds, ks.RolledBackEvents, ks.Wall
-	return p, nil
-}
-
-func runSyncPhold(cfg phold.Config, engine string) (SyncPoint, error) {
-	p := SyncPoint{Workload: "phold-1024", Engine: engine, Lookahead: cfg.Lookahead}
-	var ks *core.Stats
-	var err error
-	switch engine {
-	case "timewarp":
-		var sim *core.Simulator
-		sim, _, err = phold.Build(cfg)
-		if err == nil {
-			ks, err = sim.Run()
-		}
-	case "conservative":
-		var cons *core.Conservative
-		cons, _, err = phold.BuildConservative(cfg)
-		if err == nil {
-			ks, err = cons.Run()
-		}
-	}
-	if err != nil {
-		return p, fmt.Errorf("phold/%s: %w", engine, err)
-	}
-	p.EventRate, p.Committed, p.Rounds, p.RolledBack, p.Wall =
-		ks.EventRate, ks.Committed, ks.GVTRounds, ks.RolledBackEvents, ks.Wall
-	return p, nil
 }
 
 // SyncTable renders the synchronisation comparison.
@@ -146,7 +95,7 @@ func SyncTable(points []SyncPoint) stats.Table {
 		Header: []string{"workload", "engine", "lookahead", "event rate (ev/s)", "committed", "rounds", "rolled back"},
 	}
 	for _, p := range points {
-		t.AddRow(p.Workload, p.Engine, fmt.Sprintf("%g", p.Lookahead),
+		t.AddRow(p.Workload, string(p.Engine), fmt.Sprintf("%g", p.Lookahead),
 			stats.FormatNumber(p.EventRate), fmt.Sprintf("%d", p.Committed),
 			fmt.Sprintf("%d", p.Rounds), fmt.Sprintf("%d", p.RolledBack))
 	}

@@ -27,7 +27,7 @@ func TestSyncComparison(t *testing.T) {
 				key, p.Lookahead, prev, p.Committed)
 		}
 		committed[key][p.Lookahead] = p.Committed
-		if p.Engine != "timewarp" && p.RolledBack != 0 {
+		if p.Engine != "optimistic" && p.RolledBack != 0 {
 			t.Fatalf("%s engine %s rolled back events", p.Workload, p.Engine)
 		}
 	}

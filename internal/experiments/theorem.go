@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hotpotato"
 	"repro/internal/stats"
 )
@@ -164,7 +165,7 @@ func RateSweep(opt Options) ([]RatePoint, error) {
 		cfg.Steps = opt.steps(8 * n)
 		cfg.Seed = opt.seed()
 		cfg.NumPEs = opt.PEs
-		totals, _, err := runParallel(cfg)
+		totals, _, err := runHotpotato(core.KindOptimistic, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("rate %.2f: %w", rate, err)
 		}

@@ -143,7 +143,7 @@ func TestInjectorQueueTrimmedInPlace(t *testing.T) {
 	cfg.InitialFill = 0
 	cfg.InjectionProb = 0.25
 
-	run := func(h Host, m *Model, run func() (*core.Stats, error)) (Totals, uint64) {
+	run := func(h core.Host, m *Model, run func() (*core.Stats, error)) (Totals, uint64) {
 		t.Helper()
 		if _, err := run(); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,10 @@
 package hotpotato
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 // TestConservativeMatchesSequential: the conservative engine must produce
 // the identical hot-potato history — three engines, one result.
@@ -13,7 +17,7 @@ func TestConservativeMatchesSequential(t *testing.T) {
 	for _, pes := range []int{1, 2, 4} {
 		ccfg := cfg
 		ccfg.NumPEs = pes
-		cons, m, err := BuildConservative(ccfg)
+		cons, m, err := BuildEngine(core.KindConservative, ccfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +43,7 @@ func TestConservativeWindowCount(t *testing.T) {
 	cfg := DefaultConfig(6)
 	cfg.Steps = 20
 	cfg.Seed = 52
-	cons, _, err := BuildConservative(cfg)
+	cons, _, err := BuildEngine(core.KindConservative, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

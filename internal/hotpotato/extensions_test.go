@@ -5,10 +5,12 @@ package hotpotato
 
 import (
 	"testing"
+
+	"repro/internal/core"
 )
 
 // runSeqModel is runSeq but also returning the model for profile access.
-func runSeqModel(t *testing.T, cfg Config) (Totals, *Model, Host) {
+func runSeqModel(t *testing.T, cfg Config) (Totals, *Model, core.Host) {
 	t.Helper()
 	seq, m, err := BuildSequential(cfg)
 	if err != nil {

@@ -223,19 +223,22 @@ func newMsg(lp *core.LP, v Msg) *Msg {
 	return nm
 }
 
-// Host abstracts the two kernel engines (core.Simulator and
-// core.Sequential) for model installation.
-type Host = core.Host
+// Lookahead is the model's minimum send delay in steps: an arrival with
+// the maximum jitter (just under 0.5) routes at least 0.05 steps later;
+// every other edge of the sub-step schedule has more slack. It is what a
+// conservative executor may exploit.
+const Lookahead = core.Time(0.05)
 
-// Build constructs the parallel simulator with the model installed and the
-// initial events scheduled. Run the returned simulator, then read results
-// with model.Totals.
-func Build(cfg Config) (*core.Simulator, *Model, error) {
+// BuildEngine constructs the named engine with the model installed and the
+// initial events scheduled. Run the returned engine, then read results
+// with model.Totals. Every engine gets the same kernel Config; each
+// consults only the fields it needs.
+func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
 	net := cfg.network()
-	kcfg := core.Config{
+	eng, err := core.NewEngine(kind, core.Config{
 		NumLPs:          net.Size(),
 		NumPEs:          cfg.NumPEs,
 		NumKPs:          cfg.NumKPs,
@@ -250,67 +253,34 @@ func Build(cfg Config) (*core.Simulator, *Model, error) {
 		Faults:          cfg.Faults,
 		KPOfLP:          cfg.KPOfLP,
 		PEOfKP:          cfg.PEOfKP,
-	}
-	sim, err := core.New(kcfg)
+	}, Lookahead)
 	if err != nil {
 		return nil, nil, err
 	}
 	m := newModel(cfg, net)
-	m.install(sim)
-	return sim, m, nil
+	m.install(eng)
+	return eng, m, nil
 }
 
-// Lookahead is the model's minimum send delay in steps: an arrival with
-// the maximum jitter (just under 0.5) routes at least 0.05 steps later;
-// every other edge of the sub-step schedule has more slack. It is what a
-// conservative executor may exploit.
-const Lookahead = core.Time(0.05)
-
-// BuildConservative constructs the window-synchronous conservative
-// executor for the same model — the comparison point for the optimistic
-// kernel (see the sync experiment).
-func BuildConservative(cfg Config) (*core.Conservative, *Model, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	net := cfg.network()
-	kcfg := core.Config{
-		NumLPs:  net.Size(),
-		NumPEs:  cfg.NumPEs,
-		NumKPs:  cfg.NumKPs,
-		EndTime: core.Time(cfg.Steps),
-		Queue:   cfg.Queue,
-		Seed:    cfg.Seed,
-	}
-	cons, err := core.NewConservative(kcfg, Lookahead)
+// Build constructs the optimistic parallel simulator (BuildEngine's
+// KindOptimistic, typed).
+func Build(cfg Config) (*core.Simulator, *Model, error) {
+	eng, m, err := BuildEngine(core.KindOptimistic, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := newModel(cfg, net)
-	m.install(cons)
-	return cons, m, nil
+	return eng.(*core.Simulator), m, nil
 }
 
 // BuildSequential constructs the sequential reference simulation with an
-// identical model and identical initial events.
+// identical model and identical initial events (BuildEngine's
+// KindSequential, typed).
 func BuildSequential(cfg Config) (*core.Sequential, *Model, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	net := cfg.network()
-	kcfg := core.Config{
-		NumLPs:  net.Size(),
-		EndTime: core.Time(cfg.Steps),
-		Queue:   cfg.Queue,
-		Seed:    cfg.Seed,
-	}
-	seq, err := core.NewSequential(kcfg)
+	eng, m, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := newModel(cfg, net)
-	m.install(seq)
-	return seq, m, nil
+	return eng.(*core.Sequential), m, nil
 }
 
 func newModel(cfg Config, net topology.Network) *Model {
@@ -339,7 +309,7 @@ func (m *Model) Network() topology.Network { return m.net }
 // bootstrap events: the initial network fill, the first injection attempt
 // at each injector, and optional heartbeats. All setup randomness comes
 // from a dedicated stream so both engines schedule identical bootstraps.
-func (m *Model) install(h Host) {
+func (m *Model) install(h core.Host) {
 	setup := rng.NewStream(m.cfg.Seed ^ 0xD1B54A32D192ED03)
 	injectorThreshold := m.cfg.InjectorPercent / 100
 	m.scratch = make([]lpScratch, m.size)

@@ -36,7 +36,7 @@ func runPar(t *testing.T, cfg Config) (Totals, []RouterStats, *core.Stats) {
 	return m.Totals(sim), snapshot(sim), ks
 }
 
-func snapshot(h Host) []RouterStats {
+func snapshot(h core.Host) []RouterStats {
 	out := make([]RouterStats, h.NumLPs())
 	for i := range out {
 		out[i] = h.LP(core.LPID(i)).State.(*Router).stats

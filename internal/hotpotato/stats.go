@@ -44,7 +44,7 @@ type Totals struct {
 // Totals aggregates every router's statistics from a finished host. It is
 // the model's statistics-collection function: like the report's visitor
 // functor it runs once per LP after the simulation completes.
-func (m *Model) Totals(h Host) Totals {
+func (m *Model) Totals(h core.Host) Totals {
 	var t Totals
 	h.ForEachLP(func(lp *core.LP) {
 		r := lp.State.(*Router)
@@ -108,7 +108,7 @@ type DistPoint struct {
 // DeliveryProfile aggregates the per-distance delivery profile across all
 // routers: the empirical E[delivery | distance] curve, which the SPAA 2001
 // analysis predicts is O(distance) in expectation. Empty bins are omitted.
-func (m *Model) DeliveryProfile(h Host) []DistPoint {
+func (m *Model) DeliveryProfile(h core.Host) []DistPoint {
 	var times, counts [DistBuckets]int64
 	h.ForEachLP(func(lp *core.LP) {
 		s := &lp.State.(*Router).stats
@@ -145,7 +145,7 @@ type TimePoint struct {
 // and mean latency as functions of simulation time. It exposes the
 // warm-up transient (the initial fill draining) and the steady state that
 // the aggregate statistics summarise. Empty bins are omitted.
-func (m *Model) TimeSeries(h Host) []TimePoint {
+func (m *Model) TimeSeries(h core.Host) []TimePoint {
 	var times, counts [TimeBuckets]int64
 	h.ForEachLP(func(lp *core.LP) {
 		s := &lp.State.(*Router).stats

@@ -153,3 +153,11 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }
+
+// TestNoConservativeEngine: pcs declares no lookahead, so building it on
+// the conservative engine is an error, not a run that violates it.
+func TestNoConservativeEngine(t *testing.T) {
+	if _, _, err := BuildEngine(core.KindConservative, Config{N: 4, Channels: 4, EndTime: 10}); err == nil {
+		t.Fatal("conservative pcs accepted")
+	}
+}

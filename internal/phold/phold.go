@@ -80,12 +80,14 @@ type Model struct {
 	cfg Config
 }
 
-// Build constructs the parallel simulator with PHOLD installed.
-func Build(cfg Config) (*core.Simulator, *Model, error) {
+// BuildEngine constructs the named engine with PHOLD installed. The
+// conservative engine's usable lookahead is exactly cfg.Lookahead, so PHOLD
+// is the natural workload for studying conservative lookahead sensitivity.
+func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, nil, err
 	}
-	sim, err := core.New(core.Config{
+	eng, err := core.NewEngine(kind, core.Config{
 		NumLPs:      cfg.NumLPs,
 		NumPEs:      cfg.NumPEs,
 		NumKPs:      cfg.NumKPs,
@@ -96,55 +98,33 @@ func Build(cfg Config) (*core.Simulator, *Model, error) {
 		Seed:        cfg.Seed,
 		MaxOptimism: cfg.MaxOptimism,
 		Faults:      cfg.Faults,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	m := &Model{cfg: cfg}
-	m.install(sim)
-	return sim, m, nil
-}
-
-// BuildConservative constructs the window-synchronous conservative
-// executor; its usable lookahead is exactly cfg.Lookahead, so PHOLD is
-// the natural workload for studying conservative lookahead sensitivity.
-func BuildConservative(cfg Config) (*core.Conservative, *Model, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, nil, err
-	}
-	cons, err := core.NewConservative(core.Config{
-		NumLPs:  cfg.NumLPs,
-		NumPEs:  cfg.NumPEs,
-		NumKPs:  cfg.NumKPs,
-		EndTime: cfg.EndTime,
-		Queue:   cfg.Queue,
-		Seed:    cfg.Seed,
 	}, core.Time(cfg.Lookahead))
 	if err != nil {
 		return nil, nil, err
 	}
 	m := &Model{cfg: cfg}
-	m.install(cons)
-	return cons, m, nil
+	m.install(eng)
+	return eng, m, nil
 }
 
-// BuildSequential constructs the sequential reference run.
-func BuildSequential(cfg Config) (*core.Sequential, *Model, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, nil, err
-	}
-	seq, err := core.NewSequential(core.Config{
-		NumLPs:  cfg.NumLPs,
-		EndTime: cfg.EndTime,
-		Queue:   cfg.Queue,
-		Seed:    cfg.Seed,
-	})
+// Build constructs the optimistic parallel simulator (BuildEngine's
+// KindOptimistic, typed).
+func Build(cfg Config) (*core.Simulator, *Model, error) {
+	eng, m, err := BuildEngine(core.KindOptimistic, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := &Model{cfg: cfg}
-	m.install(seq)
-	return seq, m, nil
+	return eng.(*core.Simulator), m, nil
+}
+
+// BuildSequential constructs the sequential reference run (BuildEngine's
+// KindSequential, typed).
+func BuildSequential(cfg Config) (*core.Sequential, *Model, error) {
+	eng, m, err := BuildEngine(core.KindSequential, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eng.(*core.Sequential), m, nil
 }
 
 func (m *Model) install(h core.Host) {

@@ -96,7 +96,7 @@ func TestConservativeMatchesSequential(t *testing.T) {
 
 	ccfg := cfg
 	ccfg.NumPEs = 4
-	cons, _, err := BuildConservative(ccfg)
+	cons, _, err := BuildEngine(core.KindConservative, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}

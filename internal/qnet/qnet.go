@@ -132,13 +132,15 @@ func newMsg(lp *core.LP, v Msg) *Msg {
 	return nm
 }
 
-// Build constructs the parallel simulator with the model installed.
-func Build(cfg Config) (*core.Simulator, *Model, error) {
+// BuildEngine constructs the named engine with the model installed. The
+// model forwards messages 1e-9 after receipt, so it declares no lookahead
+// and the conservative engine refuses it.
+func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, nil, err
 	}
 	net := topology.NewTorus(cfg.N)
-	sim, err := core.New(core.Config{
+	eng, err := core.NewEngine(kind, core.Config{
 		NumLPs:      net.Size(),
 		NumPEs:      cfg.NumPEs,
 		NumKPs:      cfg.NumKPs,
@@ -149,33 +151,33 @@ func Build(cfg Config) (*core.Simulator, *Model, error) {
 		Seed:        cfg.Seed,
 		MaxOptimism: cfg.MaxOptimism,
 		Faults:      cfg.Faults,
-	})
+	}, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	m := &Model{cfg: cfg, net: net, size: net.Size()}
-	m.install(sim)
-	return sim, m, nil
+	m.install(eng)
+	return eng, m, nil
 }
 
-// BuildSequential constructs the sequential reference run.
-func BuildSequential(cfg Config) (*core.Sequential, *Model, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, nil, err
-	}
-	net := topology.NewTorus(cfg.N)
-	seq, err := core.NewSequential(core.Config{
-		NumLPs:  net.Size(),
-		EndTime: cfg.EndTime,
-		Queue:   cfg.Queue,
-		Seed:    cfg.Seed,
-	})
+// Build constructs the optimistic parallel simulator (BuildEngine's
+// KindOptimistic, typed).
+func Build(cfg Config) (*core.Simulator, *Model, error) {
+	eng, m, err := BuildEngine(core.KindOptimistic, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := &Model{cfg: cfg, net: net, size: net.Size()}
-	m.install(seq)
-	return seq, m, nil
+	return eng.(*core.Simulator), m, nil
+}
+
+// BuildSequential constructs the sequential reference run (BuildEngine's
+// KindSequential, typed).
+func BuildSequential(cfg Config) (*core.Sequential, *Model, error) {
+	eng, m, err := BuildEngine(core.KindSequential, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eng.(*core.Sequential), m, nil
 }
 
 func (m *Model) install(h core.Host) {

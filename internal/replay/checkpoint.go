@@ -628,10 +628,10 @@ func ReplayCheckpointed(r Runner, lg *Log, dir string, every int) ([]string, err
 	if err != nil {
 		return nil, err
 	}
-	out, err := runWith(r, lg.Spec, lg.Inject, EngineOptimistic, func(inst *Instance) error {
-		sim, ok := inst.Host.(*core.Simulator)
+	out, err := runWith(r, lg.Spec, lg.Inject, core.KindOptimistic, func(inst *Instance) error {
+		sim, ok := inst.Engine.(*core.Simulator)
 		if !ok {
-			return fmt.Errorf("replay: %T does not support checkpointing", inst.Host)
+			return fmt.Errorf("replay: %T does not support checkpointing", inst.Engine)
 		}
 		w, err := NewCheckpointWriter(dir, codec.StateName(), codec.Name(), inst.Trace)
 		if err != nil {
@@ -664,21 +664,21 @@ func ResumeVerify(r Runner, lg *Log, dir string) ([]string, error) {
 	if !cp.HasTrace {
 		return nil, errors.New("replay: checkpoint carries no trace digests; cannot verify against a recording")
 	}
-	inst, err := r.Build(lg.Spec, EngineOptimistic, false)
+	inst, err := r.Build(lg.Spec, core.KindOptimistic)
 	if err != nil {
 		return nil, err
 	}
 	if inst.Trace == nil {
 		return nil, errors.New("replay: runner instance has no trace recorder")
 	}
-	sim, ok := inst.Host.(*core.Simulator)
+	sim, ok := inst.Engine.(*core.Simulator)
 	if !ok {
-		return nil, fmt.Errorf("replay: %T does not support resume", inst.Host)
+		return nil, fmt.Errorf("replay: %T does not support resume", inst.Engine)
 	}
 	if err := RestoreCheckpoint(cp, sim, inst.Trace); err != nil {
 		return nil, err
 	}
-	stats, err := inst.Run()
+	stats, err := inst.Engine.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -686,7 +686,7 @@ func ResumeVerify(r Runner, lg *Log, dir string) ([]string, error) {
 		Committed: cp.Committed + stats.Committed,
 		TraceLen:  inst.Trace.Len(),
 		TraceHash: inst.Trace.Hash(),
-		StateHash: trace.StateHash(inst.Host),
+		StateHash: trace.StateHash(inst.Engine),
 	}
 	out := &outcome{Trace: inst.Trace, Final: fp}
 	flg := *lg

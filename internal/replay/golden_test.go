@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/replay"
 	"repro/internal/simcheck"
 )
@@ -56,7 +57,7 @@ func TestGoldenFixtures(t *testing.T) {
 		if len(lg.Inject) == 0 || len(lg.Rounds) == 0 {
 			t.Fatalf("%s: empty fixture (%d injections, %d rounds)", path, len(lg.Inject), len(lg.Rounds))
 		}
-		for _, eng := range []replay.Engine{replay.EngineOptimistic, replay.EngineSequential} {
+		for _, eng := range []core.EngineKind{core.KindOptimistic, core.KindSequential} {
 			diffs, err := replay.Replay(simcheck.Runner{}, lg, eng)
 			if err != nil {
 				t.Fatalf("%s: %s replay: %v", name, eng, err)

@@ -8,48 +8,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine selects how a log is re-executed.
-type Engine string
-
-// The replayable engines. Verify mode re-runs the optimistic kernel;
-// sequential mode is the oracle the differential harness compares against.
-const (
-	EngineOptimistic Engine = "optimistic"
-	EngineSequential Engine = "sequential"
-)
-
 // Instance is one built simulation handed to the replay driver by a
-// Runner: the host for scheduling and state hashing, the run entry point,
-// the commit-time trace recorder the driver fingerprints, and the
-// bootstrap/record access points the driver needs.
+// Runner: the engine, with the model installed and its own bootstrap
+// events scheduled, and the commit-time trace recorder the driver
+// fingerprints.
 type Instance struct {
-	Host core.Host
-	Run  func() (*core.Stats, error)
+	Engine core.Engine
 	// Trace receives every committed event; must be unbounded so the
 	// fingerprints cover the whole run.
-	Trace  *trace.Recorder
-	NumLPs int
-	// NumPEs is the engine's processing-element count after any topology
-	// re-clamping (1 for sequential).
-	NumPEs int
+	Trace *trace.Recorder
 	// EndTime is the resolved virtual-time horizon (models may quantize a
 	// requested horizon, e.g. hot-potato's integer steps).
 	EndTime core.Time
-	// Bootstrap visits the model's own bootstrap injections in schedule
-	// order; used once, at record time, to harvest them.
-	Bootstrap func(fn func(dst core.LPID, t core.Time, data any))
-	// SetRecord attaches a kernel record sink; nil for engines that cannot
-	// record (sequential).
-	SetRecord func(core.RecordSink)
 }
 
-// Runner rebuilds a simulation from a Spec. bootstrap=false builds with
-// the model's own bootstrap events dropped, so the driver can schedule a
-// recorded injection list in their place; everything else (handlers,
-// state, RNG streams) must be identical either way. internal/simcheck
-// provides the Runner for the bundled models.
+// Runner rebuilds a simulation from a Spec on the named engine, model
+// bootstrap included; the driver harvests that bootstrap (Record) or drops
+// it to schedule a recorded injection list in its place. Verify mode
+// re-runs the optimistic kernel; the sequential engine is the oracle the
+// differential harness compares against. internal/simcheck provides the
+// Runner for the bundled models.
 type Runner interface {
-	Build(spec Spec, eng Engine, bootstrap bool) (*Instance, error)
+	Build(spec Spec, eng core.EngineKind) (*Instance, error)
 }
 
 // Record builds spec's model once to harvest its bootstrap injections,
@@ -57,12 +37,9 @@ type Runner interface {
 // Using the same injection-driven path as Replay (rather than a special
 // record-time path) means record and replay cannot drift apart.
 func Record(r Runner, spec Spec) (*Log, error) {
-	inst, err := r.Build(spec, EngineOptimistic, true)
+	inst, err := r.Build(spec, core.KindOptimistic)
 	if err != nil {
 		return nil, err
-	}
-	if inst.Bootstrap == nil {
-		return nil, errors.New("replay: runner instance exposes no bootstrap events")
 	}
 	codec, err := CodecFor(spec.Codec)
 	if err != nil {
@@ -70,7 +47,7 @@ func Record(r Runner, spec Spec) (*Log, error) {
 	}
 	var inj []Injection
 	var encErr error
-	inst.Bootstrap(func(dst core.LPID, t core.Time, data any) {
+	inst.Engine.ForEachBootstrap(func(dst core.LPID, t core.Time, data any) {
 		if encErr != nil {
 			return
 		}
@@ -85,7 +62,7 @@ func Record(r Runner, spec Spec) (*Log, error) {
 		return nil, encErr
 	}
 	spec.EndTime = inst.EndTime
-	out, err := run(r, spec, inj, EngineOptimistic)
+	out, err := run(r, spec, inj, core.KindOptimistic)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +76,7 @@ func Record(r Runner, spec Spec) (*Log, error) {
 // against the recording. It returns the mismatches (empty means the run
 // reproduced the recording exactly); err covers runs that could not be
 // built or crashed.
-func Replay(r Runner, lg *Log, eng Engine) ([]string, error) {
+func Replay(r Runner, lg *Log, eng core.EngineKind) ([]string, error) {
 	out, err := run(r, lg.Spec, lg.Inject, eng)
 	if err != nil {
 		return nil, err
@@ -115,9 +92,9 @@ type outcome struct {
 	Recorded *Log
 }
 
-// run builds spec without model bootstrap, schedules the injections, runs,
+// run builds spec, drops the model's bootstrap, schedules the injections, runs,
 // and fingerprints the result.
-func run(r Runner, spec Spec, inj []Injection, eng Engine) (*outcome, error) {
+func run(r Runner, spec Spec, inj []Injection, eng core.EngineKind) (*outcome, error) {
 	return runWith(r, spec, inj, eng, nil)
 }
 
@@ -125,11 +102,12 @@ func run(r Runner, spec Spec, inj []Injection, eng Engine) (*outcome, error) {
 // instance after injections are scheduled and the record sink is attached,
 // immediately before Run — the seam the checkpointing driver uses to arm
 // its writer.
-func runWith(r Runner, spec Spec, inj []Injection, eng Engine, setup func(*Instance) error) (*outcome, error) {
-	inst, err := r.Build(spec, eng, false)
+func runWith(r Runner, spec Spec, inj []Injection, eng core.EngineKind, setup func(*Instance) error) (*outcome, error) {
+	inst, err := r.Build(spec, eng)
 	if err != nil {
 		return nil, err
 	}
+	inst.Engine.DropBootstrap()
 	if inst.Trace == nil {
 		return nil, errors.New("replay: runner instance has no trace recorder")
 	}
@@ -143,8 +121,8 @@ func runWith(r Runner, spec Spec, inj []Injection, eng Engine, setup func(*Insta
 		return nil, err
 	}
 	for i, in := range inj {
-		if in.Dst < 0 || int(in.Dst) >= inst.NumLPs {
-			return nil, fmt.Errorf("replay: injection %d targets LP %d, model has %d", i, in.Dst, inst.NumLPs)
+		if in.Dst < 0 || int(in.Dst) >= inst.Engine.NumLPs() {
+			return nil, fmt.Errorf("replay: injection %d targets LP %d, model has %d", i, in.Dst, inst.Engine.NumLPs())
 		}
 		if !(in.T >= 0) {
 			return nil, fmt.Errorf("replay: injection %d has invalid time %v", i, in.T)
@@ -153,19 +131,19 @@ func runWith(r Runner, spec Spec, inj []Injection, eng Engine, setup func(*Insta
 		if err != nil {
 			return nil, fmt.Errorf("replay: decoding injection %d: %w", i, err)
 		}
-		inst.Host.Schedule(in.Dst, in.T, data)
+		inst.Engine.Schedule(in.Dst, in.T, data)
 	}
 	var rec *Recorder
-	if eng == EngineOptimistic && inst.SetRecord != nil {
-		rec = NewRecorder(inst.NumPEs)
-		inst.SetRecord(rec)
+	if sim, ok := inst.Engine.(*core.Simulator); ok {
+		rec = NewRecorder(sim.NumPEs())
+		sim.SetRecord(rec)
 	}
 	if setup != nil {
 		if err := setup(inst); err != nil {
 			return nil, err
 		}
 	}
-	stats, err := inst.Run()
+	stats, err := inst.Engine.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +151,7 @@ func runWith(r Runner, spec Spec, inj []Injection, eng Engine, setup func(*Insta
 		Committed: stats.Committed,
 		TraceLen:  inst.Trace.Len(),
 		TraceHash: inst.Trace.Hash(),
-		StateHash: trace.StateHash(inst.Host),
+		StateHash: trace.StateHash(inst.Engine),
 	}
 	out := &outcome{Trace: inst.Trace, Final: fp}
 	if rec != nil {

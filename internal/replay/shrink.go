@@ -11,7 +11,7 @@ import (
 type ShrinkResult struct {
 	// Log is the minimal failing recording — the optimistic run of the
 	// reduced injection set, re-recorded during the last failing test, so
-	// replaying it under EngineSequential still exhibits the divergence.
+	// replaying it under core.KindSequential still exhibits the divergence.
 	Log *Log
 	// Tests is the number of differential tests the shrinker ran (each is
 	// one sequential plus one optimistic run).
@@ -51,14 +51,14 @@ func Shrink(r Runner, lg *Log, logf func(format string, args ...any)) (*ShrinkRe
 		res.Tests++
 		spec := lg.Spec
 		spec.EndTime = end
-		seq, err := run(r, spec, inj, EngineSequential)
+		seq, err := run(r, spec, inj, core.KindSequential)
 		if err != nil {
 			// A candidate that cannot run is not a smaller repro of a
 			// divergence; skip it rather than chase build errors.
 			lastErr = err
 			return false
 		}
-		opt, err := run(r, spec, inj, EngineOptimistic)
+		opt, err := run(r, spec, inj, core.KindOptimistic)
 		if err != nil {
 			lastErr = err
 			return false

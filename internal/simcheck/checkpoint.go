@@ -32,7 +32,7 @@ const CheckpointEvery = 32
 // that is the crash-recovery claim in miniature, and the soak harness holds
 // 1-in-N episodes to it.
 func RunCellResumed(c Cell, dir string, every int) (Result, error) {
-	if c.Engine != EngOptimistic {
+	if c.Engine != core.KindOptimistic {
 		return Result{}, fmt.Errorf("simcheck: resume requires the optimistic engine, not %q", c.Engine)
 	}
 	if every <= 0 {
@@ -47,10 +47,7 @@ func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sim, ok := inst.host.(*core.Simulator)
-	if !ok {
-		return Result{}, fmt.Errorf("simcheck: %T cannot checkpoint", inst.host)
-	}
+	sim := inst.eng.(*core.Simulator)
 	codec, err := replay.CodecFor(spec.codec)
 	if err != nil {
 		return Result{}, err
@@ -60,7 +57,7 @@ func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 		return Result{}, err
 	}
 	sim.SetCheckpoint(w, every)
-	stats1, err := inst.run()
+	stats1, err := inst.eng.Run()
 	if err != nil {
 		return Result{}, err
 	}
@@ -82,14 +79,10 @@ func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sim2, ok := inst2.host.(*core.Simulator)
-	if !ok {
-		return Result{}, fmt.Errorf("simcheck: %T cannot resume", inst2.host)
-	}
-	if err := replay.RestoreCheckpoint(cp, sim2, inst2.rec); err != nil {
+	if err := replay.RestoreCheckpoint(cp, inst2.eng.(*core.Simulator), inst2.rec); err != nil {
 		return Result{}, err
 	}
-	stats, err := inst2.run()
+	stats, err := inst2.eng.Run()
 	if err != nil {
 		return Result{}, err
 	}

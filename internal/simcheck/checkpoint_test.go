@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/replay"
 )
 
@@ -16,13 +17,13 @@ func TestRunCellResumedMatchesSequential(t *testing.T) {
 	for _, model := range ModelNames() {
 		t.Run(model, func(t *testing.T) {
 			t.Parallel()
-			refCell := Cell{Model: model, Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 42}
+			refCell := Cell{Model: model, Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 42}
 			ref, err := RunCell(refCell)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
 			c := Cell{
-				Model: model, Engine: EngOptimistic,
+				Model: model, Engine: core.KindOptimistic,
 				PEs: 4, KPs: 8, Queue: "heap", Seed: 42,
 			}
 			dir := t.TempDir()
@@ -58,13 +59,13 @@ func TestRunCellResumedMatchesSequential(t *testing.T) {
 // run: forced rollbacks and shuffled delivery must not leak into what a
 // checkpoint captures.
 func TestRunCellResumedUnderFaults(t *testing.T) {
-	refCell := Cell{Model: "hotpotato", Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 7}
+	refCell := Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 7}
 	ref, err := RunCell(refCell)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	c := Cell{
-		Model: "hotpotato", Engine: EngOptimistic,
+		Model: "hotpotato", Engine: core.KindOptimistic,
 		PEs: 4, KPs: 8, Queue: "heap", Seed: 7,
 		Faults: DefaultFaults(),
 	}
@@ -82,11 +83,11 @@ func TestRunCellResumedUnderFaults(t *testing.T) {
 // GVTDelay fault) leaves an empty directory. That is "nothing to resume",
 // not a failure: the uninterrupted run is held to the oracle instead.
 func TestRunCellResumedNothingDue(t *testing.T) {
-	ref, err := RunCell(Cell{Model: "qnet", Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 3})
+	ref, err := RunCell(Cell{Model: "qnet", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 3})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	c := Cell{Model: "qnet", Engine: EngOptimistic, PEs: 1, KPs: 2, Queue: "heap", Seed: 3, Faults: DefaultFaults()}
+	c := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Queue: "heap", Seed: 3, Faults: DefaultFaults()}
 	dir := t.TempDir()
 	res, err := RunCellResumed(c, dir, 1<<30)
 	if err != nil {

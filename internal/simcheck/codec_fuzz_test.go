@@ -39,13 +39,13 @@ func FuzzModelCodecs(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		inst, err := models[name].build(Cell{Model: name, Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 1}, 0)
+		inst, err := models[name].build(Cell{Model: name, Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 1}, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
 		var first any
 		seen := false
-		inst.host.(*core.Sequential).ForEachBootstrap(func(_ core.LPID, _ core.Time, data any) {
+		inst.eng.ForEachBootstrap(func(_ core.LPID, _ core.Time, data any) {
 			if !seen {
 				first, seen = data, true
 			}
@@ -54,10 +54,10 @@ func FuzzModelCodecs(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if _, err := inst.run(); err != nil {
+		if _, err := inst.eng.Run(); err != nil {
 			f.Fatal(err)
 		}
-		tg := target{name: name, codec: codec, host: lp0{inst.host}, state: inst.host.LP(0).State}
+		tg := target{name: name, codec: codec, host: lp0{inst.eng}, state: inst.eng.LP(0).State}
 		state, err := codec.EncodeState(nil, tg.state)
 		if err != nil {
 			f.Fatal(err)

@@ -1,6 +1,10 @@
 package simcheck
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 // TestMemoryBoundDifferential is the pressure valve's differential gate:
 // a PHOLD cell run with the per-PE live-event budget squeezed to at most
@@ -15,7 +19,7 @@ import "testing"
 // not.
 func TestMemoryBoundDifferential(t *testing.T) {
 	const budget = 8
-	base := Cell{Model: "phold", Engine: EngOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 42}
+	base := Cell{Model: "phold", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 42}
 	free, err := RunCell(base)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +68,7 @@ func TestMemoryBoundSweepInMatrix(t *testing.T) {
 		spec := models[model]
 		for _, c := range m.cells(model, m.Seeds[0], spec) {
 			if c.MaxLive > 0 {
-				if c.Engine != EngOptimistic {
+				if c.Engine != core.KindOptimistic {
 					t.Fatalf("bounded cell on non-optimistic engine: %s", c)
 				}
 				found = true

@@ -18,25 +18,25 @@ import (
 // overrides the model's default horizon (the replay shrinker bisects it);
 // models with quantized horizons round it up.
 type modelSpec struct {
-	engines map[EngineKind]bool
+	engines map[core.EngineKind]bool
 	codec   string
 	build   func(c Cell, endTime core.Time) (*instance, error)
 }
 
 var models = map[string]*modelSpec{
 	"hotpotato": {
-		engines: map[EngineKind]bool{EngSequential: true, EngConservative: true, EngOptimistic: true},
+		engines: map[core.EngineKind]bool{core.KindSequential: true, core.KindConservative: true, core.KindOptimistic: true},
 		codec:   hotpotato.CodecName,
 		build:   buildHotpotato,
 	},
 	"phold": {
-		engines: map[EngineKind]bool{EngSequential: true, EngConservative: true, EngOptimistic: true},
+		engines: map[core.EngineKind]bool{core.KindSequential: true, core.KindConservative: true, core.KindOptimistic: true},
 		codec:   phold.CodecName,
 		build:   buildPHOLD,
 	},
-	// qnet ships no conservative builder, so it sweeps two engines.
+	// qnet declares no lookahead, so it sweeps two engines.
 	"qnet": {
-		engines: map[EngineKind]bool{EngSequential: true, EngOptimistic: true},
+		engines: map[core.EngineKind]bool{core.KindSequential: true, core.KindOptimistic: true},
 		codec:   qnet.CodecName,
 		build:   buildQNet,
 	},
@@ -74,42 +74,12 @@ func buildHotpotato(c Cell, endTime core.Time) (*instance, error) {
 			cfg.Steps = 1
 		}
 	}
-	var (
-		host core.Host
-		run  func() (*core.Stats, error)
-		m    *hotpotato.Model
-		err  error
-	)
-	switch c.Engine {
-	case EngSequential:
-		var e *core.Sequential
-		if e, m, err = hotpotato.BuildSequential(cfg); err == nil {
-			host, run = e, e.Run
-		}
-	case EngConservative:
-		var e *core.Conservative
-		if e, m, err = hotpotato.BuildConservative(cfg); err == nil {
-			host, run = e, e.Run
-		}
-	case EngOptimistic:
-		var e *core.Simulator
-		if e, m, err = hotpotato.Build(cfg); err == nil {
-			host, run = e, e.Run
-		}
-	default:
-		err = fmt.Errorf("simcheck: unknown engine %q", c.Engine)
-	}
+	eng, m, err := hotpotato.BuildEngine(c.Engine, cfg)
 	if err != nil {
 		return nil, err
 	}
-	inst := &instance{
-		host: host, run: run, numLPs: host.NumLPs(),
-		endTime:  core.Time(cfg.Steps),
-		summary:  func() string { return m.Totals(host).String() },
-		describe: describeHotpotato,
-	}
-	inst.instrument(c)
-	return inst, nil
+	summary := func() string { return m.Totals(eng).String() }
+	return newInstance(c, eng, core.Time(cfg.Steps), summary, describeHotpotato), nil
 }
 
 // describeHotpotato renders the semantic payload — event kind plus the
@@ -143,41 +113,12 @@ func buildPHOLD(c Cell, endTime core.Time) (*instance, error) {
 	if endTime > 0 {
 		cfg.EndTime = endTime
 	}
-	var (
-		host core.Host
-		run  func() (*core.Stats, error)
-		m    *phold.Model
-		err  error
-	)
-	switch c.Engine {
-	case EngSequential:
-		var e *core.Sequential
-		if e, m, err = phold.BuildSequential(cfg); err == nil {
-			host, run = e, e.Run
-		}
-	case EngConservative:
-		var e *core.Conservative
-		if e, m, err = phold.BuildConservative(cfg); err == nil {
-			host, run = e, e.Run
-		}
-	case EngOptimistic:
-		var e *core.Simulator
-		if e, m, err = phold.Build(cfg); err == nil {
-			host, run = e, e.Run
-		}
-	default:
-		err = fmt.Errorf("simcheck: unknown engine %q", c.Engine)
-	}
+	eng, m, err := phold.BuildEngine(c.Engine, cfg)
 	if err != nil {
 		return nil, err
 	}
-	inst := &instance{
-		host: host, run: run, numLPs: host.NumLPs(),
-		endTime: cfg.EndTime,
-		summary: func() string { return fmt.Sprintf("phold: %d jobs processed", m.TotalProcessed(host)) },
-	}
-	inst.instrument(c)
-	return inst, nil
+	summary := func() string { return fmt.Sprintf("phold: %d jobs processed", m.TotalProcessed(eng)) }
+	return newInstance(c, eng, cfg.EndTime, summary, nil), nil
 }
 
 func buildQNet(c Cell, endTime core.Time) (*instance, error) {
@@ -197,34 +138,10 @@ func buildQNet(c Cell, endTime core.Time) (*instance, error) {
 	if endTime > 0 {
 		cfg.EndTime = endTime
 	}
-	var (
-		host core.Host
-		run  func() (*core.Stats, error)
-		m    *qnet.Model
-		err  error
-	)
-	switch c.Engine {
-	case EngSequential:
-		var e *core.Sequential
-		if e, m, err = qnet.BuildSequential(cfg); err == nil {
-			host, run = e, e.Run
-		}
-	case EngOptimistic:
-		var e *core.Simulator
-		if e, m, err = qnet.Build(cfg); err == nil {
-			host, run = e, e.Run
-		}
-	default:
-		err = fmt.Errorf("simcheck: engine %q not supported by qnet", c.Engine)
-	}
+	eng, m, err := qnet.BuildEngine(c.Engine, cfg)
 	if err != nil {
 		return nil, err
 	}
-	inst := &instance{
-		host: host, run: run, numLPs: host.NumLPs(),
-		endTime: cfg.EndTime,
-		summary: func() string { return m.Totals(host, cfg.EndTime).String() },
-	}
-	inst.instrument(c)
-	return inst, nil
+	summary := func() string { return m.Totals(eng, cfg.EndTime).String() }
+	return newInstance(c, eng, cfg.EndTime, summary, nil), nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis/driver"
+	"repro/internal/core"
 )
 
 // lintSelf runs the simlint driver over this package and returns every
@@ -70,7 +71,7 @@ func TestMutationPublishOrderDetected(t *testing.T) {
 func TestMutationOwnershipRunsClean(t *testing.T) {
 	rep := Run(Matrix{
 		Models:   []string{"phold"},
-		Engines:  []EngineKind{EngOptimistic},
+		Engines:  []core.EngineKind{core.KindOptimistic},
 		PEs:      []int{2},
 		KPs:      []int{8},
 		Queues:   []string{"heap"},

@@ -29,7 +29,7 @@ func TestPairwiseFaultComposition(t *testing.T) {
 
 	refs := make(map[string]Result)
 	for _, model := range modelNames {
-		ref, err := RunCell(Cell{Model: model, Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: seed})
+		ref, err := RunCell(Cell{Model: model, Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestPairwiseFaultComposition(t *testing.T) {
 				inj[i].Arm(f, 1)
 				inj[j].Arm(f, 1)
 				c := Cell{
-					Model: model, Engine: EngOptimistic,
+					Model: model, Engine: core.KindOptimistic,
 					PEs: 2, KPs: 8, Queue: "heap", Seed: seed,
 					Faults: f, Paranoid: true,
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -39,71 +40,34 @@ func SpecForCell(c Cell) replay.Spec {
 type Runner struct{}
 
 // Build implements replay.Runner.
-func (Runner) Build(spec replay.Spec, eng replay.Engine, bootstrap bool) (*replay.Instance, error) {
+func (Runner) Build(spec replay.Spec, eng core.EngineKind) (*replay.Instance, error) {
 	c := Cell{
-		Model: spec.Model,
-		PEs:   spec.PEs,
-		KPs:   spec.KPs,
-		Queue: spec.Queue,
-		Seed:  spec.Seed,
+		Model:  spec.Model,
+		Engine: eng,
+		PEs:    spec.PEs,
+		KPs:    spec.KPs,
+		Queue:  spec.Queue,
+		Seed:   spec.Seed,
 	}
-	switch eng {
-	case replay.EngineSequential:
-		c.Engine = EngSequential
-	case replay.EngineOptimistic:
-		c.Engine = EngOptimistic
+	if eng == core.KindOptimistic {
 		c.Faults = spec.Faults
 		c.Mutation = Mutation(spec.Mutation)
-		if c.Mutation != MutNone {
-			known := false
-			for _, m := range Mutations() {
-				if m == c.Mutation {
-					known = true
-				}
-			}
-			if !known {
-				return nil, fmt.Errorf("simcheck: unknown mutation %q (have %v)", spec.Mutation, Mutations())
-			}
+		if c.Mutation != MutNone && !slices.Contains(Mutations(), c.Mutation) {
+			return nil, fmt.Errorf("simcheck: unknown mutation %q (have %v)", spec.Mutation, Mutations())
 		}
-	default:
-		return nil, fmt.Errorf("simcheck: replay engine %q not supported", eng)
 	}
 	ms, ok := models[spec.Model]
 	if !ok {
 		return nil, fmt.Errorf("simcheck: unknown model %q (have %v)", spec.Model, ModelNames())
 	}
-	if !ms.engines[c.Engine] {
-		return nil, fmt.Errorf("simcheck: model %q does not support engine %q", spec.Model, c.Engine)
+	if !ms.engines[eng] {
+		return nil, fmt.Errorf("simcheck: model %q does not support engine %q", spec.Model, eng)
 	}
 	inst, err := ms.build(c, spec.EndTime)
 	if err != nil {
 		return nil, err
 	}
-	ri := &replay.Instance{
-		Host:    inst.host,
-		Run:     inst.run,
-		Trace:   inst.rec,
-		NumLPs:  inst.numLPs,
-		NumPEs:  1,
-		EndTime: inst.endTime,
-	}
-	switch h := inst.host.(type) {
-	case *core.Simulator:
-		ri.NumPEs = h.NumPEs()
-		ri.Bootstrap = h.ForEachBootstrap
-		ri.SetRecord = h.SetRecord
-		if !bootstrap {
-			h.DropBootstrap()
-		}
-	case *core.Sequential:
-		ri.Bootstrap = h.ForEachBootstrap
-		if !bootstrap {
-			h.DropBootstrap()
-		}
-	default:
-		return nil, fmt.Errorf("simcheck: engine %q host cannot replay", c.Engine)
-	}
-	return ri, nil
+	return &replay.Instance{Engine: inst.eng, Trace: inst.rec, EndTime: inst.endTime}, nil
 }
 
 // AutoRecord re-records a diverging optimistic cell through the replay

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/replay"
 )
 
@@ -20,7 +21,7 @@ func TestAutoRecordShrinksMutation(t *testing.T) {
 	dir := t.TempDir()
 	rep := Run(Matrix{
 		Models:     []string{"phold"},
-		Engines:    []EngineKind{EngSequential, EngOptimistic},
+		Engines:    []core.EngineKind{core.KindSequential, core.KindOptimistic},
 		PEs:        []int{2},
 		KPs:        []int{8},
 		Queues:     []string{"heap"},
@@ -60,7 +61,7 @@ func TestAutoRecordShrinksMutation(t *testing.T) {
 
 	// The minimal log must still fail: the clean sequential oracle replay
 	// of the same injections cannot reproduce the mutated recording.
-	diffs, err := replay.Replay(Runner{}, lg, replay.EngineSequential)
+	diffs, err := replay.Replay(Runner{}, lg, core.KindSequential)
 	if err != nil {
 		t.Fatalf("sequential replay of shrunken log errored: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestAutoRecordShrinksMutation(t *testing.T) {
 // miniature (the golden-fixture test covers the cross-session variant).
 func TestRecordVerifyCleanCell(t *testing.T) {
 	spec := SpecForCell(Cell{
-		Model: "hotpotato", Engine: EngOptimistic,
+		Model: "hotpotato", Engine: core.KindOptimistic,
 		PEs: 2, KPs: 8, Queue: "heap", Seed: 7,
 	})
 	lg, err := replay.Record(Runner{}, spec)
@@ -88,7 +89,7 @@ func TestRecordVerifyCleanCell(t *testing.T) {
 	if len(lg.Rounds) == 0 {
 		t.Fatal("recording captured no GVT rounds")
 	}
-	for _, eng := range []replay.Engine{replay.EngineOptimistic, replay.EngineSequential} {
+	for _, eng := range []core.EngineKind{core.KindOptimistic, core.KindSequential} {
 		diffs, err := replay.Replay(Runner{}, lg, eng)
 		if err != nil {
 			t.Fatalf("%s replay: %v", eng, err)
@@ -103,13 +104,13 @@ func TestRecordVerifyCleanCell(t *testing.T) {
 // half-configured cell, when a log names a model or mutation this build
 // does not know (e.g. an artifact from a newer tree).
 func TestRunnerRejectsUnknownSpecs(t *testing.T) {
-	if _, err := (Runner{}).Build(replay.Spec{Model: "nonesuch", PEs: 1, KPs: 1, Queue: "heap"}, replay.EngineSequential, false); err == nil {
+	if _, err := (Runner{}).Build(replay.Spec{Model: "nonesuch", PEs: 1, KPs: 1, Queue: "heap"}, core.KindSequential); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := (Runner{}).Build(replay.Spec{Model: "phold", Mutation: "nonesuch", PEs: 2, KPs: 8, Queue: "heap"}, replay.EngineOptimistic, false); err == nil {
+	if _, err := (Runner{}).Build(replay.Spec{Model: "phold", Mutation: "nonesuch", PEs: 2, KPs: 8, Queue: "heap"}, core.KindOptimistic); err == nil {
 		t.Error("unknown mutation accepted")
 	}
-	if _, err := (Runner{}).Build(SpecForCell(Cell{Model: "qnet", PEs: 2, KPs: 6, Queue: "heap"}), "conservative", false); err == nil {
+	if _, err := (Runner{}).Build(SpecForCell(Cell{Model: "qnet", PEs: 2, KPs: 6, Queue: "heap"}), "conservative"); err == nil {
 		t.Error("unsupported replay engine accepted")
 	}
 }

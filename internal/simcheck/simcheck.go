@@ -30,27 +30,12 @@ import (
 	"repro/internal/trace"
 )
 
-// EngineKind names one of the three execution engines.
-type EngineKind string
-
-// The engines the harness can drive.
-const (
-	EngSequential   EngineKind = "sequential"
-	EngConservative EngineKind = "conservative"
-	EngOptimistic   EngineKind = "optimistic"
-)
-
-// Engines lists all engine kinds in reference-first order.
-func Engines() []EngineKind {
-	return []EngineKind{EngSequential, EngConservative, EngOptimistic}
-}
-
 // Cell is one point of the differential matrix: everything needed to build
 // and run a simulation, and therefore everything needed to reproduce a
 // failure. Its String form is the failure artifact the harness prints.
 type Cell struct {
 	Model  string
-	Engine EngineKind
+	Engine core.EngineKind
 	PEs    int
 	KPs    int
 	Queue  string
@@ -185,7 +170,7 @@ func compare(ref, got Fingerprint) []string {
 // sequential reference run.
 type Matrix struct {
 	Models  []string
-	Engines []EngineKind
+	Engines []core.EngineKind
 	PEs     []int
 	KPs     []int
 	Queues  []string
@@ -213,7 +198,7 @@ type Matrix struct {
 func Smoke() Matrix {
 	return Matrix{
 		Models:    []string{"hotpotato", "phold"},
-		Engines:   Engines(),
+		Engines:   core.EngineKinds(),
 		PEs:       []int{2, 4},
 		KPs:       []int{8},
 		Queues:    []string{"heap", "ladder"},
@@ -228,7 +213,7 @@ func Smoke() Matrix {
 func Full() Matrix {
 	return Matrix{
 		Models:    ModelNames(),
-		Engines:   Engines(),
+		Engines:   core.EngineKinds(),
 		PEs:       []int{1, 2, 4},
 		KPs:       []int{4, 16},
 		Queues:    eventq.Kinds(),
@@ -314,10 +299,10 @@ func (m Matrix) cells(model string, seed uint64, spec *modelSpec) []Cell {
 			continue
 		}
 		pes, kps, faults, bounds := m.PEs, m.KPs, m.Faults, m.MemBounds
-		if eng == EngSequential {
+		if eng == core.KindSequential {
 			pes, kps = []int{1}, []int{1}
 		}
-		if eng != EngOptimistic {
+		if eng != core.KindOptimistic {
 			faults = []*core.Faults{nil}
 			bounds = []int{0}
 		}
@@ -337,7 +322,7 @@ func (m Matrix) cells(model string, seed uint64, spec *modelSpec) []Cell {
 								PEs: pe, KPs: kp, Queue: q, Seed: seed,
 								Faults: f, MaxLive: ml,
 							}
-							if eng != EngSequential {
+							if eng != core.KindSequential {
 								c.Mutation = m.Mutation
 							}
 							if key := c.String(); !seen[key] {
@@ -383,7 +368,7 @@ func RunCell(c Cell) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	stats, err := inst.run()
+	stats, err := inst.eng.Run()
 	if err != nil {
 		return Result{}, err
 	}
@@ -399,8 +384,8 @@ func (inst *instance) result(c Cell, stats *core.Stats, committedBefore int64) R
 			Committed: committedBefore + stats.Committed,
 			TraceLen:  inst.rec.Len(),
 			TraceHash: inst.rec.Hash(),
-			LPHashes:  inst.rec.LPHashes(inst.numLPs),
-			StateHash: trace.StateHash(inst.host),
+			LPHashes:  inst.rec.LPHashes(inst.eng.NumLPs()),
+			StateHash: trace.StateHash(inst.eng),
 		},
 		Stats:   stats,
 		Summary: inst.summary(),
@@ -429,7 +414,7 @@ func Run(m Matrix, logf func(format string, args ...any)) *Report {
 		}
 		for _, seed := range m.Seeds {
 			// The reference is always a clean, unmutated sequential run.
-			refCell := Cell{Model: model, Engine: EngSequential, PEs: 1, KPs: 1, Queue: queue, Seed: seed}
+			refCell := Cell{Model: model, Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: queue, Seed: seed}
 			ref, err := RunCell(refCell)
 			rep.Cells++
 			if err != nil {
@@ -458,7 +443,7 @@ func Run(m Matrix, logf func(format string, args ...any)) *Report {
 				if diffs := compare(ref.FP, got.FP); len(diffs) > 0 {
 					rep.Divergences = append(rep.Divergences, Divergence{Ref: refCell, Got: c, Details: diffs})
 					logf("FAIL [%s] %s", c, strings.Join(diffs, "; "))
-					if m.AutoRecord != "" && c.Engine == EngOptimistic {
+					if m.AutoRecord != "" && c.Engine == core.KindOptimistic {
 						if path, err := AutoRecord(m.AutoRecord, c, logf); err != nil {
 							logf("auto-record [%s] failed: %v", c, err)
 						} else {
@@ -477,18 +462,10 @@ func Run(m Matrix, logf func(format string, args ...any)) *Report {
 
 // instance is one built, instrumented engine ready to run.
 type instance struct {
-	host    core.Host
-	run     func() (*core.Stats, error)
+	eng     core.Engine
 	rec     *trace.Recorder
-	numLPs  int
 	endTime core.Time
 	summary func() string
-	// describe renders an event's semantic payload for the trace hash. It
-	// must omit reverse-computation scratch (Saved* fields): scratch is
-	// consumed by Reverse, not restored, so after a rollback it carries
-	// residue of undone executions — legitimate differences between runs
-	// that committed identical histories.
-	describe trace.Describe
 }
 
 // cellSweepEvery is the in-run invariant sweep cadence paranoid cells run
@@ -496,12 +473,20 @@ type instance struct {
 // appearing, cheap enough for hours-scale soaking.
 const cellSweepEvery = 8
 
-// instrument wraps every LP handler with the cell's mutation (if any) and
-// commit-time trace recording, and arms the cell's post-construction
-// kernel knobs (memory bound, paranoid sweeps) on optimistic hosts.
-// Recording is unbounded so the trace hash always covers the whole run.
-func (in *instance) instrument(c Cell) {
-	if sim, ok := in.host.(*core.Simulator); ok {
+// newInstance instruments a built engine for cell c: it wraps every LP
+// handler with the cell's mutation (if any) and commit-time trace
+// recording, and arms the cell's post-construction kernel knobs (memory
+// bound, paranoid sweeps) on the optimistic engine. Recording is unbounded
+// so the trace hash always covers the whole run.
+//
+// describe renders an event's semantic payload for the trace hash (nil for
+// the recorder's default). It must omit reverse-computation scratch (Saved*
+// fields): scratch is consumed by Reverse, not restored, so after a
+// rollback it carries residue of undone executions — legitimate
+// differences between runs that committed identical histories.
+func newInstance(c Cell, eng core.Engine, endTime core.Time, summary func() string, describe trace.Describe) *instance {
+	in := &instance{eng: eng, rec: trace.NewRecorder(0), endTime: endTime, summary: summary}
+	if sim, ok := eng.(*core.Simulator); ok {
 		if c.MaxLive > 0 {
 			sim.SetMemoryBound(c.MaxLive)
 		}
@@ -509,7 +494,6 @@ func (in *instance) instrument(c Cell) {
 			sim.SetParanoid(cellSweepEvery)
 		}
 	}
-	in.rec = trace.NewRecorder(0)
 	var ledger []peCounter
 	var cell *publishCell
 	if c.Mutation == MutOwnership {
@@ -518,10 +502,10 @@ func (in *instance) instrument(c Cell) {
 		// slot no LP owns, which LP 0's seeded write pokes by direct
 		// field access — the ownercheck bug shape without a second
 		// goroutine ever touching the same slot.
-		ledger = make([]peCounter, in.numLPs+1)
+		ledger = make([]peCounter, eng.NumLPs()+1)
 		cell = &publishCell{}
 	}
-	in.host.ForEachLP(func(lp *core.LP) {
+	eng.ForEachLP(func(lp *core.LP) {
 		h := lp.Handler
 		switch c.Mutation {
 		case MutBrokenReverse:
@@ -531,14 +515,15 @@ func (in *instance) instrument(c Cell) {
 		case MutOwnership:
 			h = ownershipNoise{inner: h, ledger: ledger, cell: cell}
 		}
-		lp.Handler = trace.Wrap(h, in.rec, in.describe)
+		lp.Handler = trace.Wrap(h, in.rec, describe)
 	})
+	return in
 }
 
 // SupportsEngine reports whether the named model ships a builder for eng.
 // Schedule generators use it to avoid emitting cells RunCell would reject
 // (e.g. qnet has no conservative builder).
-func SupportsEngine(model string, eng EngineKind) bool {
+func SupportsEngine(model string, eng core.EngineKind) bool {
 	spec, ok := models[model]
 	return ok && spec.engines[eng]
 }

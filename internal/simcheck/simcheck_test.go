@@ -34,7 +34,7 @@ func TestQNetMatrix(t *testing.T) {
 	}
 	rep := Run(Matrix{
 		Models:  []string{"qnet"},
-		Engines: Engines(),
+		Engines: core.EngineKinds(),
 		PEs:     []int{2, 4},
 		KPs:     []int{9},
 		Queues:  []string{"heap", "ladder"},
@@ -54,7 +54,7 @@ func TestQNetMatrix(t *testing.T) {
 func TestMutationBrokenReverseDetected(t *testing.T) {
 	rep := Run(Matrix{
 		Models:   []string{"phold"},
-		Engines:  []EngineKind{EngOptimistic},
+		Engines:  []core.EngineKind{core.KindOptimistic},
 		PEs:      []int{2},
 		KPs:      []int{8},
 		Queues:   []string{"heap"},
@@ -79,7 +79,7 @@ func TestMutationBrokenReverseDetected(t *testing.T) {
 func TestMutationBrokenPriorityDetected(t *testing.T) {
 	rep := Run(Matrix{
 		Models:   []string{"hotpotato"},
-		Engines:  []EngineKind{EngOptimistic},
+		Engines:  []core.EngineKind{core.KindOptimistic},
 		PEs:      []int{2},
 		KPs:      []int{8},
 		Queues:   []string{"heap"},
@@ -104,7 +104,7 @@ func TestMutationBrokenPriorityDetected(t *testing.T) {
 func TestMutationMapOrderDetected(t *testing.T) {
 	rep := Run(Matrix{
 		Models:   []string{"phold"},
-		Engines:  []EngineKind{EngOptimistic},
+		Engines:  []core.EngineKind{core.KindOptimistic},
 		PEs:      []int{2},
 		KPs:      []int{8},
 		Queues:   []string{"heap"},
@@ -126,18 +126,18 @@ func TestMutationMapOrderDetected(t *testing.T) {
 // reference un-mutated; this guards against the self-test passing because
 // both sides carry the same bug.
 func TestMutationsInvisibleToCleanCells(t *testing.T) {
-	clean, err := RunCell(Cell{Model: "hotpotato", Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5})
+	clean, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated, err := RunCell(Cell{Model: "hotpotato", Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5, Mutation: MutBrokenPriority})
+	mutated, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5, Mutation: MutBrokenPriority})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diffs := compare(clean.FP, mutated.FP); len(diffs) == 0 {
 		t.Fatal("broken-priority mutation had no effect even when armed (self-test would be vacuous)")
 	}
-	clean2, err := RunCell(Cell{Model: "hotpotato", Engine: EngSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5})
+	clean2, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,17 +147,17 @@ func TestMutationsInvisibleToCleanCells(t *testing.T) {
 }
 
 func TestRunCellRejectsBadInput(t *testing.T) {
-	if _, err := RunCell(Cell{Model: "nosuch", Engine: EngSequential}); err == nil {
+	if _, err := RunCell(Cell{Model: "nosuch", Engine: core.KindSequential}); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := RunCell(Cell{Model: "qnet", Engine: EngConservative, PEs: 1, KPs: 1, Seed: 1}); err == nil {
+	if _, err := RunCell(Cell{Model: "qnet", Engine: core.KindConservative, PEs: 1, KPs: 1, Seed: 1}); err == nil {
 		t.Error("qnet has no conservative builder; cell must be rejected")
 	}
 }
 
 func TestCellStringIsReproductionRecipe(t *testing.T) {
 	c := Cell{
-		Model: "phold", Engine: EngOptimistic, PEs: 4, KPs: 16,
+		Model: "phold", Engine: core.KindOptimistic, PEs: 4, KPs: 16,
 		Queue: "ladder", Seed: 99,
 		Faults:   &core.Faults{RollbackEvery: 2},
 		Mutation: MutBrokenReverse,

@@ -88,14 +88,14 @@ func nextEpisode(src source, idx int, models []string, mutation simcheck.Mutatio
 	kps := []int{4, 8, 16}[src.Intn(3)]
 	seed := u32(src) | 1
 	c := simcheck.Cell{
-		Model: model, Engine: simcheck.EngOptimistic,
+		Model: model, Engine: core.KindOptimistic,
 		PEs: pes, KPs: kps, Queue: queue, Seed: seed,
 		Paranoid: paranoid,
 	}
-	if src.Intn(8) == 0 && simcheck.SupportsEngine(model, simcheck.EngConservative) {
-		c.Engine = simcheck.EngConservative
+	if src.Intn(8) == 0 && simcheck.SupportsEngine(model, core.KindConservative) {
+		c.Engine = core.KindConservative
 	}
-	if c.Engine == simcheck.EngOptimistic {
+	if c.Engine == core.KindOptimistic {
 		f := &core.Faults{}
 		armed := false
 		for _, inj := range simcheck.Injectors() {

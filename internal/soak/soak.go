@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/simcheck"
 )
 
@@ -126,7 +127,7 @@ func Run(cfg Config) (*Report, error) {
 		models = simcheck.ModelNames()
 	}
 	for _, m := range models {
-		if !simcheck.SupportsEngine(m, simcheck.EngSequential) {
+		if !simcheck.SupportsEngine(m, core.KindSequential) {
 			return nil, fmt.Errorf("soak: unknown model %q (have %v)", m, simcheck.ModelNames())
 		}
 	}
@@ -214,7 +215,7 @@ func run(cfg Config, gen func(i int) (Episode, bool)) *Report {
 func runEpisode(ep Episode, cfg Config, rep *Report, digest io.Writer, logf func(format string, args ...any)) *Failure {
 	c := ep.Cell
 	refCell := simcheck.Cell{
-		Model: c.Model, Engine: simcheck.EngSequential,
+		Model: c.Model, Engine: core.KindSequential,
 		PEs: 1, KPs: 1, Queue: c.Queue, Seed: c.Seed,
 	}
 	ref, err := simcheck.RunCell(refCell)
@@ -226,7 +227,7 @@ func runEpisode(ep Episode, cfg Config, rep *Report, digest io.Writer, logf func
 			Details: []string{fmt.Sprintf("reference run failed: %v", err)}}
 	}
 	var got simcheck.Result
-	ckpt := ep.Checkpoint && c.Engine == simcheck.EngOptimistic
+	ckpt := ep.Checkpoint && c.Engine == core.KindOptimistic
 	var ckptDir string
 	if ckpt {
 		if ckptDir, err = ckptDirFor(cfg, ep); err == nil {
@@ -293,7 +294,7 @@ func keepCkptDir(dir string, logf func(format string, args ...any), f *Failure) 
 // record attaches a shrunk .replay artifact to a failing optimistic
 // episode when an artifact directory is configured.
 func record(ep Episode, cfg Config, logf func(format string, args ...any), f *Failure) *Failure {
-	if cfg.ArtifactDir == "" || ep.Cell.Engine != simcheck.EngOptimistic {
+	if cfg.ArtifactDir == "" || ep.Cell.Engine != core.KindOptimistic {
 		return f
 	}
 	path, err := simcheck.AutoRecord(cfg.ArtifactDir, ep.Cell, logf)

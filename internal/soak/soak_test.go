@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/eventq"
 	"repro/internal/replay"
 	"repro/internal/simcheck"
@@ -32,7 +33,7 @@ func TestScheduleDiversity(t *testing.T) {
 		queues[c.Queue]++
 		modelCount[c.Model]++
 		pes[c.PEs]++
-		if c.Engine == simcheck.EngConservative {
+		if c.Engine == core.KindConservative {
 			conservative++
 			if c.Faults != nil || c.MaxLive > 0 {
 				t.Fatalf("episode %d: conservative cell carries optimistic knobs: %s", i, c)
@@ -170,7 +171,7 @@ func TestSoakMutationFailsAndShrinks(t *testing.T) {
 	}
 	// The sequential oracle is the shrinker's own predicate and is
 	// deterministic: the artifact must fail it every time.
-	diverged, err := replay.Replay(simcheck.Runner{}, lg, replay.EngineSequential)
+	diverged, err := replay.Replay(simcheck.Runner{}, lg, core.KindSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestSoakMutationFailsAndShrinks(t *testing.T) {
 	// collide with the recording on a given run (~5% observed); a few
 	// attempts must still surface the divergence.
 	for attempt := 0; ; attempt++ {
-		diverged, err = replay.Replay(simcheck.Runner{}, lg, replay.EngineOptimistic)
+		diverged, err = replay.Replay(simcheck.Runner{}, lg, core.KindOptimistic)
 		if err != nil {
 			t.Fatal(err)
 		}
