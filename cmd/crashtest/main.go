@@ -160,11 +160,11 @@ func (h *harness) record(model string, pes, kps int, seed uint64) (*replay.Log, 
 	spec := simcheck.SpecForCell(simcheck.Cell{
 		Model: model, PEs: pes, KPs: kps, Queue: "heap", Seed: seed,
 	})
-	lg, err := replay.Record(simcheck.Runner{}, spec)
+	lg, err := simcheck.Record(spec)
 	if err != nil {
 		return nil, fmt.Errorf("recording %s: %w", key, err)
 	}
-	if diffs, err := replay.Replay(simcheck.Runner{}, lg, core.KindSequential); err != nil {
+	if diffs, err := simcheck.Replay(lg, core.KindSequential); err != nil {
 		return nil, fmt.Errorf("oracle run for %s: %w", key, err)
 	} else if len(diffs) > 0 {
 		return nil, fmt.Errorf("recording %s diverges from the sequential oracle: %v", key, diffs)
@@ -237,11 +237,11 @@ func (h *harness) kill(lg *replay.Log, name, point string, hit int) bool {
 	// The child is dead mid-publication. Recover: resume from the published
 	// checkpoint, or — if the kill predates any publication — restart from
 	// scratch. Either way the recording's fingerprints are the contract.
-	diffs, err := replay.ResumeVerify(simcheck.Runner{}, lg, dir)
+	diffs, err := simcheck.ResumeVerify(lg, dir)
 	how := "resumed"
 	if errors.Is(err, replay.ErrNoCheckpoint) {
 		how = "restarted"
-		diffs, err = replay.Replay(simcheck.Runner{}, lg, core.KindOptimistic)
+		diffs, err = simcheck.Replay(lg, core.KindOptimistic)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crashtest: %s: recovery failed: %v\n", name, err)
@@ -319,7 +319,7 @@ func runChild(logPath, dir string, every int) {
 	if err != nil {
 		fatal(err)
 	}
-	diffs, err := replay.ReplayCheckpointed(simcheck.Runner{}, lg, dir, every)
+	diffs, err := simcheck.ReplayCheckpointed(lg, dir, every)
 	if err != nil {
 		fatal(err)
 	}

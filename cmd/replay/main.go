@@ -82,7 +82,7 @@ func main() {
 			Faults:   faultPlan(*faults),
 		})
 		spec.EndTime = core.Time(*end)
-		lg, err := replay.Record(simcheck.Runner{}, spec)
+		lg, err := simcheck.Record(spec)
 		if err != nil {
 			fatal(err)
 		}
@@ -114,7 +114,7 @@ func main() {
 		if dst == "" {
 			dst = strings.TrimSuffix(path, ".replay") + ".min.replay"
 		}
-		res, err := replay.Shrink(simcheck.Runner{}, lg, logf)
+		res, err := simcheck.Shrink(lg, logf)
 		if err != nil {
 			fatal(err)
 		}
@@ -147,15 +147,15 @@ func main() {
 				fatal(fmt.Errorf("-resume requires -mode verify (the optimistic engine)"))
 			}
 			what = "resume"
-			diffs, err = replay.ResumeVerify(simcheck.Runner{}, lg, *ckptDir)
+			diffs, err = simcheck.ResumeVerify(lg, *ckptDir)
 		case *ckptDir != "":
 			if eng != core.KindOptimistic {
 				fatal(fmt.Errorf("-checkpoint-dir requires -mode verify (the optimistic engine)"))
 			}
 			what = "checkpointed verify"
-			diffs, err = replay.ReplayCheckpointed(simcheck.Runner{}, lg, *ckptDir, *ckptN)
+			diffs, err = simcheck.ReplayCheckpointed(lg, *ckptDir, *ckptN)
 		default:
-			diffs, err = replay.Replay(simcheck.Runner{}, lg, eng)
+			diffs, err = simcheck.Replay(lg, eng)
 		}
 		if err != nil {
 			fatal(err)

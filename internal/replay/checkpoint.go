@@ -614,87 +614,3 @@ func checkStateName(codec Codec, stateName string) error {
 	}
 	return nil
 }
-
-// ---- drivers ----
-
-// ReplayCheckpointed is Replay under the optimistic engine with periodic
-// checkpointing armed: every `every` GVT rounds a checkpoint is published
-// into dir, and the run is still held to the recording's fingerprints (the
-// checkpoint rendezvous is scheduling-only, so arming it must not change
-// committed results). The log's codec serializes the checkpoints. This is
-// the victim the crash harness SIGKILLs.
-func ReplayCheckpointed(r Runner, lg *Log, dir string, every int) ([]string, error) {
-	codec, err := CodecFor(lg.Spec.Codec)
-	if err != nil {
-		return nil, err
-	}
-	out, err := runWith(r, lg.Spec, lg.Inject, core.KindOptimistic, func(inst *Instance) error {
-		sim, ok := inst.Engine.(*core.Simulator)
-		if !ok {
-			return fmt.Errorf("replay: %T does not support checkpointing", inst.Engine)
-		}
-		w, err := NewCheckpointWriter(dir, codec.StateName(), codec.Name(), inst.Trace)
-		if err != nil {
-			return err
-		}
-		sim.SetCheckpoint(w, every)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return compareToLog(lg, out), nil
-}
-
-// ResumeVerify loads dir's published checkpoint, resumes the run it came
-// from on a fresh build of lg's Spec, and holds the completed run to the
-// recording: the final fingerprint must match bit-for-bit (committed count
-// composed across the cut, trace hash folded from the seeded prefix), and
-// every recorded GVT-round horizon at or beyond the checkpoint's GVT must
-// reproduce its trace prefix hash. Horizons below the cut are skipped —
-// the resumed recorder cannot split the prefix it never observed.
-func ResumeVerify(r Runner, lg *Log, dir string) ([]string, error) {
-	cp, err := LoadCheckpoint(dir)
-	if err != nil {
-		return nil, err
-	}
-	if cp.Codec != lg.Spec.Codec {
-		return nil, fmt.Errorf("replay: checkpoint codec %q does not match log codec %q", cp.Codec, lg.Spec.Codec)
-	}
-	if !cp.HasTrace {
-		return nil, errors.New("replay: checkpoint carries no trace digests; cannot verify against a recording")
-	}
-	inst, err := r.Build(lg.Spec, core.KindOptimistic)
-	if err != nil {
-		return nil, err
-	}
-	if inst.Trace == nil {
-		return nil, errors.New("replay: runner instance has no trace recorder")
-	}
-	sim, ok := inst.Engine.(*core.Simulator)
-	if !ok {
-		return nil, fmt.Errorf("replay: %T does not support resume", inst.Engine)
-	}
-	if err := RestoreCheckpoint(cp, sim, inst.Trace); err != nil {
-		return nil, err
-	}
-	stats, err := inst.Engine.Run()
-	if err != nil {
-		return nil, err
-	}
-	fp := Fingerprint{
-		Committed: cp.Committed + stats.Committed,
-		TraceLen:  inst.Trace.Len(),
-		TraceHash: inst.Trace.Hash(),
-		StateHash: trace.StateHash(inst.Engine),
-	}
-	out := &outcome{Trace: inst.Trace, Final: fp}
-	flg := *lg
-	flg.Rounds = nil
-	for _, rd := range lg.Rounds {
-		if rd.GVT >= cp.GVT {
-			flg.Rounds = append(flg.Rounds, rd)
-		}
-	}
-	return compareToLog(&flg, out), nil
-}

@@ -40,7 +40,7 @@ func TestGoldenFixtures(t *testing.T) {
 	for name, spec := range goldenSpecs() {
 		path := filepath.Join("testdata", name)
 		if *update {
-			lg, err := replay.Record(simcheck.Runner{}, spec)
+			lg, err := simcheck.Record(spec)
 			if err != nil {
 				t.Fatalf("recording %s: %v", name, err)
 			}
@@ -58,7 +58,7 @@ func TestGoldenFixtures(t *testing.T) {
 			t.Fatalf("%s: empty fixture (%d injections, %d rounds)", path, len(lg.Inject), len(lg.Rounds))
 		}
 		for _, eng := range []core.EngineKind{core.KindOptimistic, core.KindSequential} {
-			diffs, err := replay.Replay(simcheck.Runner{}, lg, eng)
+			diffs, err := simcheck.Replay(lg, eng)
 			if err != nil {
 				t.Fatalf("%s: %s replay: %v", name, eng, err)
 			}

@@ -9,7 +9,7 @@ import (
 // implements core.RecordSink without locks: each per-PE stream is appended
 // to only by that PE's goroutine (MailBatch and Rollback run on the
 // observing PE), and the round stream only by PE 0 as it completes each
-// GVT round; Run's completion orders every write before finalize's reads.
+// GVT round; Run's completion orders every write before Finalize's reads.
 type Recorder struct {
 	pes    []PELog
 	rounds []Round
@@ -38,17 +38,17 @@ func (r *Recorder) Rollback(pe, kp, events int, secondary, forced bool) {
 }
 
 // GVTRound implements core.RecordSink. Only the estimate is stored here;
-// the round's trace-prefix fingerprint is computed in finalize, once the
+// the round's trace-prefix fingerprint is computed in Finalize, once the
 // committed trace is complete, because the fingerprint is defined over the
 // final trace (see package comment).
 func (r *Recorder) GVTRound(round int64, gvt core.Time) {
 	r.rounds = append(r.rounds, Round{GVT: gvt})
 }
 
-// finalize assembles the finished Log: per-round prefix fingerprints are
-// evaluated against the run's committed trace (GVT estimates are
-// nondecreasing, which is what PrefixHashes requires).
-func (r *Recorder) finalize(spec Spec, inj []Injection, tr *trace.Recorder, final Fingerprint) *Log {
+// Finalize assembles the finished Log once the run is over: per-round
+// prefix fingerprints are evaluated against the run's committed trace (GVT
+// estimates are nondecreasing, which is what PrefixHashes requires).
+func (r *Recorder) Finalize(spec Spec, inj []Injection, tr *trace.Recorder, final Fingerprint) *Log {
 	horizons := make([]core.Time, len(r.rounds))
 	for i, rd := range r.rounds {
 		horizons[i] = rd.GVT

@@ -8,19 +8,17 @@
 // fingerprint per GVT round. The log is a compact varint-delta encoded,
 // CRC-framed binary format documented in docs/REPLAY.md.
 //
-// Replaying re-runs the recorded injections from a fresh build of the same
-// Spec — under the optimistic engine to verify determinism, or under the
-// sequential engine as an oracle — and compares fingerprints. Because GVT
-// round boundaries are a wall-clock artifact, per-round fingerprints are
-// *prefix* hashes of the committed trace below the round's GVT estimate
-// (see trace.Recorder.PrefixHashes): a pure function of the committed
-// history and the recorded horizon, reproducible across runs even though
-// round placement is not.
-//
-// Shrink delta-debugs a failing log — one whose optimistic run diverges
-// from a clean sequential run of the same injections, e.g. a simcheck
-// divergence or a seeded mutation — down to a minimal failing artifact by
-// shortening the virtual-time horizon and bisecting injection subsets.
+// This package holds the formats only: the log and checkpoint wire
+// formats, their Reader, the model codec registry, the kernel Recorder,
+// the crash-atomic CheckpointWriter and Dump. The drivers that build a
+// model and run it — record, replay, shrink, checkpointed verify and
+// resume — live in internal/simcheck beside the model table. Replaying
+// re-runs the recorded injections from a fresh build of the same Spec and
+// compares fingerprints. Because GVT round boundaries are a wall-clock
+// artifact, per-round fingerprints are *prefix* hashes of the committed
+// trace below the round's GVT estimate (see trace.Recorder.PrefixHashes):
+// a pure function of the committed history and the recorded horizon,
+// reproducible across runs even though round placement is not.
 package replay
 
 import (
@@ -28,25 +26,25 @@ import (
 )
 
 // Spec identifies a reproducible run: which model to build, under what
-// engine shape, and from what seed. It is everything a Runner needs to
-// rebuild the simulation that produced a log.
+// engine shape, and from what seed. It is everything needed to rebuild the
+// simulation that produced a log.
 type Spec struct {
-	// Model is the Runner's model name (e.g. "hotpotato").
+	// Model is the harness's model name (e.g. "hotpotato").
 	Model string
 	// Codec names the registered payload codec for the model's messages.
 	Codec string
 	// Queue is the pending-queue kind (any registered eventq kind:
 	// "heap" or "ladder").
 	Queue string
-	// Mutation optionally names a seeded bug the Runner arms on
-	// non-sequential builds (simcheck's Mutation); recorded so a shrunk
+	// Mutation optionally names a seeded bug the harness arms on
+	// optimistic builds (simcheck's Mutation); recorded so a shrunk
 	// artifact of a mutation-induced failure stays self-describing.
 	Mutation string
 	// PEs and KPs shape the optimistic engine.
 	PEs, KPs int
 	// BatchSize and GVTInterval are the scheduling knobs the recording ran
-	// under. Informational: Runners with fixed harness knobs may ignore
-	// them (committed results do not depend on scheduling granularity —
+	// under. Informational: the harness runs its own fixed knobs
+	// instead (committed results do not depend on scheduling granularity —
 	// that is the determinism guarantee being verified).
 	BatchSize, GVTInterval int
 	// Seed selects the random universe.
@@ -97,13 +95,22 @@ type Round struct {
 	TraceHash uint64
 }
 
-// Fingerprint is the whole-run summary replay compares: committed event
-// count, trace length, the full-trace hash and the final model-state hash.
-// The per-field meanings match simcheck's fingerprint.
+// Fingerprint is the whole-run summary two runs of the same model and seed
+// must agree on, whatever the engine, parallelism, queue kind or fault
+// plan: committed event count, trace length, the full-trace hash, each
+// LP's event-order hash and the final model-state hash. A log stores every
+// field but LPHashes, so a decoded Log's Final has none.
 type Fingerprint struct {
+	// Committed is the kernel's committed event count.
 	Committed int64
-	TraceLen  int
+	// TraceLen is the number of committed, recorded events.
+	TraceLen int
+	// TraceHash digests the full committed trace in deterministic order.
 	TraceHash uint64
+	// LPHashes digests each LP's committed event order separately, which
+	// localises a divergence.
+	LPHashes []uint64
+	// StateHash digests the final per-LP model state.
 	StateHash uint64
 }
 

@@ -3,6 +3,8 @@ package simcheck
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/replay"
@@ -28,6 +30,10 @@ const CheckpointEvery = 32
 // one that finishes before any checkpoint falls due has nothing to resume;
 // its own result is returned, with Stats.Committed == FP.Committed.
 //
+// dir must hold no published checkpoint: phase two resumes whatever dir
+// holds after phase one, and a checkpoint another run left there would
+// be resumed as this cell's.
+//
 // The composed fingerprint must equal a clean sequential reference run's:
 // that is the crash-recovery claim in miniature, and the soak harness holds
 // 1-in-N episodes to it.
@@ -38,26 +44,10 @@ func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 	if every <= 0 {
 		every = CheckpointEvery
 	}
-	spec, ok := models[c.Model]
-	if !ok {
-		return Result{}, fmt.Errorf("simcheck: unknown model %q (have %v)", c.Model, ModelNames())
+	if _, err := os.Stat(filepath.Join(dir, replay.ManifestName)); err == nil {
+		return Result{}, fmt.Errorf("simcheck: %s already holds a published checkpoint; a resumed run needs a directory without one", dir)
 	}
-	// Phase one: an ordinary optimistic run, checkpointing every GVT round.
-	inst, err := spec.build(c, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	sim := inst.eng.(*core.Simulator)
-	codec, err := replay.CodecFor(spec.codec)
-	if err != nil {
-		return Result{}, err
-	}
-	w, err := replay.NewCheckpointWriter(dir, codec.StateName(), codec.Name(), inst.rec)
-	if err != nil {
-		return Result{}, err
-	}
-	sim.SetCheckpoint(w, every)
-	stats1, err := inst.eng.Run()
+	first, err := run(c, plan{ckptDir: dir, every: every})
 	if err != nil {
 		return Result{}, err
 	}
@@ -67,24 +57,59 @@ func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 		// a positive, non-final estimate had completed (a 1-PE cell whose
 		// GVT requests the GVTDelay fault suppresses gets there). There is
 		// nothing to resume, so the uninterrupted run is the result.
-		return inst.result(c, stats1, 0), nil
+		return first.Result, nil
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("simcheck: cell published no loadable checkpoint: %w", err)
 	}
-	// Phase two: a fresh build of the same cell, bootstrap dropped, resumed
-	// from the published checkpoint. Its recorder starts seeded with the
-	// checkpoint's trace digests, so the folded hashes cover the whole run.
-	inst2, err := spec.build(c, 0)
+	out, err := run(c, plan{resume: cp})
 	if err != nil {
 		return Result{}, err
 	}
-	if err := replay.RestoreCheckpoint(cp, inst2.eng.(*core.Simulator), inst2.rec); err != nil {
-		return Result{}, err
-	}
-	stats, err := inst2.eng.Run()
+	return out.Result, nil
+}
+
+// ReplayCheckpointed is Replay under the optimistic engine with periodic
+// checkpointing armed: every `every` GVT rounds a checkpoint is published
+// into dir, and the run is still held to the recording's fingerprints (the
+// checkpoint rendezvous is scheduling-only, so arming it must not change
+// committed results). The log's codec serializes the checkpoints. This is
+// the victim the crash harness SIGKILLs.
+func ReplayCheckpointed(lg *replay.Log, dir string, every int) ([]string, error) {
+	out, err := runSpec(lg.Spec, core.KindOptimistic, plan{inject: lg.Inject, ckptDir: dir, every: every})
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	return inst2.result(c, stats, cp.Committed), nil
+	return compareToLog(lg, out), nil
+}
+
+// ResumeVerify loads dir's published checkpoint, resumes the run it came
+// from on a fresh build of lg's Spec, and holds the completed run to the
+// recording: the final fingerprint must match bit-for-bit (committed count
+// composed across the cut, trace hash folded from the seeded prefix), and
+// every recorded GVT-round horizon at or beyond the checkpoint's GVT must
+// reproduce its trace prefix hash. Horizons below the cut are skipped —
+// the resumed recorder cannot split the prefix it never observed. A
+// checkpoint written without a commit recorder carries no trace digests
+// and is rejected.
+func ResumeVerify(lg *replay.Log, dir string) ([]string, error) {
+	cp, err := replay.LoadCheckpoint(dir)
+	if err != nil {
+		return nil, err
+	}
+	if cp.Codec != lg.Spec.Codec {
+		return nil, fmt.Errorf("simcheck: checkpoint codec %q does not match log codec %q", cp.Codec, lg.Spec.Codec)
+	}
+	out, err := runSpec(lg.Spec, core.KindOptimistic, plan{resume: cp})
+	if err != nil {
+		return nil, err
+	}
+	tail := *lg
+	tail.Rounds = nil
+	for _, rd := range lg.Rounds {
+		if rd.GVT >= cp.GVT {
+			tail.Rounds = append(tail.Rounds, rd)
+		}
+	}
+	return compareToLog(&tail, out), nil
 }

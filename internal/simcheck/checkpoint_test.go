@@ -2,9 +2,11 @@ package simcheck
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/phold"
 	"repro/internal/replay"
 )
 
@@ -102,4 +104,86 @@ func TestRunCellResumedNothingDue(t *testing.T) {
 	if res.Stats.Committed != res.FP.Committed {
 		t.Fatalf("phase committed %d of %d events, want the whole run", res.Stats.Committed, res.FP.Committed)
 	}
+}
+
+// TestRunCellResumedRefusesStaleCheckpoint: a directory that already holds
+// another run's published checkpoint must be refused. Phase one of this
+// cell publishes nothing (the cadence never falls due), so resuming from
+// whatever the directory held would run the other run's tail and report
+// its fingerprint as this cell's.
+func TestRunCellResumedRefusesStaleCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	other := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 9}
+	if _, err := RunCellResumed(other, dir, 0); err != nil {
+		t.Fatalf("publishing the stale checkpoint [%s]: %v", other, err)
+	}
+	if _, err := replay.LoadCheckpoint(dir); err != nil {
+		t.Fatalf("setup published no checkpoint: %v", err)
+	}
+	c := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Queue: "heap", Seed: 3, Faults: DefaultFaults()}
+	res, err := RunCellResumed(c, dir, 1<<30)
+	if err == nil {
+		t.Fatalf("resumed [%s] from a stale checkpoint: phase committed %d, composed %d",
+			c, res.Stats.Committed, res.FP.Committed)
+	}
+}
+
+// TestResumeVerifyLoop drives the crash-recovery pair on one recording:
+// a checkpointed verify publishes into a directory and reproduces the
+// recording, and a resume from that directory reproduces it too. Resume
+// must refuse a checkpoint from another model's codec and one written
+// without a commit recorder (it carries no trace digests to verify
+// against).
+func TestResumeVerifyLoop(t *testing.T) {
+	lg := mustRecord(t, SpecForCell(Cell{Model: "phold", PEs: 2, KPs: 8, Queue: "heap", Seed: 5}))
+	dir := t.TempDir()
+	for _, step := range []struct {
+		name string
+		run  func() ([]string, error)
+	}{
+		{"checkpointed verify", func() ([]string, error) { return ReplayCheckpointed(lg, dir, 8) }},
+		{"resume verify", func() ([]string, error) { return ResumeVerify(lg, dir) }},
+	} {
+		diffs, err := step.run()
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if len(diffs) > 0 {
+			t.Fatalf("%s diverges from the recording: %v", step.name, diffs)
+		}
+	}
+
+	hot := t.TempDir()
+	if _, err := ReplayCheckpointed(mustRecord(t, SpecForCell(Cell{Model: "hotpotato", PEs: 2, KPs: 8, Queue: "heap", Seed: 5})), hot, 8); err != nil {
+		t.Fatalf("hotpotato checkpointed verify: %v", err)
+	}
+	if _, err := ResumeVerify(lg, hot); err == nil || !strings.Contains(err.Error(), "does not match log codec") {
+		t.Errorf("phold log resumed from a hotpotato checkpoint: err = %v", err)
+	}
+
+	bare := t.TempDir()
+	w, err := replay.NewCheckpointWriter(bare, phold.StateCodecName, phold.CodecName, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := buildPHOLD(Cell{Model: "phold", Engine: core.KindOptimistic, PEs: 2, KPs: 8, Queue: "heap", Seed: 5}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.eng.(*core.Simulator).SetCheckpoint(w, 8)
+	if _, err := inst.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeVerify(lg, bare); err == nil || !strings.Contains(err.Error(), "no trace digests") {
+		t.Errorf("checkpoint written without a recorder: err = %v", err)
+	}
+}
+
+func mustRecord(t *testing.T, spec replay.Spec) *replay.Log {
+	t.Helper()
+	lg, err := Record(spec)
+	if err != nil {
+		t.Fatalf("record %s: %v", spec.Model, err)
+	}
+	return lg
 }

@@ -35,7 +35,7 @@ func TestMemoryBoundDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := compare(free.FP, got.FP); len(diffs) > 0 {
+	if diffs := Compare(free.FP, got.FP); len(diffs) > 0 {
 		t.Fatalf("bounded run diverged from unbounded: %v", diffs)
 	}
 	if got.Stats.MemThrottles == 0 {

@@ -55,7 +55,7 @@ func TestPairwiseFaultComposition(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run failed: %v", err)
 				}
-				if diffs := compare(refs[model].FP, got.FP); len(diffs) > 0 {
+				if diffs := Compare(refs[model].FP, got.FP); len(diffs) > 0 {
 					t.Errorf("composition diverged from sequential oracle: %v", diffs)
 				}
 			})

@@ -3,6 +3,7 @@ package simcheck
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -61,7 +62,7 @@ func TestAutoRecordShrinksMutation(t *testing.T) {
 
 	// The minimal log must still fail: the clean sequential oracle replay
 	// of the same injections cannot reproduce the mutated recording.
-	diffs, err := replay.Replay(Runner{}, lg, core.KindSequential)
+	diffs, err := Replay(lg, core.KindSequential)
 	if err != nil {
 		t.Fatalf("sequential replay of shrunken log errored: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestRecordVerifyCleanCell(t *testing.T) {
 		Model: "hotpotato", Engine: core.KindOptimistic,
 		PEs: 2, KPs: 8, Queue: "heap", Seed: 7,
 	})
-	lg, err := replay.Record(Runner{}, spec)
+	lg, err := Record(spec)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestRecordVerifyCleanCell(t *testing.T) {
 		t.Fatal("recording captured no GVT rounds")
 	}
 	for _, eng := range []core.EngineKind{core.KindOptimistic, core.KindSequential} {
-		diffs, err := replay.Replay(Runner{}, lg, eng)
+		diffs, err := Replay(lg, eng)
 		if err != nil {
 			t.Fatalf("%s replay: %v", eng, err)
 		}
@@ -100,17 +101,22 @@ func TestRecordVerifyCleanCell(t *testing.T) {
 	}
 }
 
-// TestRunnerRejectsUnknownSpecs: the Runner must fail loudly, not build a
-// half-configured cell, when a log names a model or mutation this build
-// does not know (e.g. an artifact from a newer tree).
+// TestRunnerRejectsUnknownSpecs: the replay drivers must fail loudly, not
+// build a half-configured cell, when a log names a model or mutation this
+// build does not know (e.g. an artifact from a newer tree).
 func TestRunnerRejectsUnknownSpecs(t *testing.T) {
-	if _, err := (Runner{}).Build(replay.Spec{Model: "nonesuch", PEs: 1, KPs: 1, Queue: "heap"}, core.KindSequential); err == nil {
-		t.Error("unknown model accepted")
-	}
-	if _, err := (Runner{}).Build(replay.Spec{Model: "phold", Mutation: "nonesuch", PEs: 2, KPs: 8, Queue: "heap"}, core.KindOptimistic); err == nil {
-		t.Error("unknown mutation accepted")
-	}
-	if _, err := (Runner{}).Build(SpecForCell(Cell{Model: "qnet", PEs: 2, KPs: 6, Queue: "heap"}), "conservative"); err == nil {
-		t.Error("unsupported replay engine accepted")
+	for _, tc := range []struct {
+		spec replay.Spec
+		eng  core.EngineKind
+		want string
+	}{
+		{replay.Spec{Model: "nonesuch", PEs: 1, KPs: 1, Queue: "heap"}, core.KindSequential, "unknown model"},
+		{SpecForCell(Cell{Model: "phold", Mutation: "nonesuch", PEs: 2, KPs: 8, Queue: "heap"}), core.KindOptimistic, "unknown mutation"},
+		{SpecForCell(Cell{Model: "qnet", PEs: 2, KPs: 6, Queue: "heap"}), core.KindConservative, "does not support engine"},
+	} {
+		_, err := Replay(&replay.Log{Spec: tc.spec}, tc.eng)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s on %s: err = %v, want %q", tc.spec.Model, tc.eng, err, tc.want)
+		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventq"
+	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -76,26 +77,10 @@ func (c Cell) String() string {
 	return b.String()
 }
 
-// Fingerprint is what the harness compares between runs. Two runs of the
-// same model and seed must agree on every field regardless of engine,
-// parallelism, queue kind or fault plan.
-type Fingerprint struct {
-	// Committed is the kernel's committed event count.
-	Committed int64
-	// TraceLen is the number of committed, recorded events.
-	TraceLen int
-	// TraceHash digests the full committed trace in deterministic order.
-	TraceHash uint64
-	// LPHashes digests each LP's committed event order separately.
-	LPHashes []uint64
-	// StateHash digests the final per-LP model state.
-	StateHash uint64
-}
-
 // Result is one executed cell.
 type Result struct {
 	Cell    Cell
-	FP      Fingerprint
+	FP      replay.Fingerprint
 	Stats   *core.Stats
 	Summary string
 }
@@ -124,13 +109,9 @@ func (d Divergence) String() string {
 }
 
 // Compare returns the list of fingerprint fields where got differs from
-// ref; empty means the runs committed identical results. The soak harness
-// uses it to judge episodes outside a Matrix run.
-func Compare(ref, got Fingerprint) []string { return compare(ref, got) }
-
-// compare returns the list of fingerprint fields where got differs from
-// ref; empty means the runs committed identical results.
-func compare(ref, got Fingerprint) []string {
+// ref; empty means the runs committed identical results. A ref without
+// per-LP hashes (one decoded from a log) skips that comparison.
+func Compare(ref, got replay.Fingerprint) []string {
 	var diffs []string
 	if ref.Committed != got.Committed {
 		diffs = append(diffs, fmt.Sprintf("committed events: ref=%d got=%d", ref.Committed, got.Committed))
@@ -141,9 +122,11 @@ func compare(ref, got Fingerprint) []string {
 	if ref.TraceHash != got.TraceHash {
 		diffs = append(diffs, fmt.Sprintf("trace hash: ref=%016x got=%016x", ref.TraceHash, got.TraceHash))
 	}
-	if len(ref.LPHashes) != len(got.LPHashes) {
+	switch {
+	case ref.LPHashes == nil:
+	case len(ref.LPHashes) != len(got.LPHashes):
 		diffs = append(diffs, fmt.Sprintf("LP count: ref=%d got=%d", len(ref.LPHashes), len(got.LPHashes)))
-	} else {
+	default:
 		bad := make([]int, 0, 4)
 		for i := range ref.LPHashes {
 			if ref.LPHashes[i] != got.LPHashes[i] {
@@ -187,7 +170,7 @@ type Matrix struct {
 	// reports the divergence.
 	Mutation Mutation
 	// AutoRecord, when non-empty, names a directory where every diverging
-	// optimistic cell is re-recorded through internal/replay, shrunk to a
+	// optimistic cell is re-recorded (AutoRecord), shrunk to a
 	// minimal failing log, and written as a .replay artifact (the paths
 	// land in Report.Artifacts).
 	AutoRecord string
@@ -357,39 +340,11 @@ func (r *Report) OK() bool { return len(r.Divergences) == 0 }
 
 // RunCell builds, instruments and runs one cell.
 func RunCell(c Cell) (Result, error) {
-	spec, ok := models[c.Model]
-	if !ok {
-		return Result{}, fmt.Errorf("simcheck: unknown model %q (have %v)", c.Model, ModelNames())
-	}
-	if !spec.engines[c.Engine] {
-		return Result{}, fmt.Errorf("simcheck: model %q does not support engine %q", c.Model, c.Engine)
-	}
-	inst, err := spec.build(c, 0)
+	out, err := run(c, plan{})
 	if err != nil {
 		return Result{}, err
 	}
-	stats, err := inst.eng.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	return inst.result(c, stats, 0), nil
-}
-
-// result fingerprints a finished instance. committedBefore is what a
-// checkpoint the run resumed from had already committed (0 for a whole run).
-func (inst *instance) result(c Cell, stats *core.Stats, committedBefore int64) Result {
-	return Result{
-		Cell: c,
-		FP: Fingerprint{
-			Committed: committedBefore + stats.Committed,
-			TraceLen:  inst.rec.Len(),
-			TraceHash: inst.rec.Hash(),
-			LPHashes:  inst.rec.LPHashes(inst.eng.NumLPs()),
-			StateHash: trace.StateHash(inst.eng),
-		},
-		Stats:   stats,
-		Summary: inst.summary(),
-	}
+	return out.Result, nil
 }
 
 // Run executes the matrix and returns the report. logf, when non-nil,
@@ -440,7 +395,7 @@ func Run(m Matrix, logf func(format string, args ...any)) *Report {
 				if got.Stats != nil {
 					rep.ForcedRollbacks += got.Stats.ForcedRollbacks
 				}
-				if diffs := compare(ref.FP, got.FP); len(diffs) > 0 {
+				if diffs := Compare(ref.FP, got.FP); len(diffs) > 0 {
 					rep.Divergences = append(rep.Divergences, Divergence{Ref: refCell, Got: c, Details: diffs})
 					logf("FAIL [%s] %s", c, strings.Join(diffs, "; "))
 					if m.AutoRecord != "" && c.Engine == core.KindOptimistic {

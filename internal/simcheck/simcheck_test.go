@@ -134,14 +134,14 @@ func TestMutationsInvisibleToCleanCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := compare(clean.FP, mutated.FP); len(diffs) == 0 {
+	if diffs := Compare(clean.FP, mutated.FP); len(diffs) == 0 {
 		t.Fatal("broken-priority mutation had no effect even when armed (self-test would be vacuous)")
 	}
 	clean2, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := compare(clean.FP, clean2.FP); len(diffs) != 0 {
+	if diffs := Compare(clean.FP, clean2.FP); len(diffs) != 0 {
 		t.Fatalf("identical clean cells diverged: %v", diffs)
 	}
 }

@@ -10,7 +10,7 @@
 // are comparable with a single integer.
 //
 // On any failing optimistic episode the harness auto-records the cell
-// through internal/replay, shrinks it, and writes a ready-to-run .replay
+// (simcheck.AutoRecord), shrinks it, and writes a ready-to-run .replay
 // artifact — a soak failure at 3am lands as a minimal reproducer, not a
 // log line.
 package soak
@@ -273,9 +273,14 @@ func runEpisode(ep Episode, cfg Config, rep *Report, digest io.Writer, logf func
 // episode: under the artifact directory when one is configured (so a
 // failing episode's checkpoints survive as evidence), in the system temp
 // directory otherwise. The directory is removed when the episode passes.
+// A kept directory from an earlier run under the same artifact directory
+// is cleared first: the episode must not resume another run's checkpoint.
 func ckptDirFor(cfg Config, ep Episode) (string, error) {
 	if cfg.ArtifactDir != "" {
 		dir := filepath.Join(cfg.ArtifactDir, fmt.Sprintf("ckpt-ep%04d", ep.Index))
+		if err := os.RemoveAll(dir); err != nil {
+			return "", err
+		}
 		return dir, os.MkdirAll(dir, 0o755)
 	}
 	return os.MkdirTemp("", "soak-ckpt-")

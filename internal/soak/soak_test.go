@@ -171,7 +171,7 @@ func TestSoakMutationFailsAndShrinks(t *testing.T) {
 	}
 	// The sequential oracle is the shrinker's own predicate and is
 	// deterministic: the artifact must fail it every time.
-	diverged, err := replay.Replay(simcheck.Runner{}, lg, core.KindSequential)
+	diverged, err := simcheck.Replay(lg, core.KindSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSoakMutationFailsAndShrinks(t *testing.T) {
 	// collide with the recording on a given run (~5% observed); a few
 	// attempts must still surface the divergence.
 	for attempt := 0; ; attempt++ {
-		diverged, err = replay.Replay(simcheck.Runner{}, lg, core.KindOptimistic)
+		diverged, err = simcheck.Replay(lg, core.KindOptimistic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,5 +204,25 @@ func TestSoakBadConfig(t *testing.T) {
 	}
 	if _, err := Run(Config{Mutation: "nope"}); err == nil {
 		t.Fatal("unknown mutation accepted")
+	}
+}
+
+// TestSoakReusedArtifactDir: a crash-recovery episode whose checkpoint
+// directory survives under the artifact directory from an earlier run (a
+// failing episode keeps it) must start from an empty directory rather
+// than resume the kept checkpoint as its own.
+func TestSoakReusedArtifactDir(t *testing.T) {
+	dir := t.TempDir()
+	other := simcheck.Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 9}
+	if _, err := simcheck.RunCellResumed(other, filepath.Join(dir, "ckpt-ep0000"), 0); err != nil {
+		t.Fatalf("leaving a checkpoint behind [%s]: %v", other, err)
+	}
+	c := simcheck.Cell{
+		Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Queue: "heap", Seed: 3,
+		Faults: simcheck.DefaultFaults(),
+	}
+	rep := RunEpisodes([]Episode{{Index: 0, Cell: c, Checkpoint: true}}, Config{ArtifactDir: dir})
+	if !rep.OK() {
+		t.Fatalf("episode in a reused artifact directory failed:\n%v", rep.Failures)
 	}
 }
