@@ -4,9 +4,11 @@ package cmdtest
 
 import (
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +87,43 @@ func TestHotpotatoCLIFlags(t *testing.T) {
 	runExpectError(t, "hotpotato", "-policy", "warp9")
 	runExpectError(t, "hotpotato", "-traffic", "nope")
 	runExpectError(t, "hotpotato", "-n", "1")
+}
+
+// TestHotpotatoProgressCLI covers -progress: it prints "gvt N / steps"
+// lines with N nondecreasing, and reporting progress leaves the network
+// statistics unchanged.
+func TestHotpotatoProgressCLI(t *testing.T) {
+	args := []string{"-n", "8", "-steps", "30", "-pes", "2"}
+	plain := run(t, "hotpotato", args...)
+	out := run(t, "hotpotato", append(args, "-progress")...)
+	last, lines := math.Inf(-1), 0
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "gvt ") || !strings.HasSuffix(line, " / 30") {
+			continue
+		}
+		n, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(line, "gvt "), " / 30"), 64)
+		if err != nil {
+			t.Fatalf("bad progress line %q: %v", line, err)
+		}
+		if n < last {
+			t.Fatalf("progress went backwards: %v then %v\n%s", last, n, out)
+		}
+		last = n
+		lines++
+	}
+	if lines == 0 {
+		t.Fatalf("no gvt progress lines:\n%s", out)
+	}
+	network := func(out string) string {
+		idx := strings.Index(out, "network:")
+		if idx < 0 {
+			t.Fatalf("no network block:\n%s", out)
+		}
+		return out[idx:]
+	}
+	if network(out) != network(plain) {
+		t.Fatalf("-progress changed the statistics:\n%s\nvs\n%s", network(out), network(plain))
+	}
 }
 
 // TestPholdCLI covers the benchmark binary.

@@ -88,21 +88,6 @@ func main() {
 		Queue:           *queue,
 		MaxOptimism:     core.Time(*maxOpt),
 	}
-	if *progress && !*sequential {
-		// Throttle to roughly one line per percent of virtual time; OnGVT
-		// runs on PE 0's goroutine mid-round, so keep it cheap.
-		var last core.Time = -1
-		stride := core.Time(*steps) / 100
-		if stride < 1 {
-			stride = 1
-		}
-		cfg.OnGVT = func(gvt core.Time) {
-			if gvt-last >= stride {
-				last = gvt
-				fmt.Fprintf(os.Stderr, "gvt %.0f / %d\n", float64(gvt), *steps)
-			}
-		}
-	}
 
 	kind := core.KindOptimistic
 	if *sequential {
@@ -114,6 +99,14 @@ func main() {
 	eng, model, err := hotpotato.BuildEngine(kind, cfg)
 	if err != nil {
 		fatal(err)
+	}
+	if *progress && !*sequential {
+		// Throttle to roughly one line per percent of virtual time.
+		stride := core.Time(*steps) / 100
+		if stride < 1 {
+			stride = 1
+		}
+		eng.(*core.Simulator).SetRecord(&progressSink{last: -1, stride: stride, steps: *steps})
 	}
 	if *resume {
 		if *ckptDir == "" {
@@ -165,6 +158,25 @@ func main() {
 	}
 	if err := stopProf(); err != nil {
 		fatal(err)
+	}
+}
+
+// progressSink is the -progress reporter: a record sink that prints a
+// "gvt N / steps" line to stderr whenever the GVT estimate has advanced by
+// stride since the last line. GVTRound runs on PE 0's goroutine mid-round,
+// so it stays cheap; the other occurrences are ignored.
+type progressSink struct {
+	last, stride core.Time
+	steps        int
+}
+
+func (*progressSink) MailBatch(dst, src, n int)                           {}
+func (*progressSink) Rollback(pe, kp, events int, secondary, forced bool) {}
+
+func (p *progressSink) GVTRound(round int64, gvt core.Time) {
+	if gvt-p.last >= p.stride {
+		p.last = gvt
+		fmt.Fprintf(os.Stderr, "gvt %.0f / %d\n", float64(gvt), p.steps)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/pcs"
 	"repro/internal/stats"
 )
@@ -33,14 +34,14 @@ func main() {
 			EndTime:          480,
 			Seed:             11,
 		}
-		sim, model, err := pcs.Build(cfg)
+		eng, model, err := pcs.BuildEngine(core.KindOptimistic, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := sim.Run(); err != nil {
+		if _, err := eng.Run(); err != nil {
 			log.Fatal(err)
 		}
-		t := model.Totals(sim)
+		t := model.Totals(eng)
 		table.AddRow(
 			fmt.Sprintf("%d", channels),
 			fmt.Sprintf("%d", t.Arrivals),

@@ -10,7 +10,7 @@ import (
 // pools: once an event has been handed to a free call it belongs to the
 // pool (a later get may already have reincarnated it), so any further use
 // in the same function is a use-after-free that the dynamic tripwires
-// (Config.CheckInvariants, simcheck paranoid cells) only catch
+// (Simulator.SetParanoid, simcheck paranoid cells) only catch
 // probabilistically. It also flags sends that alias a payload into a
 // second event: the kernel makes each dead event's payload a spare
 // (core.LP.Spare) exactly once, so two live events sharing one payload

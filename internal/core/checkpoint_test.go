@@ -256,14 +256,14 @@ func checkpointRendezvousQuiescenceCheck(t *testing.T) {
 	cfg := Config{
 		NumLPs: 96, NumPEs: 3, NumKPs: 6, EndTime: 40, Seed: 11,
 		BatchSize: 64, GVTInterval: 4,
-		CheckInvariants: true,
-		Faults:          &Faults{Seed: 5, ThrottlePEs: 1},
 	}
 	want, _ := runStressSequential(t, Config{NumLPs: cfg.NumLPs, EndTime: cfg.EndTime, Seed: cfg.Seed}, 16)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	paranoid(s)
+	armFaults(t, &Faults{Seed: 5, ThrottlePEs: 1})(s)
 	model := stressModel{numLPs: int64(cfg.NumLPs)}
 	s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
 	for i := 0; i < cfg.NumLPs; i++ {

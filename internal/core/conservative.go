@@ -49,17 +49,20 @@ type Conservative struct {
 	processed int64
 }
 
-// consPE is one conservative worker: a pending queue and a mailbox, no
-// rollback machinery. Its event pool follows the same ownership rule as the
-// optimistic kernel's: allocation on the sender's pool, free on the
-// destination's — and within a window the destination PE is the only one
-// touching the event, so no lock is needed.
+// consPE is one conservative worker: a pending queue and an inbox, no
+// rollback machinery. inbox[s] holds the events PE s sent here during the
+// current window. Only s appends to it during the window and only this PE
+// drains it after the window's closing barrier, which orders every append
+// before the drain, so no lock is needed; each slice grows as far as one
+// window needs and is reused. The event pool follows the same ownership
+// rule as the optimistic kernel's: allocation on the sender's pool, free on
+// the destination's — and within a window the destination PE is the only
+// one touching the event.
 type consPE struct {
 	id        int
 	sim       *Conservative
 	pending   eventq.Queue[*Event]
-	inbox     mailbox
-	batch     []mail
+	inbox     [][]*Event
 	pool      eventPool
 	processed int64
 }
@@ -77,7 +80,7 @@ func NewConservative(cfg Config, lookahead Time) (*Conservative, error) {
 	c := &Conservative{cfg: cfg, lookahead: lookahead}
 	c.pes = make([]*consPE, cfg.NumPEs)
 	for i := range c.pes {
-		pe := &consPE{id: i, sim: c}
+		pe := &consPE{id: i, sim: c, inbox: make([][]*Event, cfg.NumPEs)}
 		pe.pending = newEventQueue(cfg.Queue)
 		c.pes[i] = pe
 	}
@@ -121,7 +124,7 @@ func (pe *consPE) scheduleNew(ev *Event) {
 		pe.pending.Push(ev)
 		return
 	}
-	dst.inbox.post(mail{ev: ev})
+	dst.inbox[pe.id] = append(dst.inbox[pe.id], ev)
 }
 
 // lookup implements engine.
@@ -203,12 +206,13 @@ func (pe *consPE) run() (err error) {
 		pe.processed++
 	}
 	for {
-		// Drain cross-PE messages produced by the previous window.
-		msgs := pe.inbox.drainInto(pe.batch)
-		for _, m := range msgs {
-			pe.pending.Push(m.ev)
+		// Drain cross-PE events sent during the previous window.
+		for s, in := range pe.inbox {
+			for _, ev := range in {
+				pe.pending.Push(ev)
+			}
+			pe.inbox[s] = in[:0]
 		}
-		pe.batch = msgs
 
 		// Agree on the next window start: the global minimum pending time.
 		local := TimeInfinity

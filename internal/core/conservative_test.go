@@ -40,47 +40,72 @@ func setupLookahead(h Host, n int, ttl int, la Time) {
 }
 
 // TestConservativeMatchesSequential: the third engine must commit the
-// exact sequential history too.
+// exact sequential history too. The wide case's windows carry more than
+// laneCap cross-PE events into one PE, the volume the barrier-ordered
+// inboxes must take in one window.
 func TestConservativeMatchesSequential(t *testing.T) {
-	const n = 48
-	const la = Time(0.25)
-	cfg := Config{NumLPs: n, EndTime: 40, Seed: 9}
-
-	seq, err := NewSequential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setupLookahead(seq, n, 15, la)
-	seqStats, err := seq.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotStress(n, seq.LP)
-
-	for _, pes := range []int{1, 2, 4} {
-		ccfg := cfg
-		ccfg.NumPEs = pes
-		cons, err := NewConservative(ccfg, la)
-		if err != nil {
-			t.Fatal(err)
-		}
-		setupLookahead(cons, n, 15, la)
-		stats, err := cons.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := snapshotStress(n, cons.LP)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pes=%d LP %d: %+v != %+v", pes, i, got[i], want[i])
+	for _, tc := range []struct {
+		name string
+		n    int
+		la   Time
+		pes  []int
+		wide bool
+	}{
+		{"narrow", 48, 0.25, []int{1, 2, 4}, false},
+		{"wide", 512, 5, []int{2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{NumLPs: tc.n, EndTime: 40, Seed: 9}
+			seq, err := NewSequential(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if stats.Committed != seqStats.Committed {
-			t.Fatalf("pes=%d: committed %d != %d", pes, stats.Committed, seqStats.Committed)
-		}
-		if stats.GVTRounds == 0 {
-			t.Fatalf("pes=%d: no windows executed", pes)
-		}
+			setupLookahead(seq, tc.n, 15, tc.la)
+			seqStats, err := seq.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := snapshotStress(tc.n, seq.LP)
+
+			for _, pes := range tc.pes {
+				ccfg := cfg
+				ccfg.NumPEs = pes
+				cons, err := NewConservative(ccfg, tc.la)
+				if err != nil {
+					t.Fatal(err)
+				}
+				setupLookahead(cons, tc.n, 15, tc.la)
+				stats, err := cons.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := snapshotStress(tc.n, cons.LP)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("pes=%d LP %d: %+v != %+v", pes, i, got[i], want[i])
+					}
+				}
+				if stats.Committed != seqStats.Committed {
+					t.Fatalf("pes=%d: committed %d != %d", pes, stats.Committed, seqStats.Committed)
+				}
+				if stats.GVTRounds == 0 {
+					t.Fatalf("pes=%d: no windows executed", pes)
+				}
+				if tc.wide {
+					// An inbox slice grows past laneCap only when one
+					// window appends more than laneCap events to it.
+					peak := 0
+					for _, pe := range cons.pes {
+						for _, in := range pe.inbox {
+							peak = max(peak, cap(in))
+						}
+					}
+					if peak <= laneCap {
+						t.Fatalf("pes=%d: largest inbox %d, want a window above laneCap %d", pes, peak, laneCap)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -76,8 +76,7 @@ func TestEngineHostContract(t *testing.T) {
 }
 
 // TestPlacementOutOfRange: a KPOfLP or PEOfKP that returns an out-of-range
-// value is a configuration error on both engines that place LPs, never a
-// panic.
+// value is a configuration error on every engine, never a panic.
 func TestPlacementOutOfRange(t *testing.T) {
 	zero := func(int) int { return 0 }
 	seven := func(int) int { return 7 }
@@ -88,7 +87,7 @@ func TestPlacementOutOfRange(t *testing.T) {
 		"PEOfKP high": {KPOfLP: zero, PEOfKP: seven},
 		"PEOfKP low":  {KPOfLP: zero, PEOfKP: minus},
 	}
-	for _, kind := range []EngineKind{KindConservative, KindOptimistic} {
+	for _, kind := range EngineKinds() {
 		for name, cfg := range bad {
 			cfg.NumLPs, cfg.NumKPs, cfg.NumPEs, cfg.EndTime = 4, 2, 2, 10
 			func() {

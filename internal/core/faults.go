@@ -14,9 +14,9 @@ import (
 // plan — the production configuration — compiles to zero overhead on the
 // hot paths beyond a pointer test.
 //
-// Only the optimistic Simulator honours a fault plan; the Sequential and
-// Conservative engines have no speculative machinery to stress and ignore
-// it.
+// Arm a plan with Simulator.SetFaults. The Sequential and Conservative
+// engines have no speculative machinery to stress, so they offer no way to
+// hand them one.
 type Faults struct {
 	// Seed drives the injectors' private random stream. The stream only
 	// chooses *where* to inject (which KP, what depth, what permutation);

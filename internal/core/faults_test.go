@@ -36,9 +36,7 @@ func TestFaultsPreserveTrajectory(t *testing.T) {
 			cfg.NumKPs = 16
 			cfg.BatchSize = 8
 			cfg.GVTInterval = 2
-			cfg.CheckInvariants = true
-			cfg.Faults = &tc.f
-			got, stats := runStressParallel(t, cfg, 16)
+			got, stats := runStressParallel(t, cfg, 16, paranoid, armFaults(t, &tc.f))
 			if !reflect.DeepEqual(got, want) {
 				for i := range got {
 					if got[i] != want[i] {
@@ -63,11 +61,11 @@ func TestFaultsPreserveTrajectory(t *testing.T) {
 func TestForcedRollbacksGenerateVolume(t *testing.T) {
 	cfg := Config{
 		NumLPs: 16, NumPEs: 1, NumKPs: 4, EndTime: 30, Seed: 3,
-		BatchSize: 8, GVTInterval: 2, CheckInvariants: true,
-		Faults: &Faults{Seed: 9, RollbackEvery: 1, RollbackDepth: 4},
+		BatchSize: 8, GVTInterval: 2,
 	}
 	want, _ := runStressSequential(t, Config{NumLPs: 16, EndTime: 30, Seed: 3}, 12)
-	got, stats := runStressParallel(t, cfg, 12)
+	got, stats := runStressParallel(t, cfg, 12, paranoid,
+		armFaults(t, &Faults{Seed: 9, RollbackEvery: 1, RollbackDepth: 4}))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("single-PE forced rollbacks diverged")
 	}
@@ -80,9 +78,42 @@ func TestForcedRollbacksGenerateVolume(t *testing.T) {
 	}
 }
 
+// TestFaultsValidate: SetFaults rejects a plan with any negative field
+// with an error, not a panic (a plan can come from a recording on disk),
+// and leaves the simulator unarmed.
 func TestFaultsValidate(t *testing.T) {
-	cfg := Config{NumLPs: 4, EndTime: 1, Faults: &Faults{RollbackEvery: -1}}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("negative fault field accepted")
+	for name, plan := range map[string]Faults{
+		"RollbackEvery": {RollbackEvery: -1},
+		"RollbackDepth": {RollbackDepth: -1},
+		"GVTDelay":      {GVTDelay: -1},
+		"MailBurst":     {MailBurst: -1},
+		"ThrottlePEs":   {ThrottlePEs: -1},
+		"ThrottleBatch": {ThrottleBatch: -1},
+	} {
+		s, err := New(Config{NumLPs: 4, NumPEs: 2, EndTime: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetFaults(&plan); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
+		if s.faults != nil || s.pes[0].faults != nil {
+			t.Errorf("rejected %s plan left the simulator armed", name)
+		}
+	}
+}
+
+// TestSetFaultsDisarm: SetFaults(nil) after a plan disarms every injector,
+// so the run forces no rollbacks.
+func TestSetFaultsDisarm(t *testing.T) {
+	cfg := Config{NumLPs: 16, NumPEs: 2, NumKPs: 4, EndTime: 30, Seed: 3, BatchSize: 8, GVTInterval: 2}
+	plan := &Faults{Seed: 9, RollbackEvery: 1, RollbackDepth: 4}
+	_, armed := runStressParallel(t, cfg, 12, armFaults(t, plan))
+	if armed.ForcedRollbacks == 0 {
+		t.Fatal("armed plan forced no rollbacks; the disarm check below would prove nothing")
+	}
+	_, stats := runStressParallel(t, cfg, 12, armFaults(t, plan), armFaults(t, nil))
+	if stats.ForcedRollbacks != 0 {
+		t.Fatalf("SetFaults(nil) left %d forced rollbacks", stats.ForcedRollbacks)
 	}
 }

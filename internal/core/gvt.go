@@ -74,7 +74,7 @@ func (pe *PE) await() error {
 // every path that needs GVT to advance (idle spin, optimism throttle, batch
 // quota) re-requests until the round actually happens.
 func (s *Simulator) requestGVT() {
-	if f := s.cfg.Faults; f != nil && f.GVTDelay > 0 {
+	if f := s.faults; f != nil && f.GVTDelay > 0 {
 		if s.gvtDelayed.Add(1)%int64(f.GVTDelay+1) != 0 {
 			return
 		}
@@ -119,7 +119,7 @@ func (pe *PE) commsFixedPoint() error {
 		// barriers, the one window in which no PE moves; whether the look
 		// counts is known only once PE 0 has declared the round stable.
 		var quiet error
-		if s.cfg.CheckInvariants {
+		if s.paranoid {
 			quiet = pe.checkQuiescentComms()
 		}
 		if pe.id == 0 {

@@ -111,7 +111,7 @@ func (pe *PE) asyncPass() (bool, error) {
 	if gvt := s.GVT(); gvt > pe.lastFossil {
 		pe.lastFossil = gvt
 		pe.fossilCollect(gvt)
-		if s.cfg.CheckInvariants {
+		if s.paranoid {
 			if err := pe.checkInvariants(gvt); err != nil {
 				s.fail(err)
 				return false, err
@@ -273,9 +273,6 @@ func (pe *PE) completeRound(est Time) {
 	advanced := est > s.GVT()
 	s.setGVT(est)
 	n := s.roundsDone.Add(1)
-	if hook := s.cfg.OnGVT; hook != nil {
-		hook(est)
-	}
 	if rec := s.record; rec != nil {
 		rec.GVTRound(n, est)
 	}
@@ -315,7 +312,7 @@ func (pe *PE) asyncShutdown() error {
 		return err
 	}
 	pe.fossilCollect(TimeInfinity)
-	if s.cfg.CheckInvariants {
+	if s.paranoid {
 		if err := pe.checkInvariants(TimeInfinity); err != nil {
 			s.fail(err)
 			return err

@@ -74,9 +74,8 @@ func TestAsyncGVTUnderFaults(t *testing.T) {
 		plan := plan
 		t.Run(fmt.Sprintf("plan%d", i), func(t *testing.T) {
 			cfg := Config{NumLPs: 48, EndTime: 30, Seed: 5, NumPEs: 4, NumKPs: 8,
-				BatchSize: 4, GVTInterval: 2,
-				CheckInvariants: true, Faults: &plan}
-			got, parStats := runStressParallel(t, cfg, 12)
+				BatchSize: 4, GVTInterval: 2}
+			got, parStats := runStressParallel(t, cfg, 12, paranoid, armFaults(t, &plan))
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("LP %d state mismatch under %+v: %+v vs %+v", i, plan, got[i], want[i])

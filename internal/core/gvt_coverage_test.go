@@ -35,13 +35,14 @@ func TestAsyncGVTCoverageSelfTest(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(Config{
-				NumLPs: 2, NumPEs: 2, NumKPs: 2, EndTime: 100, CheckInvariants: true,
+				NumLPs: 2, NumPEs: 2, NumKPs: 2, EndTime: 100,
 				KPOfLP: func(lp int) int { return lp },
 				PEOfKP: func(kp int) int { return kp },
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.SetParanoid(0)
 			s.ForEachLP(func(lp *LP) { lp.Handler = recModel{}; lp.State = &recState{} })
 			if err := bindHandlers(s.lps); err != nil {
 				t.Fatal(err)

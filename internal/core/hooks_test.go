@@ -1,28 +1,21 @@
 package core
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
-// TestOnGVTMonotonic: GVT estimates must be non-decreasing and end at or
-// beyond the horizon (TimeInfinity once the population drains).
-func TestOnGVTMonotonic(t *testing.T) {
-	var mu sync.Mutex
-	var gvts []Time
+// TestGVTRoundMonotonic: the estimates a RecordSink sees through GVTRound
+// must be non-decreasing and end at or beyond the horizon (TimeInfinity
+// once the population drains).
+func TestGVTRoundMonotonic(t *testing.T) {
 	cfg := Config{
 		NumLPs: 32, EndTime: 40, Seed: 5, NumPEs: 4, NumKPs: 8,
 		BatchSize: 4, GVTInterval: 2,
-		OnGVT: func(gvt Time) {
-			mu.Lock()
-			gvts = append(gvts, gvt)
-			mu.Unlock()
-		},
 	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := &countingSink{}
+	s.SetRecord(sink)
 	model := stressModel{numLPs: 32}
 	s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
 	for i := 0; i < 32; i++ {
@@ -31,8 +24,9 @@ func TestOnGVTMonotonic(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	gvts := sink.rounds
 	if len(gvts) == 0 {
-		t.Fatal("OnGVT never fired")
+		t.Fatal("GVTRound never fired")
 	}
 	for i := 1; i < len(gvts); i++ {
 		if gvts[i] < gvts[i-1] {

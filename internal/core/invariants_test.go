@@ -10,9 +10,9 @@ import (
 func TestParanoidModeCleanRun(t *testing.T) {
 	cfg := Config{
 		NumLPs: 64, EndTime: 60, Seed: 11, NumPEs: 4, NumKPs: 8,
-		BatchSize: 4, GVTInterval: 2, CheckInvariants: true,
+		BatchSize: 4, GVTInterval: 2,
 	}
-	_, stats := runStressParallel(t, cfg, 30)
+	_, stats := runStressParallel(t, cfg, 30, paranoid)
 	if stats.GVTRounds == 0 {
 		t.Fatal("no GVT rounds ran, so no invariants were checked")
 	}

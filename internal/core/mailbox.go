@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // This file is the optimistic kernel's cross-PE communication layer:
 // per-sender SPSC lanes (the lock-free mailbox), per-destination outboxes
@@ -18,33 +15,6 @@ import (
 type mail struct {
 	ev     *Event
 	cancel bool
-}
-
-// mailbox is a mutex-guarded multi-producer single-consumer queue. The
-// optimistic kernel no longer uses it; it remains the right tool for the
-// window-synchronous Conservative engine, where producers within one window
-// can send an unbounded number of events to one destination with no
-// concurrent drain (a bounded lane would fill with no one to empty it) and
-// the per-window barrier makes lock contention irrelevant.
-type mailbox struct {
-	mu  sync.Mutex
-	buf []mail
-}
-
-func (m *mailbox) post(msg mail) {
-	m.mu.Lock()
-	m.buf = append(m.buf, msg)
-	m.mu.Unlock()
-}
-
-// drainInto swaps the buffer out under the lock and returns it; the caller
-// recycles the previous batch slice to avoid churn.
-func (m *mailbox) drainInto(batch []mail) []mail {
-	m.mu.Lock()
-	out := m.buf
-	m.buf = batch[:0]
-	m.mu.Unlock()
-	return out
 }
 
 // laneCap is the capacity of one SPSC lane; must be a power of two. A full
@@ -68,7 +38,7 @@ const laneCap = 128
 // sent-but-not-delivered (the sender bumped mailSent at outbox-append time,
 // the consumer bumps mailReceived only at drain), so the comms fixed point
 // cannot be reached while the lane is non-empty. drainMailbox additionally
-// asserts the lifecycle under CheckInvariants.
+// asserts the lifecycle in paranoid mode (SetParanoid).
 type lane struct {
 	//simlint:spsc
 	head atomic.Uint64
@@ -249,7 +219,7 @@ func (pe *PE) drainMailbox() {
 	if pe.faults != nil && pe.faults.plan.ShuffleMail && len(msgs) > 1 {
 		pe.faults.perturbMail(msgs)
 	}
-	check := pe.sim.cfg.CheckInvariants
+	check := pe.sim.paranoid
 	for _, m := range msgs {
 		if check {
 			// In-flight lifecycle tripwires: a positive event must still be

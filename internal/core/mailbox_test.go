@@ -321,12 +321,10 @@ func TestAntiMessageOrderingUnderStress(t *testing.T) {
 	cfg.NumKPs = 16
 	cfg.BatchSize = 4
 	cfg.GVTInterval = 2
-	cfg.CheckInvariants = true
-	cfg.Faults = &Faults{
+	got, st := runStressParallel(t, cfg, 16, paranoid, armFaults(t, &Faults{
 		Seed: 31, RollbackEvery: 2, RollbackDepth: 5,
 		ShuffleMail: true, GVTDelay: 1, MailBurst: 3,
-	}
-	got, st := runStressParallel(t, cfg, 16)
+	}))
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("LP %d diverged under comms stress: got %+v want %+v", i, got[i], want[i])
@@ -433,8 +431,8 @@ func FuzzMailboxOrdering(f *testing.F) {
 // cross-checks the comms counters against each other.
 func TestStatsCommsCountersConserved(t *testing.T) {
 	cfg := Config{NumLPs: 64, NumPEs: 4, NumKPs: 16, EndTime: 30, Seed: 7,
-		BatchSize: 4, GVTInterval: 2, CheckInvariants: true}
-	_, st := runStressParallel(t, cfg, 16)
+		BatchSize: 4, GVTInterval: 2}
+	_, st := runStressParallel(t, cfg, 16, paranoid)
 	if st.MailSent != st.MailReceived {
 		t.Fatalf("sent %d != received %d at termination", st.MailSent, st.MailReceived)
 	}

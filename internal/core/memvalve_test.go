@@ -79,7 +79,8 @@ func chainTotal(s *Simulator) int64 {
 // not; a budget taken from a lucky control run can sit above it.
 func TestMemoryValveBoundsLiveEvents(t *testing.T) {
 	const budget = 16
-	free := buildChain(t, Config{NumPEs: 2, CheckInvariants: true})
+	free := buildChain(t, Config{NumPEs: 2})
+	free.SetParanoid(0)
 	freeStats, err := free.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +92,8 @@ func TestMemoryValveBoundsLiveEvents(t *testing.T) {
 		t.Fatalf("unbounded live peak %d too small for the valve to matter; tune the model", freeStats.LivePeak)
 	}
 
-	bounded := buildChain(t, Config{NumPEs: 2, CheckInvariants: true})
+	bounded := buildChain(t, Config{NumPEs: 2})
+	bounded.SetParanoid(0)
 	bounded.SetMemoryBound(budget)
 	boundedStats, err := bounded.Run()
 	if err != nil {
@@ -121,12 +123,12 @@ func TestMemoryValveBoundsLiveEvents(t *testing.T) {
 }
 
 // TestInvariantSweepRuns: the in-run sweep must fire between GVT rounds
-// and imply CheckInvariants.
+// and imply paranoid mode.
 func TestInvariantSweepRuns(t *testing.T) {
 	s := buildChain(t, Config{NumPEs: 2})
 	s.SetParanoid(2)
-	if !s.cfg.CheckInvariants {
-		t.Fatal("SetParanoid did not imply CheckInvariants")
+	if !s.paranoid {
+		t.Fatal("SetParanoid did not imply paranoid mode")
 	}
 	stats, err := s.Run()
 	if err != nil {
@@ -164,7 +166,7 @@ func TestInvariantSweepCatchesCorruption(t *testing.T) {
 
 // TestSettersArmValveAndParanoia: the post-construction setters must arm
 // every PE's controller budget and the in-run sweep, disarm on a
-// non-positive budget, and reject calls after Run.
+// non-positive budget, and reject calls after Run (SetFaults included).
 func TestSettersArmValveAndParanoia(t *testing.T) {
 	s := buildChain(t, Config{NumPEs: 2})
 	s.SetMemoryBound(-1)
@@ -180,12 +182,13 @@ func TestSettersArmValveAndParanoia(t *testing.T) {
 		}
 	}
 	s.SetParanoid(4)
-	if !s.cfg.CheckInvariants || s.sweepEvery != 4 {
-		t.Fatalf("SetParanoid: CheckInvariants=%v sweepEvery=%d", s.cfg.CheckInvariants, s.sweepEvery)
+	if !s.paranoid || s.sweepEvery != 4 {
+		t.Fatalf("SetParanoid: paranoid=%v sweepEvery=%d", s.paranoid, s.sweepEvery)
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	mustPanic(t, "SetMemoryBound after Run", func() { s.SetMemoryBound(1) })
 	mustPanic(t, "SetParanoid after Run", func() { s.SetParanoid(1) })
+	mustPanic(t, "SetFaults after Run", func() { _ = s.SetFaults(&Faults{}) })
 }

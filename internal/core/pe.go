@@ -73,7 +73,7 @@ type PE struct {
 	// (see throttle.go). Held by value: it is PE-owned and read every pass.
 	opt optimismController
 
-	// faults is non-nil only when Config.Faults is set; see faults.go.
+	// faults is non-nil only when a plan is armed (SetFaults); see faults.go.
 	faults *peFaults
 
 	// liveEvents is the pressure valve's gauge: this PE's current count of
@@ -130,7 +130,7 @@ func (pe *PE) free(ev *Event) { pe.pool.put(ev) }
 // past of its KP, the KP is first rolled back to just before it (a primary
 // rollback).
 func (pe *PE) insert(ev *Event) {
-	if pe.sim.cfg.CheckInvariants && ev.state == stateFree {
+	if pe.sim.paranoid && ev.state == stateFree {
 		panic("core: use after free: inserting pooled event " + ev.String())
 	}
 	kp := pe.sim.lps[ev.dst].kp
@@ -263,7 +263,7 @@ func (pe *PE) nextLive() (*Event, bool) {
 
 // execute runs one event forward.
 func (pe *PE) execute(ev *Event) {
-	if pe.sim.cfg.CheckInvariants && ev.state == stateFree {
+	if pe.sim.paranoid && ev.state == stateFree {
 		panic("core: use after free: executing pooled event " + ev.String())
 	}
 	lp := pe.sim.lps[ev.dst]

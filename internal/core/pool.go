@@ -30,7 +30,7 @@ package core
 //
 // Every free stamps the event with a new generation and the stateFree
 // marker, so a use-after-free — the classic free-list corruption — is
-// detectable: paranoid mode (Config.CheckInvariants) panics the moment a
+// detectable: paranoid mode (Simulator.SetParanoid) panics the moment a
 // freed event is inserted, executed or found in any queue.
 
 // Recycler is a vestige: the kernel no longer consults it. Payloads used

@@ -149,10 +149,11 @@ func TestEventPoolDoubleFreePanics(t *testing.T) {
 // (stateFree) event must be rejected by insert, execute, cancellation and
 // the GVT-time queue scan.
 func TestUseAfterFreeGuards(t *testing.T) {
-	s, err := New(Config{NumLPs: 2, NumPEs: 1, NumKPs: 1, EndTime: 10, CheckInvariants: true})
+	s, err := New(Config{NumLPs: 2, NumPEs: 1, NumKPs: 1, EndTime: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetParanoid(0)
 	pe := s.pes[0]
 	// Pool-issued, slab-resident events, freed the way the kernel frees
 	// them: the tripwires key on what put stamps, not on how the event was
@@ -225,8 +226,7 @@ func TestPoolStatsAcrossEngines(t *testing.T) {
 	cfg := base
 	cfg.NumPEs = 4
 	cfg.NumKPs = 8
-	cfg.CheckInvariants = true
-	_, parStats := runStressParallel(t, cfg, ttl)
+	_, parStats := runStressParallel(t, cfg, ttl, paranoid)
 	check("parallel", parStats, 4)
 
 	// Conservative engine, via the fixed-lookahead variant of the stress
@@ -434,12 +434,12 @@ func TestSparePayloads(t *testing.T) {
 	cfg := base
 	cfg.NumPEs, cfg.NumKPs = 3, 6
 	cfg.BatchSize, cfg.GVTInterval = 4, 2
-	cfg.CheckInvariants = true
-	cfg.Faults = &Faults{Seed: 9, RollbackEvery: 3, RollbackDepth: 6, ShuffleMail: true}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	paranoid(s)
+	armFaults(t, &Faults{Seed: 9, RollbackEvery: 3, RollbackDepth: 6, ShuffleMail: true})(s)
 	var parTally spareTally
 	install(s, &parTally)
 	if st, err = s.Run(); err != nil {
@@ -493,12 +493,10 @@ func TestCancellationRacesRollbackAcrossPEs(t *testing.T) {
 	cfg.NumKPs = 16
 	cfg.BatchSize = 4
 	cfg.GVTInterval = 2
-	cfg.CheckInvariants = true
-	cfg.Faults = &Faults{
+	got, st := runStressParallel(t, cfg, 16, paranoid, armFaults(t, &Faults{
 		Seed: 23, RollbackEvery: 2, RollbackDepth: 6,
 		ShuffleMail: true, GVTDelay: 2,
-	}
-	got, st := runStressParallel(t, cfg, 16)
+	}))
 	if !reflect.DeepEqual(got, want) {
 		for i := range got {
 			if got[i] != want[i] {

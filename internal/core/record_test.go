@@ -73,11 +73,11 @@ func TestRecordSinkObservesRun(t *testing.T) {
 	cfg.NumKPs = 16
 	cfg.BatchSize = 8
 	cfg.GVTInterval = 2
-	cfg.CheckInvariants = true
-	cfg.Faults = &Faults{Seed: 5, RollbackEvery: 2, RollbackDepth: 4, ShuffleMail: true}
 	sink := &countingSink{}
 
-	got, stats := runStressParallel(t, cfg, 16, func(s *Simulator) { s.SetRecord(sink) })
+	got, stats := runStressParallel(t, cfg, 16, paranoid,
+		armFaults(t, &Faults{Seed: 5, RollbackEvery: 2, RollbackDepth: 4, ShuffleMail: true}),
+		func(s *Simulator) { s.SetRecord(sink) })
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("attaching a record sink changed the committed trajectory")
 	}
@@ -139,13 +139,14 @@ func TestBootstrapHarvestRoundTrip(t *testing.T) {
 
 	t.Run("parallel", func(t *testing.T) {
 		cfg := Config{NumLPs: 16, NumPEs: 2, NumKPs: 4, EndTime: 30, Seed: 3,
-			BatchSize: 8, GVTInterval: 2, CheckInvariants: true}
-		want, _ := runStressParallel(t, cfg, 12)
+			BatchSize: 8, GVTInterval: 2}
+		want, _ := runStressParallel(t, cfg, 12, paranoid)
 
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.SetParanoid(0)
 		model := stressModel{numLPs: 16}
 		s.ForEachLP(func(lp *LP) { lp.Handler = model; lp.State = &stressState{} })
 		schedule(s.Schedule)

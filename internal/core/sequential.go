@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/eventq"
@@ -25,21 +23,12 @@ type Sequential struct {
 	processed int64
 }
 
-// NewSequential builds a sequential executor. Only NumLPs, EndTime, Seed
-// and Queue are consulted; the placement fields are irrelevant without
-// parallelism.
+// NewSequential builds a sequential executor. It validates cfg exactly as
+// the parallel engines do, but only NumLPs, EndTime, Seed and Queue shape
+// the run; the placement fields are irrelevant without parallelism.
 func NewSequential(cfg Config) (*Sequential, error) {
-	if cfg.NumLPs <= 0 {
-		return nil, errors.New("core: Config.NumLPs must be positive")
-	}
-	if !(cfg.EndTime > 0) {
-		return nil, errors.New("core: Config.EndTime must be positive")
-	}
-	if cfg.Queue == "" {
-		cfg.Queue = eventq.DefaultKind
-	}
-	if err := eventq.Valid(cfg.Queue); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
 	}
 	q := &Sequential{cfg: cfg}
 	q.lps = make([]*LP, cfg.NumLPs)

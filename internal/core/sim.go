@@ -52,14 +52,6 @@ type Config struct {
 	// the kernel's event order is total — so the choice is purely a
 	// performance knob, enforced by simcheck's queue dimension.
 	Queue string
-	// CheckInvariants enables paranoid mode: whenever a PE fossil-collects
-	// against a new GVT estimate, and at the shutdown drain, it validates
-	// its structural invariants (processed-list ordering, straggler
-	// postconditions, ownership); the comms fixed point additionally checks
-	// that no mail is left behind. Costs a full queue scan per round;
-	// intended for model development and the test suite, not production
-	// runs.
-	CheckInvariants bool
 	// MaxOptimism, when positive, bounds speculation: a PE will not
 	// execute events more than this far beyond the last GVT estimate
 	// (ROSS's max_opt_lookahead). It is the cap of each PE's optimism
@@ -80,20 +72,6 @@ type Config struct {
 	// PEOfKP optionally overrides the KP→PE mapping. The default groups
 	// contiguous KPs.
 	PEOfKP func(kp int) int
-
-	// OnGVT, when set, is called once per GVT round with the new estimate
-	// (TimeInfinity when the event population has drained). It runs on
-	// PE 0 while the other PEs keep executing, so it must not block for
-	// long and must not assume the machine is quiescent.
-	OnGVT func(gvt Time)
-
-	// Faults, when set, arms the kernel's fault injectors (forced
-	// rollbacks, GVT delay, mailbox perturbation, PE throttling); see the
-	// Faults type. The injectors stress speculative machinery without
-	// changing committed results — they exist for the simcheck harness and
-	// must stay nil in production runs. Only the optimistic Simulator
-	// honours the plan.
-	Faults *Faults
 }
 
 func (cfg *Config) setDefaults() error {
@@ -146,8 +124,9 @@ func (cfg *Config) setDefaults() error {
 			}
 		}
 	}
-	// Both engines that place LPs index their tables with these values, so
-	// one range check here serves New and NewConservative.
+	// Every engine builds through here, so one range check serves all
+	// three (Sequential places nothing but still rejects a placement the
+	// parallel engines would).
 	for kp := 0; kp < cfg.NumKPs; kp++ {
 		if pe := cfg.PEOfKP(kp); pe < 0 || pe >= cfg.NumPEs {
 			return fmt.Errorf("core: PEOfKP(%d) = %d out of range", kp, pe)
@@ -164,11 +143,6 @@ func (cfg *Config) setDefaults() error {
 	if err := eventq.Valid(cfg.Queue); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.validate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -176,14 +150,17 @@ func (cfg *Config) setDefaults() error {
 // handlers and bootstrap events, then Run.
 type Simulator struct {
 	cfg Config
+	// The harness hooks, armed by the Set* methods before Run and only
+	// read during it, so they sit with cfg, away from the atomics below.
 	// record streams kernel occurrences to the record/replay subsystem
 	// (SetRecord); nil disables recording at one pointer test per site.
-	// sweepEvery, when positive, runs each PE's invariant checks every
-	// sweepEvery scheduler passes (SetParanoid). Both are set before Run
-	// and only read during it, so they sit with cfg, away from the
-	// atomics below.
+	// paranoid turns on the invariant checks and sweepEvery, when
+	// positive, also runs them every sweepEvery scheduler passes
+	// (SetParanoid). faults is the armed fault plan (SetFaults).
 	record     RecordSink
 	sweepEvery int
+	paranoid   bool
+	faults     *Faults
 
 	lpTable
 	kps []*KP
@@ -235,9 +212,6 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		s.pes[i].bindReclaim()
 		s.pes[i].outbox.bufs = make([][]mail, cfg.NumPEs)
-		if cfg.Faults != nil {
-			s.pes[i].faults = newPEFaults(cfg.Faults, i)
-		}
 	}
 	for i := range s.kps {
 		peID := cfg.PEOfKP(i)
@@ -284,9 +258,8 @@ func streamID(seed uint64, lp int) uint64 {
 // event order; shared by all three engines. The key projection hands
 // calendar-family kinds the receive time to bucket by — monotone with
 // respect to before(), whose first field is recvTime. The kind is
-// validated before any engine gets here (setDefaults, NewSequential,
-// NewConservative), so a constructor error is a kernel bug, not user
-// input.
+// validated before any engine gets here (every constructor runs
+// setDefaults), so a constructor error is a kernel bug, not user input.
 func newEventQueue(kind string) eventq.Queue[*Event] {
 	q, err := eventq.New[*Event](kind,
 		func(a, b *Event) bool { return a.before(b) },
@@ -340,22 +313,49 @@ func (s *Simulator) SetMemoryBound(maxLive int) {
 	}
 }
 
-// SetParanoid enables the kernel's invariant checks after construction
-// (Config.CheckInvariants). When sweepEvery is positive each PE also
-// validates its own structures every sweepEvery scheduler passes, without
-// waiting for a GVT round: the checks touch only PE-owned state, so no
-// quiescence is needed, and the cost is a full pending-queue scan per
-// sweep. That is what the soak harness relies on, since hours-scale runs
-// cannot wait for a round boundary to notice corruption. Must be called
-// before Run.
+// SetParanoid enables paranoid mode: whenever a PE fossil-collects against
+// a new GVT estimate, and at the shutdown drain, it validates its
+// structural invariants (processed-list ordering, straggler
+// postconditions, ownership, event lifecycle); the comms fixed point
+// additionally checks that no mail is left behind. When sweepEvery is
+// positive each PE also validates its own structures every sweepEvery
+// scheduler passes, without waiting for a GVT round: the checks touch only
+// PE-owned state, so no quiescence is needed, and the cost is a full
+// pending-queue scan per sweep. That is what the soak harness relies on,
+// since hours-scale runs cannot wait for a round boundary to notice
+// corruption. Intended for model development and the test suite, not
+// production runs. Must be called before Run.
 func (s *Simulator) SetParanoid(sweepEvery int) {
 	if s.ran {
 		panic("core: SetParanoid after Run")
 	}
-	s.cfg.CheckInvariants = true
+	s.paranoid = true
 	if sweepEvery > 0 {
 		s.sweepEvery = sweepEvery
 	}
+}
+
+// SetFaults arms the kernel's fault injectors (forced rollbacks, GVT
+// delay, mail perturbation, PE throttling) with plan; see Faults. A plan
+// can come from a recording on disk, so an invalid one is an error, not a
+// panic. Must be called before Run; nil disarms.
+func (s *Simulator) SetFaults(plan *Faults) error {
+	if s.ran {
+		panic("core: SetFaults after Run")
+	}
+	if plan != nil {
+		if err := plan.validate(); err != nil {
+			return err
+		}
+	}
+	s.faults = plan
+	for _, pe := range s.pes {
+		pe.faults = nil
+		if plan != nil {
+			pe.faults = newPEFaults(plan, pe.id)
+		}
+	}
+	return nil
 }
 
 // GVT returns the last computed global virtual time.

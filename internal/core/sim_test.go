@@ -97,6 +97,18 @@ func runStressParallel(t *testing.T, cfg Config, ttl int, arm ...func(*Simulator
 	return snapshotStress(s.NumLPs(), s.LP), stats
 }
 
+// paranoid is a runStressParallel arm hook that turns on paranoid mode.
+func paranoid(s *Simulator) { s.SetParanoid(0) }
+
+// armFaults returns a runStressParallel arm hook that arms plan.
+func armFaults(t *testing.T, plan *Faults) func(*Simulator) {
+	return func(s *Simulator) {
+		if err := s.SetFaults(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func snapshotStress(n int, lp func(LPID) *LP) []stressState {
 	out := make([]stressState, n)
 	for i := 0; i < n; i++ {

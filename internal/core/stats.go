@@ -15,7 +15,7 @@ type PEStats struct {
 	PrimaryRollbacks   int64
 	SecondaryRollbacks int64
 	// ForcedRollbacks counts rollbacks injected by the fault plan
-	// (Config.Faults); always zero in production runs.
+	// (Simulator.SetFaults); always zero in production runs.
 	ForcedRollbacks int64
 	MailSent        int64
 	MailReceived    int64

@@ -95,10 +95,11 @@ func TestScratchStaysOutOfState(t *testing.T) {
 	}
 
 	cfg.NumPEs = 2
-	faulty := cfg
-	faulty.Faults = &core.Faults{Seed: 1, RollbackEvery: 3, RollbackDepth: 8, ShuffleMail: true, MailBurst: 2}
-	sim, m, err := Build(faulty)
+	sim, m, err := Build(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SetFaults(&core.Faults{Seed: 1, RollbackEvery: 3, RollbackDepth: 8, ShuffleMail: true, MailBurst: 2}); err != nil {
 		t.Fatal(err)
 	}
 	check("fault-injected", sim, m)

@@ -108,20 +108,10 @@ type Config struct {
 	GVTInterval int
 	Queue       string
 	MaxOptimism core.Time
-	// OnGVT, when set, receives every GVT estimate — progress reporting
-	// for long runs (see core.Config.OnGVT for the calling context).
-	OnGVT func(core.Time)
-	// CheckInvariants enables the kernel's paranoid mode (see
-	// core.Config.CheckInvariants).
-	CheckInvariants bool
-	// Faults arms the kernel's fault injectors (see core.Faults); only the
-	// optimistic Build honours it.
-	Faults *core.Faults
-	// KPOfLP / PEOfKP optionally override the kernel's locality-preserving
-	// LP→KP→PE placement (see core.Config). The comms benchmarks use a
-	// striped PEOfKP so nearly every packet hop crosses a PE boundary —
-	// the adversarial placement for the mailbox layer.
-	KPOfLP func(lp int) int
+	// PEOfKP optionally overrides the kernel's locality-preserving KP→PE
+	// placement (see core.Config). The comms benchmarks use a striped
+	// PEOfKP so nearly every packet hop crosses a PE boundary — the
+	// adversarial placement for the mailbox layer.
 	PEOfKP func(kp int) int
 }
 
@@ -239,20 +229,16 @@ func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) 
 	}
 	net := cfg.network()
 	eng, err := core.NewEngine(kind, core.Config{
-		NumLPs:          net.Size(),
-		NumPEs:          cfg.NumPEs,
-		NumKPs:          cfg.NumKPs,
-		EndTime:         core.Time(cfg.Steps),
-		BatchSize:       cfg.BatchSize,
-		GVTInterval:     cfg.GVTInterval,
-		Queue:           cfg.Queue,
-		Seed:            cfg.Seed,
-		MaxOptimism:     cfg.MaxOptimism,
-		OnGVT:           cfg.OnGVT,
-		CheckInvariants: cfg.CheckInvariants,
-		Faults:          cfg.Faults,
-		KPOfLP:          cfg.KPOfLP,
-		PEOfKP:          cfg.PEOfKP,
+		NumLPs:      net.Size(),
+		NumPEs:      cfg.NumPEs,
+		NumKPs:      cfg.NumKPs,
+		EndTime:     core.Time(cfg.Steps),
+		BatchSize:   cfg.BatchSize,
+		GVTInterval: cfg.GVTInterval,
+		Queue:       cfg.Queue,
+		Seed:        cfg.Seed,
+		MaxOptimism: cfg.MaxOptimism,
+		PEOfKP:      cfg.PEOfKP,
 	}, Lookahead)
 	if err != nil {
 		return nil, nil, err

@@ -101,10 +101,17 @@ func TestSoakParanoid(t *testing.T) {
 	cfg.NumKPs = 64
 	cfg.BatchSize = 8
 	cfg.GVTInterval = 4
-	cfg.CheckInvariants = true
 	want, _ := runSeq(t, cfg)
-	got, _, ks := runPar(t, cfg)
-	if got != want {
+	sim, m, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetParanoid(0)
+	ks, err := sim.Run()
+	if err != nil {
+		t.Fatalf("parallel Run: %v", err)
+	}
+	if got := m.Totals(sim); got != want {
 		t.Fatalf("soak mismatch:\npar: %+v\nseq: %+v", got, want)
 	}
 	if ks.GVTRounds == 0 {

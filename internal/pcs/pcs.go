@@ -141,26 +141,6 @@ func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) 
 	return eng, m, nil
 }
 
-// Build constructs the optimistic parallel simulator (BuildEngine's
-// KindOptimistic, typed).
-func Build(cfg Config) (*core.Simulator, *Model, error) {
-	eng, m, err := BuildEngine(core.KindOptimistic, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return eng.(*core.Simulator), m, nil
-}
-
-// BuildSequential constructs the sequential reference run (BuildEngine's
-// KindSequential, typed).
-func BuildSequential(cfg Config) (*core.Sequential, *Model, error) {
-	eng, m, err := BuildEngine(core.KindSequential, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return eng.(*core.Sequential), m, nil
-}
-
 func (m *Model) install(h core.Host) {
 	h.ForEachLP(func(lp *core.LP) {
 		lp.Handler = m

@@ -17,7 +17,7 @@ func snapshot(h core.Host) []Cell {
 // TestParallelMatchesSequential: the PCS model must be rollback-exact too.
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := Config{N: 6, Channels: 4, MeanInterarrival: 0.5, EndTime: 40, Seed: 23}
-	seq, _, err := BuildSequential(cfg)
+	seq, _, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		pcfg.NumKPs = 4 * pes
 		pcfg.BatchSize = 4
 		pcfg.GVTInterval = 2
-		sim, _, err := Build(pcfg)
+		sim, _, err := BuildEngine(core.KindOptimistic, pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // in-flight calls at the horizon are negligible and tolerated via slack).
 func TestCallConservation(t *testing.T) {
 	cfg := Config{N: 8, Channels: 6, MeanInterarrival: 0.8, EndTime: 60, Seed: 5}
-	seq, m, err := BuildSequential(cfg)
+	seq, m, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCallConservation(t *testing.T) {
 func TestBlockingGrowsWithLoad(t *testing.T) {
 	run := func(channels int) Totals {
 		cfg := Config{N: 6, Channels: channels, MeanInterarrival: 0.4, MeanCallDuration: 3, EndTime: 80, Seed: 9}
-		seq, m, err := BuildSequential(cfg)
+		seq, m, err := BuildEngine(core.KindSequential, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestBlockingGrowsWithLoad(t *testing.T) {
 // the final state of every cell plus implied by the admission logic.
 func TestBusyNeverExceedsChannels(t *testing.T) {
 	cfg := Config{N: 6, Channels: 3, MeanInterarrival: 0.3, EndTime: 50, Seed: 2}
-	seq, _, err := BuildSequential(cfg)
+	seq, _, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestBusyNeverExceedsChannels(t *testing.T) {
 // must actually happen, and dropped <= handoffs.
 func TestHandoffsOccur(t *testing.T) {
 	cfg := Config{N: 6, MeanMoveTime: 2, MeanCallDuration: 4, EndTime: 60, Seed: 7}
-	seq, m, err := BuildSequential(cfg)
+	seq, m, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +139,10 @@ func TestHandoffsOccur(t *testing.T) {
 
 // TestConfigValidation covers the guard rails.
 func TestConfigValidation(t *testing.T) {
-	if _, _, err := Build(Config{N: 1, EndTime: 10}); err == nil {
+	if _, _, err := BuildEngine(core.KindOptimistic, Config{N: 1, EndTime: 10}); err == nil {
 		t.Fatal("N=1 accepted")
 	}
-	if _, _, err := Build(Config{N: 4}); err == nil {
+	if _, _, err := BuildEngine(core.KindOptimistic, Config{N: 4}); err == nil {
 		t.Fatal("zero EndTime accepted")
 	}
 	cfg := Config{N: 4, EndTime: 10}

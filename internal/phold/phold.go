@@ -43,9 +43,6 @@ type Config struct {
 	GVTInterval int
 	Queue       string
 	MaxOptimism core.Time
-	// Faults arms the kernel's fault injectors (see core.Faults); only the
-	// optimistic Build honours it.
-	Faults *core.Faults
 }
 
 func (cfg *Config) defaults() error {
@@ -97,7 +94,6 @@ func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) 
 		Queue:       cfg.Queue,
 		Seed:        cfg.Seed,
 		MaxOptimism: cfg.MaxOptimism,
-		Faults:      cfg.Faults,
 	}, core.Time(cfg.Lookahead))
 	if err != nil {
 		return nil, nil, err

@@ -44,9 +44,6 @@ type Config struct {
 	GVTInterval int
 	Queue       string
 	MaxOptimism core.Time
-	// Faults arms the kernel's fault injectors (see core.Faults); only the
-	// optimistic Build honours it.
-	Faults *core.Faults
 }
 
 func (cfg *Config) defaults() error {
@@ -150,7 +147,6 @@ func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) 
 		Queue:       cfg.Queue,
 		Seed:        cfg.Seed,
 		MaxOptimism: cfg.MaxOptimism,
-		Faults:      cfg.Faults,
 	}, 0)
 	if err != nil {
 		return nil, nil, err
@@ -158,26 +154,6 @@ func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) 
 	m := &Model{cfg: cfg, net: net, size: net.Size()}
 	m.install(eng)
 	return eng, m, nil
-}
-
-// Build constructs the optimistic parallel simulator (BuildEngine's
-// KindOptimistic, typed).
-func Build(cfg Config) (*core.Simulator, *Model, error) {
-	eng, m, err := BuildEngine(core.KindOptimistic, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return eng.(*core.Simulator), m, nil
-}
-
-// BuildSequential constructs the sequential reference run (BuildEngine's
-// KindSequential, typed).
-func BuildSequential(cfg Config) (*core.Sequential, *Model, error) {
-	eng, m, err := BuildEngine(core.KindSequential, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return eng.(*core.Sequential), m, nil
 }
 
 func (m *Model) install(h core.Host) {

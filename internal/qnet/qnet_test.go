@@ -34,7 +34,7 @@ func snapshot(h core.Host) []stationView {
 // and fixed-point accumulators — must be rollback-exact.
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := Config{N: 6, JobsPerStation: 3, MeanService: 0.8, EndTime: 40, Seed: 41}
-	seq, _, err := BuildSequential(cfg)
+	seq, _, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		pcfg.NumKPs = 4 * pes
 		pcfg.BatchSize = 4
 		pcfg.GVTInterval = 2
-		sim, _, err := Build(pcfg)
+		sim, _, err := BuildEngine(core.KindOptimistic, pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // horizon.
 func TestClosedPopulation(t *testing.T) {
 	cfg := Config{N: 8, JobsPerStation: 4, EndTime: 60, Seed: 3}
-	seq, m, err := BuildSequential(cfg)
+	seq, m, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestClosedPopulation(t *testing.T) {
 // check of the queueing dynamics and statistics together.
 func TestLittlesLawRoughly(t *testing.T) {
 	cfg := Config{N: 8, JobsPerStation: 3, MeanService: 1, EndTime: 400, Seed: 5}
-	seq, m, err := BuildSequential(cfg)
+	seq, m, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestLittlesLawRoughly(t *testing.T) {
 func TestServiceRateScalesThroughput(t *testing.T) {
 	run := func(mean float64) Totals {
 		cfg := Config{N: 6, JobsPerStation: 4, MeanService: mean, EndTime: 100, Seed: 7}
-		seq, m, err := BuildSequential(cfg)
+		seq, m, err := BuildEngine(core.KindSequential, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestServiceRateScalesThroughput(t *testing.T) {
 // TestBusyConsistency: a station with waiting jobs must be busy.
 func TestBusyConsistency(t *testing.T) {
 	cfg := Config{N: 6, JobsPerStation: 2, EndTime: 50, Seed: 9}
-	seq, _, err := BuildSequential(cfg)
+	seq, _, err := BuildEngine(core.KindSequential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +155,10 @@ func TestBusyConsistency(t *testing.T) {
 
 // TestConfigValidation covers the guard rails and defaults.
 func TestConfigValidation(t *testing.T) {
-	if _, _, err := Build(Config{N: 1, EndTime: 10}); err == nil {
+	if _, _, err := BuildEngine(core.KindOptimistic, Config{N: 1, EndTime: 10}); err == nil {
 		t.Fatal("N=1 accepted")
 	}
-	if _, _, err := Build(Config{N: 4}); err == nil {
+	if _, _, err := BuildEngine(core.KindOptimistic, Config{N: 4}); err == nil {
 		t.Fatal("zero EndTime accepted")
 	}
 	cfg := Config{N: 4, EndTime: 10}

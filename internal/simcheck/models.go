@@ -64,7 +64,6 @@ func buildHotpotato(c Cell, endTime core.Time) (*instance, error) {
 		BatchSize:       cellBatchSize,
 		GVTInterval:     cellGVTInterval,
 		Queue:           c.Queue,
-		Faults:          c.Faults,
 	}
 	if endTime > 0 {
 		// The hot-potato horizon is an integer step count; round a
@@ -79,7 +78,7 @@ func buildHotpotato(c Cell, endTime core.Time) (*instance, error) {
 		return nil, err
 	}
 	summary := func() string { return m.Totals(eng).String() }
-	return newInstance(c, eng, core.Time(cfg.Steps), summary, describeHotpotato), nil
+	return newInstance(c, eng, core.Time(cfg.Steps), summary, describeHotpotato)
 }
 
 // describeHotpotato renders the semantic payload — event kind plus the
@@ -108,7 +107,6 @@ func buildPHOLD(c Cell, endTime core.Time) (*instance, error) {
 		// Config exposes it directly.
 		GVTInterval: cellGVTInterval,
 		Queue:       c.Queue,
-		Faults:      c.Faults,
 	}
 	if endTime > 0 {
 		cfg.EndTime = endTime
@@ -118,7 +116,7 @@ func buildPHOLD(c Cell, endTime core.Time) (*instance, error) {
 		return nil, err
 	}
 	summary := func() string { return fmt.Sprintf("phold: %d jobs processed", m.TotalProcessed(eng)) }
-	return newInstance(c, eng, cfg.EndTime, summary, nil), nil
+	return newInstance(c, eng, cfg.EndTime, summary, nil)
 }
 
 func buildQNet(c Cell, endTime core.Time) (*instance, error) {
@@ -133,7 +131,6 @@ func buildQNet(c Cell, endTime core.Time) (*instance, error) {
 		BatchSize:      cellBatchSize,
 		GVTInterval:    cellGVTInterval,
 		Queue:          c.Queue,
-		Faults:         c.Faults,
 	}
 	if endTime > 0 {
 		cfg.EndTime = endTime
@@ -143,5 +140,5 @@ func buildQNet(c Cell, endTime core.Time) (*instance, error) {
 		return nil, err
 	}
 	summary := func() string { return m.Totals(eng, cfg.EndTime).String() }
-	return newInstance(c, eng, cfg.EndTime, summary, nil), nil
+	return newInstance(c, eng, cfg.EndTime, summary, nil)
 }

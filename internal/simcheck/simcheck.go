@@ -430,16 +430,18 @@ const cellSweepEvery = 8
 
 // newInstance instruments a built engine for cell c: it wraps every LP
 // handler with the cell's mutation (if any) and commit-time trace
-// recording, and arms the cell's post-construction kernel knobs (memory
-// bound, paranoid sweeps) on the optimistic engine. Recording is unbounded
-// so the trace hash always covers the whole run.
+// recording, and arms the cell's harness knobs (memory bound, paranoid
+// sweeps, fault plan) on the optimistic engine, the one engine that has
+// them. Recording is unbounded so the trace hash always covers the whole
+// run. A fault plan can come from a recording on disk, so an invalid one
+// is an error.
 //
 // describe renders an event's semantic payload for the trace hash (nil for
 // the recorder's default). It must omit reverse-computation scratch (Saved*
 // fields): scratch is consumed by Reverse, not restored, so after a
 // rollback it carries residue of undone executions — legitimate
 // differences between runs that committed identical histories.
-func newInstance(c Cell, eng core.Engine, endTime core.Time, summary func() string, describe trace.Describe) *instance {
+func newInstance(c Cell, eng core.Engine, endTime core.Time, summary func() string, describe trace.Describe) (*instance, error) {
 	in := &instance{eng: eng, rec: trace.NewRecorder(0), endTime: endTime, summary: summary}
 	if sim, ok := eng.(*core.Simulator); ok {
 		if c.MaxLive > 0 {
@@ -447,6 +449,9 @@ func newInstance(c Cell, eng core.Engine, endTime core.Time, summary func() stri
 		}
 		if c.Paranoid {
 			sim.SetParanoid(cellSweepEvery)
+		}
+		if err := sim.SetFaults(c.Faults); err != nil {
+			return nil, err
 		}
 	}
 	var ledger []peCounter
@@ -472,7 +477,7 @@ func newInstance(c Cell, eng core.Engine, endTime core.Time, summary func() stri
 		}
 		lp.Handler = trace.Wrap(h, in.rec, describe)
 	})
-	return in
+	return in, nil
 }
 
 // SupportsEngine reports whether the named model ships a builder for eng.
