@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file is the kernel side of checkpoint/restore: a periodic capture of
 // the committed below-GVT state, taken at a GVT commit point, plus the
@@ -64,7 +67,9 @@ type CheckpointEvent struct {
 
 // CheckpointState is the consistent cut handed to a CheckpointSink: the
 // committed prefix below GVT plus the frontier that regenerates the rest.
-// Frontier is sorted by the kernel's total event order.
+// Frontier is sorted by the kernel's total event order. The kernel reuses
+// one CheckpointState, and its LPs and Frontier slices, from one capture to
+// the next.
 type CheckpointState struct {
 	GVT       Time
 	Committed int64
@@ -76,16 +81,25 @@ type CheckpointState struct {
 // PE 0's goroutine while every other PE is parked at a barrier, so the
 // state is quiescent for the duration of the call; an error poisons the
 // run (it surfaces from Run on every PE). The sink must not retain cs or
-// anything reachable from it after returning.
+// anything reachable from it after returning: cs aliases live LP states
+// and payloads, and the kernel refills it at the next capture.
+//
+// A sink may finish its work after Checkpoint returns (replay's
+// CheckpointWriter publishes on a background goroutine). Such a sink also
+// has a Flush() error method: Run calls it once, after every PE has
+// joined and on every return path, and a Flush error fails the run. So a
+// nil error from Run still means the last capture is published.
 type CheckpointSink interface {
 	Checkpoint(cs *CheckpointState) error
 }
 
 // SetCheckpoint arms periodic checkpointing: every everyRounds completed
 // GVT rounds (at least 1) with a positive estimate, the kernel rendezvouses,
-// rolls back to the estimate and hands the committed state to sink. Must be
-// called before Run; a nil sink disarms. Like SetRecord, this is how
-// harnesses reach a model-built simulator.
+// rolls back to the estimate and hands the committed state to sink. If sink
+// also has a Flush() error method, Run calls it once after the PEs have
+// joined (see CheckpointSink). Must be called before Run; a nil sink
+// disarms. Like SetRecord, this is how harnesses reach a model-built
+// simulator.
 func (s *Simulator) SetCheckpoint(sink CheckpointSink, everyRounds int) {
 	if s.ran {
 		panic("core: SetCheckpoint after Run")
@@ -147,6 +161,12 @@ func (pe *PE) checkpointRendezvous(gvt Time) error {
 	if err := pe.commsFixedPoint(); err != nil {
 		return err
 	}
+	// Every PE sorts its own share of the frontier in parallel; the barrier
+	// then orders those writes before PE 0's merge reads them.
+	pe.collectFrontier()
+	if err := pe.await(); err != nil {
+		return err
+	}
 	if pe.id == 0 {
 		err := s.captureCheckpoint(gvt)
 		s.ckptPending.Store(false)
@@ -157,21 +177,53 @@ func (pe *PE) checkpointRendezvous(gvt Time) error {
 			return err
 		}
 	}
-	// Release barrier: the other PEs wait here while PE 0 captures (their
-	// last fixed-point barrier orders their writes before its reads), then
+	// Release barrier: the other PEs wait here while PE 0 captures, then
 	// everyone resumes and re-executes the unwound suffix.
 	return pe.await()
 }
 
-// captureCheckpoint assembles the CheckpointState and hands it to the sink.
-// PE 0 only, between the rendezvous barriers: every other PE is blocked at
-// the release barrier, so the cross-PE reads below are barrier-ordered.
+// collectFrontier gathers this PE's share of the frontier — its still-
+// pending events; cancelled husks are rolled-back speculation, reclaimed
+// later — into its reused ckptRun and sorts it by the kernel's total order.
+// Runs on every PE after the rendezvous's second fixed point.
+func (pe *PE) collectFrontier() {
+	pe.ckptRun = pe.ckptRun[:0]
+	pe.pending.Each(func(ev *Event) {
+		if ev.state == statePending {
+			pe.ckptRun = append(pe.ckptRun, CheckpointEvent{
+				T: ev.recvTime, Dst: ev.dst, Src: ev.src, Seq: ev.seq, Data: ev.Data,
+			})
+		}
+	})
+	slices.SortFunc(pe.ckptRun, compareCheckpointEvents)
+}
+
+// compareCheckpointEvents is the kernel's total event order (Event.before)
+// on frontier events, as a three-way comparison.
+func compareCheckpointEvents(a, b CheckpointEvent) int {
+	if c := cmp.Compare(a.T, b.T); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// captureCheckpoint fills the reused CheckpointState and hands it to the
+// sink. PE 0 only, between the rendezvous's collection barrier and its
+// release barrier: every other PE is blocked at the release barrier, so the
+// cross-PE reads below are barrier-ordered.
 func (s *Simulator) captureCheckpoint(gvt Time) error {
-	cs := &CheckpointState{GVT: gvt}
+	cs := &s.ckptState
+	cs.GVT, cs.Committed = gvt, 0
 	for _, pe := range s.pes {
 		cs.Committed += pe.committed //simlint:crosspe barrier-ordered read inside the checkpoint rendezvous
 	}
-	cs.LPs = make([]CheckpointLP, len(s.lps))
+	cs.LPs = slices.Grow(cs.LPs[:0], len(s.lps))[:len(s.lps)]
 	for i, lp := range s.lps {
 		cs.LPs[i] = CheckpointLP{
 			State:    lp.State,
@@ -180,30 +232,36 @@ func (s *Simulator) captureCheckpoint(gvt Time) error {
 			SendSeq:  lp.sendSeq,
 		}
 	}
-	for _, pe := range s.pes {
-		pe.pending.Each(func(ev *Event) { //simlint:crosspe barrier-ordered read inside the checkpoint rendezvous
-			if ev.state != statePending {
-				return // cancelled husks: rolled-back speculation, reclaimed later
-			}
-			cs.Frontier = append(cs.Frontier, CheckpointEvent{
-				T: ev.recvTime, Dst: ev.dst, Src: ev.src, Seq: ev.seq, Data: ev.Data,
-			})
-		})
+	runs := make([][]CheckpointEvent, len(s.pes))
+	for i, pe := range s.pes {
+		runs[i] = pe.ckptRun //simlint:crosspe barrier-ordered read: the collection barrier orders each PE's sorted run before this merge
 	}
-	sort.Slice(cs.Frontier, func(i, j int) bool {
-		a, b := cs.Frontier[i], cs.Frontier[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Seq < b.Seq
-	})
+	cs.Frontier = mergeRuns(cs.Frontier[:0], runs)
 	return s.ckptSink.Checkpoint(cs)
+}
+
+// mergeRuns appends the k-way merge of the sorted runs to dst, consuming
+// runs (each entry is advanced past what it contributed). Runs are few —
+// one per PE — so each step scans the heads.
+func mergeRuns(dst []CheckpointEvent, runs [][]CheckpointEvent) []CheckpointEvent {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	dst = slices.Grow(dst, n)
+	for {
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || compareCheckpointEvents(r[0], runs[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return dst
+		}
+		dst = append(dst, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
 }
 
 // RestoreLP reinstates one LP's checkpointed RNG stream and send sequence

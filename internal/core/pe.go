@@ -115,6 +115,11 @@ type PE struct {
 	gvtWait            time.Duration //simlint:sharded
 	gvtLatency         time.Duration //simlint:sharded
 	optClamps          int64         //simlint:sharded
+
+	// ckptRun is this PE's share of a checkpoint's frontier, sorted and
+	// reused from one capture to the next (collectFrontier). Cold: written
+	// once per capture, read by PE 0's merge behind the collection barrier.
+	ckptRun []CheckpointEvent //simlint:owned
 }
 
 // ID returns the PE index.

@@ -181,12 +181,13 @@ type Simulator struct {
 	// completeRound publishes ckptPending atomically and every PE's next
 	// asyncPass routes into the rendezvous. ckptLastRound and ckptLastGVT —
 	// the round count and estimate of the last capture — are PE 0's
-	// bookkeeping only.
+	// bookkeeping only, as is ckptState, the cut refilled at every capture.
 	ckptSink      CheckpointSink
 	ckptEvery     int64
 	ckptPending   atomic.Bool
 	ckptLastRound int64
 	ckptLastGVT   Time
+	ckptState     CheckpointState
 
 	failOnce sync.Once
 	failErr  error
@@ -398,6 +399,13 @@ func (s *Simulator) Run() (*Stats, error) {
 		}(i, pe)
 	}
 	wg.Wait()
+	// A sink that publishes in the background finishes here, on every
+	// return path, so a nil error means the last capture is durable and no
+	// publication outlives Run.
+	var flushErr error
+	if f, ok := s.ckptSink.(interface{ Flush() error }); ok {
+		flushErr = f.Flush()
+	}
 	wall := time.Since(start)
 
 	if s.failErr != nil {
@@ -407,6 +415,9 @@ func (s *Simulator) Run() (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if flushErr != nil {
+		return nil, flushErr
 	}
 	return s.collectStats(wall), nil
 }

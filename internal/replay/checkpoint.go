@@ -9,7 +9,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/crash"
@@ -341,19 +344,32 @@ func decodeManifest(buf []byte) (manifest, error) {
 // the kernel hands it and publishes it crash-atomically into a directory.
 // Only the manifest-named file is ever considered published; at most one
 // previous checkpoint file is kept until the next publication completes.
+//
+// Checkpoint encodes the cut while the kernel's PEs stand still and hands
+// the rest — framing, file write, fsyncs, renames, manifest swap — to one
+// background goroutine. At most one publication is in flight: the next
+// Checkpoint, and Flush, wait for it and return its error. A publication
+// error is sticky; every later Checkpoint and Flush returns it.
 type CheckpointWriter struct {
-	dir      string
-	codec    Codec
-	rec      *trace.Recorder
+	dir   string
+	codec Codec
+	rec   *trace.Recorder
+
+	// The publication state, owned by the in-flight publisher while there
+	// is one and by the caller otherwise; wg's Wait hands it over.
 	seq      int
 	lastFile string
+	pubErr   error
+	wg       sync.WaitGroup
 
-	// Encode buffers, reused from one publication to the next: every LP
-	// state and frontier payload is encoded back to back into arena and cp's
-	// byte slices are cut out of it, frame holds one frame payload at a time
-	// and file the finished encoding.
-	cp                 Checkpoint
-	arena, frame, file []byte
+	// Encode buffers, reused from one publication to the next: each encode
+	// worker appends its share of the LP states and frontier payloads back
+	// to back into its own arena and cp's byte slices are cut out of it;
+	// frame holds one frame payload at a time and file the finished
+	// encoding.
+	cp          Checkpoint
+	arenas      [][]byte
+	frame, file []byte
 }
 
 // NewCheckpointWriter builds a writer over dir (created if needed) that
@@ -402,11 +418,16 @@ func NewCheckpointWriter(dir, stateCodecName, codecName string, rec *trace.Recor
 	return w, nil
 }
 
-// Checkpoint implements core.CheckpointSink: serialise the kernel's state
-// through the model codecs and publish it. Runs on PE 0 while the machine
-// is quiescent, so reading the trace recorder here sees exactly the
-// committed below-GVT prefix.
+// Checkpoint implements core.CheckpointSink. It runs on PE 0 while the
+// machine is quiescent, so reading the trace recorder here sees exactly the
+// committed below-GVT prefix. It first waits for the previous publication
+// and returns its error. It then encodes every LP state and frontier
+// payload before returning, because cs aliases live state, and leaves the
+// publication running in the background (see Flush).
 func (w *CheckpointWriter) Checkpoint(cs *core.CheckpointState) error {
+	if err := w.Flush(); err != nil {
+		return err
+	}
 	cp := &w.cp
 	*cp = Checkpoint{
 		StateCodec: w.codec.StateName(),
@@ -414,8 +435,8 @@ func (w *CheckpointWriter) Checkpoint(cs *core.CheckpointState) error {
 		GVT:        cs.GVT,
 		Committed:  cs.Committed,
 		NumLPs:     len(cs.LPs),
-		LPs:        cp.LPs[:0],
-		Frontier:   cp.Frontier[:0],
+		LPs:        slices.Grow(cp.LPs[:0], len(cs.LPs))[:len(cs.LPs)],
+		Frontier:   slices.Grow(cp.Frontier[:0], len(cs.Frontier))[:len(cs.Frontier)],
 	}
 	if w.rec != nil {
 		cp.HasTrace = true
@@ -423,30 +444,95 @@ func (w *CheckpointWriter) Checkpoint(cs *core.CheckpointState) error {
 		cp.TraceHash = w.rec.Hash()
 		cp.LPHashes = w.rec.LPHashes(len(cs.LPs))
 	}
-	// Slices cut from arena stay good when a later append moves it: the
-	// array they point into is left as it was.
-	w.arena = w.arena[:0]
-	var err error
-	for i, lp := range cs.LPs {
-		start := len(w.arena)
-		if w.arena, err = w.codec.EncodeState(w.arena, lp.State); err != nil {
-			return fmt.Errorf("replay: encoding LP %d state: %w", i, err)
-		}
-		cp.LPs = append(cp.LPs, CheckpointLP{State: w.arena[start:len(w.arena):len(w.arena)], RNG: lp.RNG, Draws: lp.RNGDraws, SendSeq: lp.SendSeq})
+	if err := w.encode(cs); err != nil {
+		return err
 	}
-	for _, ev := range cs.Frontier {
-		start := len(w.arena)
-		if w.arena, err = w.codec.Encode(w.arena, ev.Data); err != nil {
-			return fmt.Errorf("replay: encoding frontier payload for LP %d: %w", ev.Dst, err)
-		}
-		cp.Frontier = append(cp.Frontier, CheckpointEvent{T: ev.T, Dst: ev.Dst, Src: ev.Src, Seq: ev.Seq, Data: w.arena[start:len(w.arena):len(w.arena)]})
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		w.file, w.frame = appendCheckpoint(w.file[:0], w.frame, cp)
+		w.pubErr = w.publish(w.file)
+	}()
+	return nil
+}
+
+// encode fills w.cp's LPs and Frontier from cs with one worker per
+// processor (at most one per LP): the other PEs are parked at the release
+// barrier, so their processors are idle. Worker k encodes the k-th share of
+// the LP states and then of the frontier payloads into its own arena and
+// writes each entry by index, so the bytes do not depend on the worker
+// count. The error is the one a single pass in order would hit first.
+func (w *CheckpointWriter) encode(cs *core.CheckpointState) error {
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(cs.LPs)))
+	for len(w.arenas) < workers {
+		w.arenas = append(w.arenas, nil)
 	}
-	w.file, w.frame = appendCheckpoint(w.file[:0], w.frame, cp)
-	return w.publish(w.file)
+	// errs[k] is worker k's LP-share error, errs[workers+k] its frontier's.
+	errs := make([]error, 2*workers)
+	run := func(k int) {
+		arena := w.arenas[k][:0]
+		lo, hi := share(k, workers, len(cs.LPs))
+		for i := lo; i < hi; i++ {
+			lp := &cs.LPs[i]
+			start := len(arena)
+			var err error
+			if arena, err = w.codec.EncodeState(arena, lp.State); err != nil {
+				errs[k] = fmt.Errorf("replay: encoding LP %d state: %w", i, err)
+				break
+			}
+			w.cp.LPs[i] = CheckpointLP{State: arena[start:len(arena):len(arena)], RNG: lp.RNG, Draws: lp.RNGDraws, SendSeq: lp.SendSeq}
+		}
+		lo, hi = share(k, workers, len(cs.Frontier))
+		for i := lo; i < hi; i++ {
+			ev := &cs.Frontier[i]
+			start := len(arena)
+			var err error
+			if arena, err = w.codec.Encode(arena, ev.Data); err != nil {
+				errs[workers+k] = fmt.Errorf("replay: encoding frontier payload for LP %d: %w", ev.Dst, err)
+				break
+			}
+			w.cp.Frontier[i] = CheckpointEvent{T: ev.T, Dst: ev.Dst, Src: ev.Src, Seq: ev.Seq, Data: arena[start:len(arena):len(arena)]}
+		}
+		// Slices cut from the arena stay good when a later append moves it:
+		// the array they point into is left as it was.
+		w.arenas[k] = arena
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(k)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// share is worker k's half-open index range when n items are split into
+// workers contiguous, near-equal parts.
+func share(k, workers, n int) (lo, hi int) {
+	return k * n / workers, (k + 1) * n / workers
+}
+
+// Flush waits for the in-flight publication, if any, and returns its error
+// (or the first publication error this writer ever hit). core.Simulator.Run
+// calls it once after its PEs have joined, so a nil error from Run means
+// the last checkpoint is published.
+func (w *CheckpointWriter) Flush() error {
+	w.wg.Wait()
+	return w.pubErr
 }
 
 // publish writes data crash-atomically: tmp file → fsync → rename → dir
-// fsync → manifest via the same dance → delete the superseded file. The
+// fsync → manifest via the same dance → delete the superseded file. It runs
+// on the publisher goroutine Checkpoint starts. The
 // crash kill points bracket each durability step; a SIGKILL at any of them
 // must leave the directory loading to the previous complete checkpoint
 // (or ErrNoCheckpoint before the first), which is exactly what the crash

@@ -23,6 +23,10 @@ import (
 // resumed-run fingerprints can never match. Scratch fields that are always
 // zero at a GVT commit point may be omitted.
 //
+// Encode and EncodeState must be safe to call from several goroutines at
+// once on distinct data: a CheckpointWriter fans a checkpoint's encode out
+// over one worker per processor.
+//
 // Decode and DecodeState get attacker-grade input (logs and checkpoints
 // come from disk). They read through a Reader and must return an error,
 // never panic, on malformed bytes, and must accept only what Encode and
