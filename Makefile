@@ -51,14 +51,16 @@ soak:
 crashtest:
 	$(GO) run ./cmd/crashtest -race -artifacts crash-artifacts
 
-# Decoder fuzz smoke: the replay log, the checkpoint file and every model
-# codec take attacker-grade input from disk. Plain `go test` runs only the
-# seed corpora; this explores past them for 20 s per target (go test
-# accepts one -fuzz target per invocation).
+# Fuzz smoke: the replay log, the checkpoint file and every model codec
+# take attacker-grade input from disk, and the ladder queue holds every
+# pending event. Plain `go test` runs only the seed corpora; this explores
+# past them for 20 s per target (go test accepts one -fuzz target per
+# invocation).
 fuzz:
 	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzReplayCodec$$' -fuzztime 20s
 	$(GO) test ./internal/replay -run '^$$' -fuzz '^FuzzCheckpointCodec$$' -fuzztime 20s
 	$(GO) test ./internal/simcheck -run '^$$' -fuzz '^FuzzModelCodecs$$' -fuzztime 20s
+	$(GO) test ./internal/eventq -run '^$$' -fuzz '^FuzzQueuesDifferential$$' -fuzztime 20s
 
 # Static analysis: gofmt, go vet, and the simlint Time Warp contract
 # checkers (docs/ANALYSIS.md). Fails on any unannotated finding.

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/experiments"
 	"repro/internal/hotpotato"
 	"repro/internal/phold"
@@ -205,35 +204,6 @@ func BenchmarkBaselinePolicies(b *testing.B) {
 				delivery = totals.AvgDelivery
 			}
 			b.ReportMetric(delivery, "steps/delivery")
-		})
-	}
-}
-
-// BenchmarkAblationEventQueue compares the pending-queue implementations
-// under PHOLD (DESIGN.md ablation).
-func BenchmarkAblationEventQueue(b *testing.B) {
-	for _, q := range eventq.Kinds() {
-		b.Run(q, func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				sim, _, err := phold.Build(phold.Config{
-					NumLPs:     1024,
-					Population: 8,
-					RemoteProb: 0.5,
-					EndTime:    40,
-					Seed:       1,
-					Queue:      q,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ks, err := sim.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				rate = ks.EventRate
-			}
-			b.ReportMetric(rate, "events/s")
 		})
 	}
 }

@@ -150,15 +150,15 @@ func TestPholdCLI(t *testing.T) {
 // TestFiguresCLI regenerates one cheap figure with every output mode.
 func TestFiguresCLI(t *testing.T) {
 	outDir := t.TempDir()
-	out := run(t, "figures", "-fig", "queues", "-steps", "5", "-progress=false", "-out", outDir)
-	if !strings.Contains(out, "heap") || !strings.Contains(out, "ladder") {
-		t.Fatalf("queue ablation output wrong:\n%s", out)
+	out := run(t, "figures", "-fig", "heartbeat", "-steps", "5", "-progress=false", "-out", outDir)
+	if !strings.Contains(out, "HEARTBEAT") || !strings.Contains(out, "true") || !strings.Contains(out, "false") {
+		t.Fatalf("heartbeat ablation output wrong:\n%s", out)
 	}
-	csv, err := os.ReadFile(filepath.Join(outDir, "queues.csv"))
+	csv, err := os.ReadFile(filepath.Join(outDir, "heartbeat.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(csv), "queue,") {
+	if !strings.HasPrefix(string(csv), "heartbeat,") {
 		t.Fatalf("CSV header wrong: %q", string(csv)[:20])
 	}
 
@@ -303,6 +303,23 @@ func TestHotpotatoCheckpointCLI(t *testing.T) {
 	}
 	runExpectError(t, "hotpotato", "-sequential", "-checkpoint-dir", ck)
 	runExpectError(t, "hotpotato", "-resume")
+}
+
+// TestFailedRunKeepsProfile: a run that fails after profiling started
+// must still stop the profile, or the CPU profile is left an empty file.
+func TestFailedRunKeepsProfile(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "c.out")
+	runExpectError(t, "hotpotato", "-n", "8", "-steps", "10",
+		"-cpuprofile", cpu, "-trace", filepath.Join(dir, "t.out"),
+		"-resume", "-checkpoint-dir", filepath.Join(dir, "missing"))
+	fi, err := os.Stat(cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatal("failed run left an empty CPU profile")
+	}
 }
 
 // TestSoaktestCLI covers the chaos harness binary: a seeded smoke soak is

@@ -158,7 +158,7 @@ func (h *harness) record(model string, pes, kps int, seed uint64) (*replay.Log, 
 		return lg, nil
 	}
 	spec := simcheck.SpecForCell(simcheck.Cell{
-		Model: model, PEs: pes, KPs: kps, Queue: "heap", Seed: seed,
+		Model: model, PEs: pes, KPs: kps, Seed: seed,
 	})
 	lg, err := simcheck.Record(spec)
 	if err != nil {

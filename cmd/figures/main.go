@@ -8,9 +8,8 @@
 //	figures -fig 7 -csv      # machine-readable output
 //	figures -fig all -out d/ # also write one CSV file per table
 //
-// Figure names: 3, 4, 5, 6, 7, 8, determinism, baselines, queues,
-// heartbeat, distance, rates, tuning, sync, patterns, memory, topology,
-// warmup, all.
+// Figure names: 3, 4, 5, 6, 7, 8, determinism, baselines, heartbeat,
+// distance, rates, tuning, sync, patterns, memory, topology, warmup, all.
 package main
 
 import (
@@ -25,7 +24,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 3,4,5,6,7,8,determinism,baselines,queues,heartbeat,distance,rates,tuning,sync,patterns,memory,topology,warmup,all")
+		fig      = flag.String("fig", "all", "figure to regenerate: 3,4,5,6,7,8,determinism,baselines,heartbeat,distance,rates,tuning,sync,patterns,memory,topology,warmup,all")
 		full     = flag.Bool("full", false, "report-scale sweeps (N up to 256; takes a long time)")
 		steps    = flag.Int("steps", 0, "override simulation length in time steps (0 = per-figure default)")
 		seed     = flag.Uint64("seed", 1, "random seed")
@@ -114,13 +113,6 @@ func main() {
 			}
 			emit("baselines", experiments.BaselineTable(points), *csvOut, *outDir)
 			return nil
-		case "queues":
-			points, err := experiments.QueueAblation(opt)
-			if err != nil {
-				return err
-			}
-			emit("queues", experiments.QueueTable(points), *csvOut, *outDir)
-			return nil
 		case "heartbeat":
 			points, err := experiments.HeartbeatAblation(opt)
 			if err != nil {
@@ -195,7 +187,7 @@ func main() {
 
 	var names []string
 	if *fig == "all" {
-		names = []string{"3", "5", "7", "determinism", "baselines", "queues", "heartbeat", "distance", "rates", "tuning", "sync", "patterns", "memory", "topology", "warmup"}
+		names = []string{"3", "5", "7", "determinism", "baselines", "heartbeat", "distance", "rates", "tuning", "sync", "patterns", "memory", "topology", "warmup"}
 	} else {
 		names = []string{*fig}
 	}

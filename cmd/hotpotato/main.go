@@ -22,11 +22,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/hotpotato"
 	"repro/internal/profiling"
 	"repro/internal/replay"
@@ -48,7 +46,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		pes        = flag.Int("pes", 0, "processing elements (0 = GOMAXPROCS)")
 		kps        = flag.Int("kps", 64, "kernel processes (the report's model uses 64)")
-		queue      = flag.String("queue", eventq.DefaultKind, "pending queue: "+strings.Join(eventq.Kinds(), ", "))
 		maxOpt     = flag.Float64("max-optimism", 0, "bound speculation to this many steps beyond GVT (0 = unlimited)")
 		sequential = flag.Bool("sequential", false, "run the sequential reference engine instead of Time Warp")
 		kernel     = flag.Bool("kernel", false, "also print kernel statistics")
@@ -59,10 +56,11 @@ func main() {
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
+	stop, err := prof.Start()
 	if err != nil {
 		fatal(err)
 	}
+	stopProf = stop
 
 	policy, err := routing.ByName(*policyName)
 	if err != nil {
@@ -85,7 +83,6 @@ func main() {
 		Seed:            *seed,
 		NumPEs:          *pes,
 		NumKPs:          *kps,
-		Queue:           *queue,
 		MaxOptimism:     core.Time(*maxOpt),
 	}
 
@@ -180,7 +177,12 @@ func (p *progressSink) GVTRound(round int64, gvt core.Time) {
 	}
 }
 
+// stopProf stops the profiling outputs main armed. fatal runs it too, so a
+// failed run still leaves a complete profile and trace.
+var stopProf = func() error { return nil }
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hotpotato:", err)
+	stopProf() // the run has already failed; a profiling error adds nothing
 	os.Exit(1)
 }

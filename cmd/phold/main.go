@@ -1,6 +1,6 @@
 // Command phold runs the PHOLD synthetic benchmark against the Time Warp
 // kernel and prints kernel statistics — the neutral stressor for tuning
-// PE/KP/queue parameters independent of the routing model.
+// PE/KP/optimism parameters independent of the routing model.
 //
 //	phold -lps 4096 -population 8 -remote 0.5 -end 100 -pes 4
 package main
@@ -9,10 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/phold"
 	"repro/internal/profiling"
 )
@@ -28,17 +26,16 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		pes        = flag.Int("pes", 0, "processing elements (0 = GOMAXPROCS)")
 		kps        = flag.Int("kps", 0, "kernel processes (0 = default)")
-		queue      = flag.String("queue", eventq.DefaultKind, "pending queue: "+strings.Join(eventq.Kinds(), ", "))
 		maxOpt     = flag.Float64("max-optimism", 0, "bound speculation to this far beyond GVT (0 = unlimited)")
 		sequential = flag.Bool("sequential", false, "run the sequential reference engine")
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, perr := prof.Start()
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "phold:", perr)
-		os.Exit(1)
+	stop, err := prof.Start()
+	if err != nil {
+		fatal(err)
 	}
+	stopProf = stop
 
 	cfg := phold.Config{
 		NumLPs:      *lps,
@@ -50,7 +47,6 @@ func main() {
 		Seed:        *seed,
 		NumPEs:      *pes,
 		NumKPs:      *kps,
-		Queue:       *queue,
 		MaxOptimism: core.Time(*maxOpt),
 	}
 
@@ -64,8 +60,7 @@ func main() {
 		ks, err = eng.Run()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "phold:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	total := m.TotalProcessed(eng)
 	fmt.Printf("phold: %d LPs, population %d, remote %.2f, horizon %g\n",
@@ -73,7 +68,16 @@ func main() {
 	fmt.Printf("  jobs processed: %d\n", total)
 	fmt.Print(ks)
 	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "phold:", err)
-		os.Exit(1)
+		fatal(err)
 	}
+}
+
+// stopProf stops the profiling outputs main armed. fatal runs it too, so a
+// failed run still leaves a complete profile and trace.
+var stopProf = func() error { return nil }
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "phold:", err)
+	stopProf() // the run has already failed; a profiling error adds nothing
+	os.Exit(1)
 }

@@ -1,6 +1,6 @@
 // Command simcheck runs the differential correctness matrix: every
-// requested model under every requested engine across PE/KP counts, queue
-// kinds, seeds and kernel fault plans, comparing committed-trace hashes,
+// requested model under every requested engine across PE/KP counts, seeds
+// and kernel fault plans, comparing committed-trace hashes,
 // per-LP event-order hashes and final-state hashes against a clean
 // sequential reference. It prints a reproduction artifact for every
 // divergence and exits non-zero if any cell mismatched.
@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/profiling"
 	"repro/internal/simcheck"
 )
@@ -34,7 +33,6 @@ func main() {
 		engines    = flag.String("engines", "", "comma-separated engines: sequential,conservative,optimistic")
 		pes        = flag.String("pes", "", "comma-separated PE counts")
 		kps        = flag.String("kps", "", "comma-separated KP counts")
-		queues     = flag.String("queues", "", "comma-separated pending-queue kinds: "+strings.Join(eventq.Kinds(), ","))
 		seeds      = flag.String("seeds", "", "comma-separated seeds")
 		faults     = flag.Bool("faults", true, "also run optimistic cells under the adversarial fault plan")
 		mutation   = flag.String("mutation", "", "arm a seeded bug (self-test demo): broken-reverse or broken-priority")
@@ -43,10 +41,11 @@ func main() {
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, perr := prof.Start()
-	if perr != nil {
-		fatal(perr)
+	stop, err := prof.Start()
+	if err != nil {
+		fatal(err)
 	}
+	stopProf = stop
 	if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected arguments: %v", flag.Args()))
 	}
@@ -69,9 +68,6 @@ func main() {
 	}
 	if *kps != "" {
 		m.KPs = parseInts(*kps, "kps")
-	}
-	if *queues != "" {
-		m.Queues = strings.Split(*queues, ",")
 	}
 	if *seeds != "" {
 		m.Seeds = nil
@@ -136,7 +132,12 @@ func parseInts(s, name string) []int {
 	return out
 }
 
+// stopProf stops the profiling outputs main armed. fatal runs it too, so a
+// failed run still leaves a complete profile and trace.
+var stopProf = func() error { return nil }
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "simcheck:", err)
+	stopProf() // the run has already failed; a profiling error adds nothing
 	os.Exit(2)
 }

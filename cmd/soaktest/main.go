@@ -43,10 +43,11 @@ func main() {
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, perr := prof.Start()
-	if perr != nil {
-		fatal(perr)
+	stop, err := prof.Start()
+	if err != nil {
+		fatal(err)
 	}
+	stopProf = stop
 	if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected arguments: %v", flag.Args()))
 	}
@@ -88,7 +89,12 @@ func main() {
 	}
 }
 
+// stopProf stops the profiling outputs main armed. fatal runs it too, so a
+// failed run still leaves a complete profile and trace.
+var stopProf = func() error { return nil }
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "soaktest:", err)
+	stopProf() // the run has already failed; a profiling error adds nothing
 	os.Exit(2)
 }

@@ -61,7 +61,7 @@ type Conservative struct {
 type consPE struct {
 	id        int
 	sim       *Conservative
-	pending   eventq.Queue[*Event]
+	pending   *eventq.Ladder[*Event]
 	inbox     [][]*Event
 	pool      eventPool
 	processed int64
@@ -81,7 +81,7 @@ func NewConservative(cfg Config, lookahead Time) (*Conservative, error) {
 	c.pes = make([]*consPE, cfg.NumPEs)
 	for i := range c.pes {
 		pe := &consPE{id: i, sim: c, inbox: make([][]*Event, cfg.NumPEs)}
-		pe.pending = newEventQueue(cfg.Queue)
+		pe.pending = newEventQueue()
 		c.pes[i] = pe
 	}
 	c.lps = make([]*LP, cfg.NumLPs)
@@ -257,7 +257,7 @@ func (pe *consPE) run() (err error) {
 		// to the former Min/Pop loop, minus the per-element rebalancing
 		// on the ladder.
 		bound.recvTime = end
-		eventq.Drain(pe.pending, bound, (*Event).before, execute)
+		pe.pending.BulkDrain(bound, execute)
 		if err := c.bar.await(); err != nil {
 			return err
 		}

@@ -102,8 +102,8 @@ func (t *lpTable) enqueue(op string, dst LPID, at Time, src LPID, seq uint64, da
 	if t.ran {
 		panic("core: " + op + " after Run")
 	}
-	if at < 0 {
-		panic("core: " + op + " with negative time")
+	if !(at >= 0) {
+		panic("core: " + op + " with negative or NaN time")
 	}
 	if t.lookup(dst) == nil {
 		panic("core: " + op + " to unknown LP")

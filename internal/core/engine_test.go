@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,14 @@ func TestEngineHostContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustPanic(t, "negative time", func() { e.Schedule(0, -1, nil) })
+			// NaN fails every ordered comparison, so a "< 0" guard would
+			// let it through to the pending queue's key.
+			for _, at := range []Time{-1, Time(math.NaN())} {
+				mustPanic(t, fmt.Sprintf("time %v", at), func() { e.Schedule(0, at, nil) })
+			}
+			if s, ok := e.(*Simulator); ok {
+				mustPanic(t, "restored NaN time", func() { s.ScheduleRestored(0, Time(math.NaN()), NoLP, 0, nil) })
+			}
 			mustPanic(t, "unknown LP", func() { e.Schedule(4, 0, nil) })
 			mustPanic(t, "negative LP", func() { e.Schedule(-1, 0, nil) })
 

@@ -22,12 +22,12 @@ type PE struct {
 	id  int
 	sim *Simulator
 
-	pending eventq.Queue[*Event] //simlint:owned
-	lanes   []lane               // inbound SPSC rings, indexed by sender PE: the lanes themselves are the sync structure
-	outbox  outbox               //simlint:owned
-	batch   []mail               //simlint:owned
-	pool    eventPool            //simlint:owned
-	kps     []*KP                //simlint:owned
+	pending *eventq.Ladder[*Event] //simlint:owned
+	lanes   []lane                 // inbound SPSC rings, indexed by sender PE: the lanes themselves are the sync structure
+	outbox  outbox                 //simlint:owned
+	batch   []mail                 //simlint:owned
+	pool    eventPool              //simlint:owned
+	kps     []*KP                  //simlint:owned
 
 	// reclaimBound and reclaim are reclaimCanceled's reused drain bound
 	// and callback (bindReclaim).
@@ -477,7 +477,7 @@ func (pe *PE) reclaimCanceled(gvt Time) {
 		gvt = pe.sim.cfg.EndTime
 	}
 	pe.reclaimBound.recvTime = gvt
-	eventq.Drain(pe.pending, &pe.reclaimBound, (*Event).before, pe.reclaim)
+	pe.pending.BulkDrain(&pe.reclaimBound, pe.reclaim)
 }
 
 // bindReclaim builds the bound event and the callback reclaimCanceled

@@ -17,14 +17,14 @@ import (
 type Sequential struct {
 	lpTable
 	cfg     Config
-	pending eventq.Queue[*Event]
+	pending *eventq.Ladder[*Event]
 	pool    eventPool
 
 	processed int64
 }
 
 // NewSequential builds a sequential executor. It validates cfg exactly as
-// the parallel engines do, but only NumLPs, EndTime, Seed and Queue shape
+// the parallel engines do, but only NumLPs, EndTime and Seed shape
 // the run; the placement fields are irrelevant without parallelism.
 func NewSequential(cfg Config) (*Sequential, error) {
 	if err := cfg.setDefaults(); err != nil {
@@ -40,7 +40,7 @@ func NewSequential(cfg Config) (*Sequential, error) {
 			pool: &q.pool,
 		}
 	}
-	q.pending = newEventQueue(cfg.Queue)
+	q.pending = newEventQueue()
 	return q, nil
 }
 
@@ -61,14 +61,13 @@ func (q *Sequential) Run() (*Stats, error) {
 	start := time.Now()
 	// One bulk drain to the horizon replaces the Min/Pop loop: the bound
 	// sorts before every real event at EndTime (real destinations are
-	// >= 0), so exactly the events with recvTime < EndTime execute. The
-	// ladder consumes its sorted runs directly; the heap takes
-	// eventq.Drain's equivalent Min/Pop fallback. Events sent during
+	// >= 0), so exactly the events with recvTime < EndTime execute, and
+	// the ladder consumes its sorted runs directly. Events sent during
 	// execution land strictly later than the event being executed
 	// (LP.Send requires a positive delay), which is precisely the
 	// BulkDrain re-entrancy contract.
 	bound := &Event{recvTime: q.cfg.EndTime, dst: -1 << 31, src: -1 << 31}
-	eventq.Drain(q.pending, bound, (*Event).before, func(ev *Event) {
+	q.pending.BulkDrain(bound, func(ev *Event) {
 		q.lps[ev.dst].executeFinal(ev)
 		q.processed++
 	})

@@ -43,15 +43,6 @@ type Config struct {
 	// speculation on tightly coupled models from collapsing into cascade
 	// thrash where GVT barely advances.
 	GVTInterval int
-	// Queue selects the pending-queue implementation; any kind registered
-	// in eventq is accepted ("heap", "ladder"), and an empty value selects
-	// eventq.DefaultKind — the calendar-family structure with amortised
-	// O(1) Push/Pop on the PDES access pattern, zero steady-state
-	// allocation, and a bulk below-bound drain fast path (see DESIGN.md,
-	// "Event queue"). The committed schedule is identical for every kind —
-	// the kernel's event order is total — so the choice is purely a
-	// performance knob, enforced by simcheck's queue dimension.
-	Queue string
 	// MaxOptimism, when positive, bounds speculation: a PE will not
 	// execute events more than this far beyond the last GVT estimate
 	// (ROSS's max_opt_lookahead). It is the cap of each PE's optimism
@@ -136,12 +127,6 @@ func (cfg *Config) setDefaults() error {
 		if kp := cfg.KPOfLP(lp); kp < 0 || kp >= cfg.NumKPs {
 			return fmt.Errorf("core: KPOfLP(%d) = %d out of range", lp, kp)
 		}
-	}
-	if cfg.Queue == "" {
-		cfg.Queue = eventq.DefaultKind
-	}
-	if err := eventq.Valid(cfg.Queue); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -234,7 +219,7 @@ func New(cfg Config) (*Simulator, error) {
 		s.lps[i] = lp
 	}
 	for _, pe := range s.pes {
-		pe.pending = newEventQueue(cfg.Queue)
+		pe.pending = newEventQueue()
 	}
 	s.bar = newBarrier(cfg.NumPEs)
 	for _, pe := range s.pes {
@@ -256,19 +241,11 @@ func streamID(seed uint64, lp int) uint64 {
 }
 
 // newEventQueue builds a pending queue ordered by the kernel's total
-// event order; shared by all three engines. The key projection hands
-// calendar-family kinds the receive time to bucket by — monotone with
-// respect to before(), whose first field is recvTime. The kind is
-// validated before any engine gets here (every constructor runs
-// setDefaults), so a constructor error is a kernel bug, not user input.
-func newEventQueue(kind string) eventq.Queue[*Event] {
-	q, err := eventq.New[*Event](kind,
-		func(a, b *Event) bool { return a.before(b) },
-		func(e *Event) float64 { return float64(e.recvTime) })
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	return q
+// event order; shared by all three engines. The ladder buckets by receive
+// time, which is monotone with respect to before(), whose first field is
+// recvTime.
+func newEventQueue() *eventq.Ladder[*Event] {
+	return eventq.NewLadder((*Event).before, func(e *Event) float64 { return float64(e.recvTime) })
 }
 
 // newLPStream builds the reversible stream for one LP under a seed.

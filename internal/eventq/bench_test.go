@@ -1,6 +1,6 @@
 package eventq
 
-// Microbenchmarks for the pending-set implementations under the access
+// Microbenchmarks for the ladder under the access
 // patterns a Time Warp kernel actually generates. Each benchmark is a
 // classic hold model: prefill the queue to a target population n, then
 // repeatedly pop the minimum and push a successor whose key is drawn from
@@ -27,7 +27,6 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
-	"time"
 )
 
 // benchItem mirrors the kernel's event ordering shape: float key plus a
@@ -46,13 +45,12 @@ func benchLess(a, b benchItem) bool {
 
 func benchKey(v benchItem) float64 { return v.t }
 
-// benchSizes are the held populations; the ISSUE's perf acceptance gates
-// read the n=100000 and n=1000000 inc cells.
+// benchSizes are the held populations, from cache-resident to a million.
 var benchSizes = []int{1_000, 100_000, 1_000_000}
 
 // holdPattern returns the increment stream for a pattern as a fixed table
-// the hold loop cycles through, so RNG cost is identical across queue
-// kinds and excluded from the per-kind comparison.
+// the hold loop cycles through, so RNG cost is excluded from the
+// measurement.
 func holdPattern(pattern string) []float64 {
 	rng := rand.New(rand.NewSource(99))
 	inc := make([]float64, 1<<14)
@@ -83,7 +81,7 @@ func holdPattern(pattern string) []float64 {
 }
 
 // prefill populates q with n items clustered like a warmed-up pending set.
-func prefill(q Queue[benchItem], n int, seq *uint64) float64 {
+func prefill(q *Ladder[benchItem], n int, seq *uint64) float64 {
 	rng := rand.New(rand.NewSource(7))
 	front := 0.0
 	for i := 0; i < n; i++ {
@@ -94,7 +92,7 @@ func prefill(q Queue[benchItem], n int, seq *uint64) float64 {
 }
 
 // hold runs ops pop-push holds against q and returns the final frontier.
-func hold(q Queue[benchItem], inc []float64, ops int, seq *uint64) float64 {
+func hold(q *Ladder[benchItem], inc []float64, ops int, seq *uint64) float64 {
 	frontier := 0.0
 	for i := 0; i < ops; i++ {
 		v, ok := q.Pop()
@@ -122,79 +120,31 @@ func benchOps(n int) int {
 	return ops
 }
 
-// BenchmarkQueue measures every registered kind under every pattern and
-// size: Queue/<kind>/<pattern>/n=<n>. ns/op is per batch of benchOps(n)
-// holds; the ns/hold metric is the per-operation figure.
+// BenchmarkQueue measures the ladder under every pattern and size:
+// Queue/<pattern>/n=<n>. ns/op is per batch of benchOps(n) holds; the
+// ns/hold metric is the per-operation figure.
 func BenchmarkQueue(b *testing.B) {
-	for _, kind := range Kinds() {
-		b.Run(kind, func(b *testing.B) {
-			for _, pattern := range []string{"inc", "rollback", "skew"} {
-				b.Run(pattern, func(b *testing.B) {
-					for _, n := range benchSizes {
-						b.Run("n="+itoa(n), func(b *testing.B) {
-							inc := holdPattern(pattern)
-							ops := benchOps(n)
-							var seq uint64
-							q, err := New[benchItem](kind, benchLess, benchKey)
-							if err != nil {
-								b.Fatal(err)
-							}
-							prefill(q, n, &seq)
-							// Warm the structure past its build-up
-							// transient (ladder rung spawning) before
-							// the timer starts.
-							hold(q, inc, ops/4, &seq)
-							b.ReportAllocs()
-							b.ResetTimer()
-							for i := 0; i < b.N; i++ {
-								hold(q, inc, ops, &seq)
-							}
-							b.StopTimer()
-							perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(ops)
-							b.ReportMetric(perOp, "ns/hold")
-						})
+	for _, pattern := range []string{"inc", "rollback", "skew"} {
+		b.Run(pattern, func(b *testing.B) {
+			for _, n := range benchSizes {
+				b.Run("n="+itoa(n), func(b *testing.B) {
+					inc := holdPattern(pattern)
+					ops := benchOps(n)
+					var seq uint64
+					q := NewLadder(benchLess, benchKey)
+					prefill(q, n, &seq)
+					// Warm the structure past its build-up transient
+					// (rung spawning) before the timer starts.
+					hold(q, inc, ops/4, &seq)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						hold(q, inc, ops, &seq)
 					}
+					b.StopTimer()
+					perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(ops)
+					b.ReportMetric(perOp, "ns/hold")
 				})
-			}
-		})
-	}
-}
-
-// BenchmarkQueueLadderVsHeap reports the ladder's speedup over the binary
-// heap on the mostly-increasing pattern at n=1e5 and n=1e6. Both queues run the
-// identical schedule inside one sample and the fastest of three rounds of
-// each is compared, so one interference spike cannot manufacture or mask
-// a regression. ns/op covers the whole harness and is not itself a gate.
-func BenchmarkQueueLadderVsHeap(b *testing.B) {
-	const rounds = 3
-	for _, n := range []int{100_000, 1_000_000} {
-		b.Run("n="+itoa(n), func(b *testing.B) {
-			inc := holdPattern("inc")
-			ops := benchOps(n)
-			run := func(kind string) time.Duration {
-				var seq uint64
-				q, err := New[benchItem](kind, benchLess, benchKey)
-				if err != nil {
-					b.Fatal(err)
-				}
-				prefill(q, n, &seq)
-				hold(q, inc, ops/4, &seq)
-				best := time.Duration(0)
-				for r := 0; r < rounds; r++ {
-					start := time.Now()
-					hold(q, inc, ops, &seq)
-					if d := time.Since(start); best == 0 || d < best {
-						best = d
-					}
-				}
-				return best
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				heap := run("heap")
-				ladder := run("ladder")
-				b.ReportMetric(float64(heap)/float64(ladder), "speedup")
-				b.ReportMetric(float64(ladder.Nanoseconds())/float64(ops), "ns/hold")
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package eventq
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -12,128 +11,89 @@ func intLess(a, b int) bool { return a < b }
 
 func intKey(v int) float64 { return float64(v) }
 
-// mustNew builds a queue of the given kind with the int ordering, failing
-// the test on a constructor error.
-func mustNew(t testing.TB, kind string) Queue[int] {
-	t.Helper()
-	q, err := New[int](kind, intLess, intKey)
-	if err != nil {
-		t.Fatalf("New(%q): %v", kind, err)
-	}
-	return q
-}
-
-// queues returns one of each registered implementation for table-driven
-// tests.
-func queues(t testing.TB) map[string]Queue[int] {
-	m := make(map[string]Queue[int])
-	for _, kind := range Kinds() {
-		m[kind] = mustNew(t, kind)
-	}
-	return m
-}
-
-// TestKinds pins the registry contents: the two implementations, in
-// deterministic order (soak schedules index into this slice by seed).
-func TestKinds(t *testing.T) {
-	got := Kinds()
-	want := []string{"heap", "ladder"}
-	if len(got) != len(want) {
-		t.Fatalf("Kinds() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Kinds() = %v, want %v", got, want)
-		}
-	}
-}
+// newIntLadder returns an empty ladder over ints in natural order.
+func newIntLadder() *Ladder[int] { return NewLadder(intLess, intKey) }
 
 // TestEmptyQueue: Min/Pop on empty must report absence, Len must be zero.
 func TestEmptyQueue(t *testing.T) {
-	for name, q := range queues(t) {
-		if _, ok := q.Min(); ok {
-			t.Errorf("%s: Min on empty returned ok", name)
-		}
-		if _, ok := q.Pop(); ok {
-			t.Errorf("%s: Pop on empty returned ok", name)
-		}
-		if q.Len() != 0 {
-			t.Errorf("%s: empty Len = %d", name, q.Len())
-		}
+	q := newIntLadder()
+	if _, ok := q.Min(); ok {
+		t.Error("Min on empty returned ok")
+	}
+	if _, ok := q.Pop(); ok {
+		t.Error("Pop on empty returned ok")
+	}
+	if q.Len() != 0 {
+		t.Errorf("empty Len = %d", q.Len())
 	}
 }
 
 // TestDrainIsSorted: pushing any slice and draining must yield it sorted.
 func TestDrainIsSorted(t *testing.T) {
-	for _, kind := range Kinds() {
-		kind := kind
-		prop := func(vals []int) bool {
-			q := mustNew(t, kind)
-			for _, v := range vals {
-				q.Push(v)
-			}
-			if q.Len() != len(vals) {
+	prop := func(vals []int) bool {
+		q := newIntLadder()
+		for _, v := range vals {
+			q.Push(v)
+		}
+		if q.Len() != len(vals) {
+			return false
+		}
+		want := append([]int(nil), vals...)
+		sort.Ints(want)
+		for _, w := range want {
+			got, ok := q.Pop()
+			if !ok || got != w {
 				return false
 			}
-			want := append([]int(nil), vals...)
-			sort.Ints(want)
-			for _, w := range want {
-				got, ok := q.Pop()
-				if !ok || got != w {
-					return false
-				}
-			}
-			_, ok := q.Pop()
-			return !ok && q.Len() == 0
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("%s: %v", kind, err)
-		}
+		_, ok := q.Pop()
+		return !ok && q.Len() == 0
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestMinMatchesPop: Min must always preview exactly what Pop returns.
 func TestMinMatchesPop(t *testing.T) {
-	for name, q := range queues(t) {
-		r := rand.New(rand.NewSource(42))
-		for i := 0; i < 2000; i++ {
-			q.Push(r.Intn(1000))
-			if r.Intn(3) == 0 {
-				m, ok1 := q.Min()
-				p, ok2 := q.Pop()
-				if ok1 != ok2 || m != p {
-					t.Fatalf("%s: Min %v/%v != Pop %v/%v", name, m, ok1, p, ok2)
-				}
+	q := newIntLadder()
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 2000; i++ {
+		q.Push(r.Intn(1000))
+		if r.Intn(3) == 0 {
+			m, ok1 := q.Min()
+			p, ok2 := q.Pop()
+			if ok1 != ok2 || m != p {
+				t.Fatalf("Min %v/%v != Pop %v/%v", m, ok1, p, ok2)
 			}
 		}
 	}
 }
 
-// TestInterleavedAgainstReference drives every implementation through a
-// long random push/pop sequence in lockstep with a sorted-slice oracle.
+// TestInterleavedAgainstReference drives the ladder through a long random
+// push/pop sequence in lockstep with a sorted-slice oracle.
 func TestInterleavedAgainstReference(t *testing.T) {
-	for name, q := range queues(t) {
-		r := rand.New(rand.NewSource(7))
-		var oracle []int
-		for i := 0; i < 5000; i++ {
-			if r.Intn(2) == 0 || len(oracle) == 0 {
-				v := r.Intn(100)
-				q.Push(v)
-				oracle = append(oracle, v)
-				sort.Ints(oracle)
-			} else {
-				got, ok := q.Pop()
-				if !ok {
-					t.Fatalf("%s: Pop failed with %d in oracle", name, len(oracle))
-				}
-				if got != oracle[0] {
-					t.Fatalf("%s: Pop = %d, oracle %d", name, got, oracle[0])
-				}
-				oracle = oracle[1:]
+	q := newIntLadder()
+	r := rand.New(rand.NewSource(7))
+	var oracle []int
+	for i := 0; i < 5000; i++ {
+		if r.Intn(2) == 0 || len(oracle) == 0 {
+			v := r.Intn(100)
+			q.Push(v)
+			oracle = append(oracle, v)
+			sort.Ints(oracle)
+		} else {
+			got, ok := q.Pop()
+			if !ok {
+				t.Fatalf("Pop failed with %d in oracle", len(oracle))
 			}
-			if q.Len() != len(oracle) {
-				t.Fatalf("%s: Len %d != oracle %d", name, q.Len(), len(oracle))
+			if got != oracle[0] {
+				t.Fatalf("Pop = %d, oracle %d", got, oracle[0])
 			}
+			oracle = oracle[1:]
+		}
+		if q.Len() != len(oracle) {
+			t.Fatalf("Len %d != oracle %d", q.Len(), len(oracle))
 		}
 	}
 }
@@ -141,213 +101,133 @@ func TestInterleavedAgainstReference(t *testing.T) {
 // TestDuplicates: equal keys must all come out, ordered stably enough to
 // all be equal.
 func TestDuplicates(t *testing.T) {
-	for name, q := range queues(t) {
-		for i := 0; i < 100; i++ {
-			q.Push(5)
+	q := newIntLadder()
+	for i := 0; i < 100; i++ {
+		q.Push(5)
+	}
+	q.Push(3)
+	q.Push(7)
+	if v, _ := q.Pop(); v != 3 {
+		t.Fatalf("first pop %d", v)
+	}
+	for i := 0; i < 100; i++ {
+		if v, _ := q.Pop(); v != 5 {
+			t.Fatalf("dup pop %d", v)
 		}
-		q.Push(3)
-		q.Push(7)
-		if v, _ := q.Pop(); v != 3 {
-			t.Fatalf("%s: first pop %d", name, v)
-		}
-		for i := 0; i < 100; i++ {
-			if v, _ := q.Pop(); v != 5 {
-				t.Fatalf("%s: dup pop %d", name, v)
-			}
-		}
-		if v, _ := q.Pop(); v != 7 {
-			t.Fatalf("%s: last pop %d", name, v)
-		}
+	}
+	if v, _ := q.Pop(); v != 7 {
+		t.Fatalf("last pop %d", v)
 	}
 }
 
 // TestMostlyIncreasingPattern mimics the PDES access pattern: timestamps
 // mostly increase, with occasional re-insertions in the past (rollbacks).
 func TestMostlyIncreasingPattern(t *testing.T) {
-	for name, q := range queues(t) {
-		r := rand.New(rand.NewSource(99))
-		now := 0
-		var oracle []int
-		for i := 0; i < 3000; i++ {
-			if r.Intn(4) != 0 || len(oracle) == 0 {
-				v := now + r.Intn(20)
-				if r.Intn(20) == 0 { // straggler-style past insert
-					v = now - r.Intn(5)
-				}
-				q.Push(v)
-				oracle = append(oracle, v)
-				sort.Ints(oracle)
-			} else {
-				got, _ := q.Pop()
-				if got != oracle[0] {
-					t.Fatalf("%s: pop %d want %d", name, got, oracle[0])
-				}
-				now = got
-				oracle = oracle[1:]
+	q := newIntLadder()
+	r := rand.New(rand.NewSource(99))
+	now := 0
+	var oracle []int
+	for i := 0; i < 3000; i++ {
+		if r.Intn(4) != 0 || len(oracle) == 0 {
+			v := now + r.Intn(20)
+			if r.Intn(20) == 0 { // straggler-style past insert
+				v = now - r.Intn(5)
 			}
+			q.Push(v)
+			oracle = append(oracle, v)
+			sort.Ints(oracle)
+		} else {
+			got, _ := q.Pop()
+			if got != oracle[0] {
+				t.Fatalf("pop %d want %d", got, oracle[0])
+			}
+			now = got
+			oracle = oracle[1:]
 		}
 	}
 }
 
 // TestPointerElements: the kernel stores *Event; ensure pointer elements
-// and custom comparators work and popped slots are released.
+// and custom comparators work.
 func TestPointerElements(t *testing.T) {
 	type ev struct{ t float64 }
-	less := func(a, b *ev) bool { return a.t < b.t }
-	key := func(e *ev) float64 { return e.t }
-	for _, kind := range Kinds() {
-		q, err := New[*ev](kind, less, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q.Push(&ev{3})
-		q.Push(&ev{1})
-		q.Push(&ev{2})
-		want := []float64{1, 2, 3}
-		for _, w := range want {
-			got, ok := q.Pop()
-			if !ok || got.t != w {
-				t.Fatalf("%s: got %v want %v", kind, got, w)
-			}
+	q := NewLadder(func(a, b *ev) bool { return a.t < b.t }, func(e *ev) float64 { return e.t })
+	q.Push(&ev{3})
+	q.Push(&ev{1})
+	q.Push(&ev{2})
+	for _, w := range []float64{1, 2, 3} {
+		got, ok := q.Pop()
+		if !ok || got.t != w {
+			t.Fatalf("got %v want %v", got, w)
 		}
 	}
 }
 
-// TestNewUnknownKind: the constructor must reject unregistered kinds with
-// an error enumerating the valid ones, and Valid must agree.
-func TestNewUnknownKind(t *testing.T) {
-	q, err := New[int]("fibonacci", intLess, nil)
-	if err == nil || q != nil {
-		t.Fatalf("New(fibonacci) = %v, %v; want nil, error", q, err)
-	}
-	for _, kind := range Kinds() {
-		if !strings.Contains(err.Error(), kind) {
-			t.Fatalf("error %q does not enumerate kind %q", err, kind)
-		}
-	}
-	if verr := Valid("fibonacci"); verr == nil {
-		t.Fatal("Valid(fibonacci) = nil, want error")
-	}
-	for _, kind := range append(Kinds(), "") {
-		if verr := Valid(kind); verr != nil {
-			t.Fatalf("Valid(%q) = %v, want nil", kind, verr)
-		}
-	}
-}
-
-// TestLadderRequiresKey: calendar-family kinds cannot work without a key
-// projection; the constructor must say so instead of crashing later.
-func TestLadderRequiresKey(t *testing.T) {
-	for _, kind := range []string{"ladder", ""} { // "" selects the ladder
-		if _, err := New[int](kind, intLess, nil); err == nil {
-			t.Fatalf("New(%q) without key projection succeeded", kind)
-		}
-	}
-	// The comparison-only heap must not require one.
-	if _, err := New[int]("heap", intLess, nil); err != nil {
-		t.Fatalf("New(heap) with nil key: %v", err)
-	}
-}
-
-// TestNewDefaultsToLadder: empty kind must produce a working queue of
-// DefaultKind, the ladder.
-func TestNewDefaultsToLadder(t *testing.T) {
-	if DefaultKind != "ladder" {
-		t.Fatalf("DefaultKind = %q", DefaultKind)
-	}
-	q := mustNew(t, "")
-	if _, ok := q.(*Ladder[int]); !ok {
-		t.Fatalf("New(\"\") = %T, want *Ladder", q)
-	}
-	q.Push(2)
-	q.Push(1)
-	if v, _ := q.Pop(); v != 1 {
-		t.Fatalf("default queue pop = %d", v)
-	}
-}
-
-// TestDrainHelper: eventq.Drain must pop exactly the strict prefix below
-// upTo, in order, on every kind — BulkDrain fast path and Min/Pop
-// fallback alike — and tolerate pushes from inside fn.
+// TestDrainHelper: BulkDrain must pop exactly the strict prefix below
+// upTo, in order, and deliver in the same call an element fn pushes that
+// sorts strictly after the one it was handed but still below the bound.
 func TestDrainHelper(t *testing.T) {
-	for _, kind := range Kinds() {
-		q := mustNew(t, kind)
-		for _, v := range []int{5, 1, 9, 3, 7, 3} {
-			q.Push(v)
+	q := newIntLadder()
+	for _, v := range []int{5, 1, 9, 3, 7, 3} {
+		q.Push(v)
+	}
+	var got []int
+	q.BulkDrain(6, func(v int) {
+		got = append(got, v)
+		if v == 1 {
+			q.Push(4) // strictly after 1, still below the bound
 		}
-		var got []int
-		Drain[int](q, 6, intLess, func(v int) {
-			got = append(got, v)
-			if v == 1 {
-				q.Push(4) // strictly after 1, still below the bound
-			}
-		})
-		want := []int{1, 3, 3, 4, 5}
-		if len(got) != len(want) {
-			t.Fatalf("%s: drained %v, want %v", kind, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: drained %v, want %v", kind, got, want)
-			}
-		}
-		if q.Len() != 2 {
-			t.Fatalf("%s: %d left after drain, want 2", kind, q.Len())
-		}
-		if v, _ := q.Pop(); v != 7 {
-			t.Fatalf("%s: post-drain pop %d, want 7", kind, v)
+	})
+	want := []int{1, 3, 3, 4, 5}
+	if len(got) != len(want) {
+		t.Fatalf("drained %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("drained %v, want %v", got, want)
 		}
 	}
-}
-
-// TestLadderImplementsBulkDrainer pins the type assertion the kernel
-// relies on: ladder has the fast path, heap takes the fallback.
-func TestLadderImplementsBulkDrainer(t *testing.T) {
-	var q Queue[int]
-	q = NewLadder(intLess, intKey)
-	if _, ok := q.(BulkDrainer[int]); !ok {
-		t.Fatal("*Ladder does not implement BulkDrainer")
+	if q.Len() != 2 {
+		t.Fatalf("%d left after drain, want 2", q.Len())
 	}
-	q = NewHeap(intLess)
-	if _, ok := q.(BulkDrainer[int]); ok {
-		t.Fatal("*Heap unexpectedly implements BulkDrainer")
+	if v, _ := q.Pop(); v != 7 {
+		t.Fatalf("post-drain pop %d, want 7", v)
 	}
 }
 
 // TestEachVisitsAll: Each must visit every live element exactly once,
-// on every kind, including elements spread across the ladder's bands.
+// including elements spread across the ladder's bands.
 func TestEachVisitsAll(t *testing.T) {
-	for name, q := range queues(t) {
-		r := rand.New(rand.NewSource(13))
-		counts := make(map[int]int)
-		for i := 0; i < 500; i++ {
-			v := r.Intn(1 << 16)
-			q.Push(v)
-			counts[v]++
+	q := newIntLadder()
+	r := rand.New(rand.NewSource(13))
+	counts := make(map[int]int)
+	for i := 0; i < 500; i++ {
+		v := r.Intn(1 << 16)
+		q.Push(v)
+		counts[v]++
+	}
+	// Pop some so the ladder has a partially drained Bottom, then push
+	// more so Top repopulates.
+	for i := 0; i < 100; i++ {
+		v, _ := q.Pop()
+		counts[v]--
+	}
+	for i := 0; i < 50; i++ {
+		v := (1 << 16) + r.Intn(1<<10)
+		q.Push(v)
+		counts[v]++
+	}
+	got := make(map[int]int)
+	q.Each(func(v int) { got[v]++ })
+	total := 0
+	for v, c := range counts {
+		if got[v] != c {
+			t.Fatalf("Each saw %d of value %d, want %d", got[v], v, c)
 		}
-		// Pop some so the ladder has a partially drained Bottom, then
-		// push more so Top repopulates.
-		for i := 0; i < 100; i++ {
-			v, _ := q.Pop()
-			counts[v]--
-		}
-		for i := 0; i < 50; i++ {
-			v := (1 << 16) + r.Intn(1<<10)
-			q.Push(v)
-			counts[v]++
-		}
-		got := make(map[int]int)
-		q.Each(func(v int) { got[v]++ })
-		total := 0
-		for v, c := range counts {
-			if got[v] != c {
-				t.Fatalf("%s: Each saw %d of value %d, want %d", name, got[v], v, c)
-			}
-			total += c
-		}
-		if q.Len() != total {
-			t.Fatalf("%s: Len %d != %d", name, q.Len(), total)
-		}
+		total += c
+	}
+	if q.Len() != total {
+		t.Fatalf("Len %d != %d", q.Len(), total)
 	}
 }
 

@@ -6,14 +6,11 @@ import (
 	"repro/internal/eventq"
 )
 
-// Example shows the queue API shared by the heap and ladder
-// implementations; the kernel schedules events through exactly this
-// interface.
+// Example shows the ladder's API: elements are ordered by the comparison
+// and bucketed by the key projection, which must be monotone with respect
+// to it. The kernel schedules events through exactly these calls.
 func Example() {
-	q, err := eventq.New[int]("heap", func(a, b int) bool { return a < b }, nil)
-	if err != nil {
-		panic(err)
-	}
+	q := eventq.NewLadder(func(a, b int) bool { return a < b }, func(v int) float64 { return float64(v) })
 	for _, v := range []int{5, 1, 4, 1, 3} {
 		q.Push(v)
 	}

@@ -5,121 +5,136 @@ import (
 	"testing"
 )
 
-// fuzzStep is one decoded operation: push the (key, id) element, or pop.
-type fuzzStep struct {
-	pop bool
-	key int
+// Operations a fuzz byte decodes to. Pushes take half the byte space so
+// the queue actually fills; the remaining bits are a key, deliberately
+// only 5 bits wide so ties are common and the FIFO contract is exercised.
+const (
+	fuzzPop   = 4
+	fuzzMin   = 5
+	fuzzEach  = 6
+	fuzzDrain = 7
+)
+
+// refQueue is the reference model: a slice kept sorted by (key, id).
+// Ids are issued in push order, so this is exactly the ladder's contract
+// — order by key, FIFO among equal keys.
+type refQueue []keyed
+
+func (r *refQueue) push(v keyed) {
+	s := *r
+	i := sort.Search(len(s), func(i int) bool {
+		return s[i].key > v.key || (s[i].key == v.key && s[i].id > v.id)
+	})
+	s = append(s, keyed{})
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	*r = s
 }
 
-// decodeFuzzOps turns fuzz input into an operation sequence. Each byte is
-// one operation: low bit selects push/pop, the remaining bits are the
-// pushed key — deliberately only 7 bits so ties are common and the
-// tiebreak contracts actually get exercised.
-func decodeFuzzOps(data []byte) []fuzzStep {
-	ops := make([]fuzzStep, len(data))
-	for i, b := range data {
-		ops[i] = fuzzStep{pop: b&1 == 1, key: int(b >> 1)}
-	}
-	return ops
+func (r *refQueue) pop() keyed {
+	v := (*r)[0]
+	*r = (*r)[1:]
+	return v
 }
 
-// runFuzzOps drives one queue through ops, tagging every push with a
-// sequence id so tie order is observable, and returns the full pop
-// stream (including the final drain).
-func runFuzzOps(t *testing.T, kind string, ops []fuzzStep) []keyed {
-	t.Helper()
-	q, err := New[keyed](kind, keyedLess, keyedKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []keyed
-	next := 0
-	for _, op := range ops {
-		if op.pop {
-			if v, ok := q.Pop(); ok {
-				out = append(out, v)
-			}
-		} else {
-			q.Push(keyed{key: op.key, id: next})
-			next++
-		}
-	}
-	for {
-		v, ok := q.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
+// drainPush is what the BulkDrain callback pushes on being handed v: every
+// other delivery sends one element 1-4 keys after it, strictly after v as
+// the BulkDrain contract requires, so chains below the bound are
+// delivered within the same call.
+func drainPush(v keyed) (int, bool) {
+	return v.key + 1 + v.id%4, v.id%2 == 0
 }
 
-// FuzzQueuesDifferential drives every registered queue kind through the
-// same operation sequence and demands, per kind:
-//
-//  1. agreement with a sorted-slice reference model on the popped key
-//     stream (and on emptiness at every step);
-//  2. drain-order determinism — a second identical run must produce a
-//     bitwise-identical pop stream, ids included;
-//  3. the kind's documented tiebreak contract: the ladder pops equal
-//     keys in insertion order (FIFO ids), heap's equal-key order
-//     is only required to be deterministic (covered by 2).
+// FuzzQueuesDifferential drives the ladder through a fuzzed sequence of
+// the kernel's whole operation set — Push, Min, Pop, Len, Each and
+// BulkDrain with a callback that pushes — in lockstep with refQueue, and
+// demands agreement after every operation: the exact element (key and id,
+// so FIFO tie order too) from Min, Pop and each BulkDrain delivery, the
+// count from Len, and the multiset from Each.
 func FuzzQueuesDifferential(f *testing.F) {
 	f.Add([]byte{2, 4, 6, 1, 3, 5})
 	f.Add([]byte{0, 0, 0, 1, 1, 1})
 	f.Add([]byte{255, 254, 253, 252, 251})
 	f.Add([]byte{8, 8, 8, 8, 8, 8, 8, 8, 1, 1, 8, 8, 1, 1})
-	fifoKinds := map[string]bool{"ladder": true}
+	// Drains at, below and above resident keys, with callback pushes.
+	f.Add([]byte{8, 16, 24, 8, 15, 31, 7, 4, 12, 23, 6, 63, 8, 8, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := decodeFuzzOps(data)
-
-		// Reference model: keys only, sorted ascending.
-		var refStream []int
-		var oracle []int
-		for _, op := range ops {
-			if op.pop {
-				if len(oracle) > 0 {
-					refStream = append(refStream, oracle[0])
-					oracle = oracle[1:]
-				}
-			} else {
-				oracle = append(oracle, op.key)
-				sort.Ints(oracle)
-			}
+		q := NewLadder(keyedLess, keyedKey)
+		var ref refQueue
+		next := 0
+		push := func(key int) {
+			v := keyed{key: key, id: next}
+			next++
+			q.Push(v)
+			ref.push(v)
 		}
-		refStream = append(refStream, oracle...)
-
-		for _, kind := range Kinds() {
-			got := runFuzzOps(t, kind, ops)
-			if len(got) != len(refStream) {
-				t.Fatalf("%s: popped %d elements, reference %d", kind, len(got), len(refStream))
-			}
-			maxID := make(map[int]int) // key -> highest id popped at that key
-			for i, v := range got {
-				if v.key != refStream[i] {
-					t.Fatalf("%s: pop %d key %d, reference %d", kind, i, v.key, refStream[i])
+		for step, b := range data {
+			key := int(b >> 3)
+			switch op := int(b & 7); op {
+			case fuzzPop:
+				got, ok := q.Pop()
+				if ok != (len(ref) > 0) {
+					t.Fatalf("step %d: Pop ok=%v with %d in reference", step, ok, len(ref))
 				}
-				if fifoKinds[kind] {
-					// FIFO among equals: a pop whose id is below an id
-					// already popped at the same key means a later-pushed
-					// equal overtook an earlier one (ids are assigned in
-					// push order, so the earlier element was necessarily
-					// still queued when the later one popped).
-					if prev, seen := maxID[v.key]; seen && v.id < prev {
-						t.Fatalf("%s: tie order violated at pop %d: id %d after id %d at key %d",
-							kind, i, v.id, prev, v.key)
+				if ok {
+					if want := ref.pop(); got != want {
+						t.Fatalf("step %d: Pop %+v, reference %+v", step, got, want)
 					}
 				}
-				if v.id > maxID[v.key] {
-					maxID[v.key] = v.id
+			case fuzzMin:
+				got, ok := q.Min()
+				if ok != (len(ref) > 0) {
+					t.Fatalf("step %d: Min ok=%v with %d in reference", step, ok, len(ref))
 				}
-			}
-			// Determinism: an identical second run must match exactly.
-			again := runFuzzOps(t, kind, ops)
-			for i := range got {
-				if got[i] != again[i] {
-					t.Fatalf("%s: nondeterministic drain at %d: %+v vs %+v", kind, i, got[i], again[i])
+				if ok && got != ref[0] {
+					t.Fatalf("step %d: Min %+v, reference %+v", step, got, ref[0])
 				}
+			case fuzzEach:
+				var seen []keyed
+				q.Each(func(v keyed) { seen = append(seen, v) })
+				sort.Slice(seen, func(i, j int) bool {
+					return seen[i].key < seen[j].key || (seen[i].key == seen[j].key && seen[i].id < seen[j].id)
+				})
+				if len(seen) != len(ref) || q.Len() != len(ref) {
+					t.Fatalf("step %d: Each saw %d, Len %d, reference %d", step, len(seen), q.Len(), len(ref))
+				}
+				for i := range seen {
+					if seen[i] != ref[i] {
+						t.Fatalf("step %d: Each multiset differs at %d: %+v vs %+v", step, i, seen[i], ref[i])
+					}
+				}
+			case fuzzDrain:
+				n := 0
+				q.BulkDrain(keyed{key: key}, func(v keyed) {
+					if len(ref) == 0 || ref[0].key >= key {
+						t.Fatalf("step %d: BulkDrain(%d) delivered %+v past the reference prefix", step, key, v)
+					}
+					if want := ref.pop(); v != want {
+						t.Fatalf("step %d: BulkDrain(%d) delivery %d = %+v, reference %+v", step, key, n, v, want)
+					}
+					n++
+					if k, ok := drainPush(v); ok {
+						push(k)
+					}
+				})
+				if len(ref) > 0 && ref[0].key < key {
+					t.Fatalf("step %d: BulkDrain(%d) stopped with %+v still below the bound", step, key, ref[0])
+				}
+			default:
+				push(key)
 			}
+			if q.Len() != len(ref) {
+				t.Fatalf("step %d: Len %d, reference %d", step, q.Len(), len(ref))
+			}
+		}
+		for len(ref) > 0 {
+			if got, _ := q.Pop(); got != ref[0] {
+				t.Fatalf("final drain: Pop %+v, reference %+v", got, ref[0])
+			}
+			ref.pop()
+		}
+		if _, ok := q.Pop(); ok {
+			t.Fatal("final drain: ladder holds elements the reference drained")
 		}
 	})
 }

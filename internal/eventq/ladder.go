@@ -1,3 +1,18 @@
+// Package eventq provides the pending-event list of the Time Warp
+// kernel: a ladder queue parameterised over the element type, a
+// strict-weak-ordering comparison function and a key projection monotone
+// with respect to it.
+//
+// The ladder queue (Tang, Goh & Thng) is the calendar-family structure
+// whose Push/Pop are amortised O(1) for the PDES access pattern (mostly
+// increasing inserts with occasional rollback re-insertions). Every engine
+// holds one per PE and drains it with BulkDrain. It won the pending-queue
+// ablation against a binary heap and ROSS's splay tree (EXPERIMENTS.md),
+// so it is the only implementation; FuzzQueuesDifferential holds it to a
+// sorted-slice reference model.
+//
+// A Ladder is not safe for concurrent use; each processing element owns
+// one.
 package eventq
 
 import "math"
@@ -217,7 +232,8 @@ func (l *Ladder[T]) putRung(r *ladderRung[T], idx int, v T) {
 	r.count++
 }
 
-// Min returns the smallest element without removing it.
+// Min returns the smallest element without removing it, or the zero
+// value and false when the queue is empty.
 func (l *Ladder[T]) Min() (T, bool) {
 	if l.n == 0 {
 		var zero T
@@ -227,7 +243,8 @@ func (l *Ladder[T]) Min() (T, bool) {
 	return l.bottom[l.bhead], true
 }
 
-// Pop removes and returns the smallest element.
+// Pop removes and returns the smallest element, or the zero value and
+// false when the queue is empty.
 func (l *Ladder[T]) Pop() (T, bool) {
 	if l.n == 0 {
 		var zero T
@@ -247,11 +264,11 @@ func (l *Ladder[T]) Pop() (T, bool) {
 
 // BulkDrain removes every element comparing strictly before upTo, in
 // Pop order, calling fn on each. fn may Push elements that compare
-// strictly after the delivered element; any still below upTo are
-// delivered later in the same call. This is the ladder's fast path: the
-// drain walks sorted Bottom runs directly, refilling bucket-at-a-time,
-// with none of the per-element tree/heap rebalancing a Min/Pop loop
-// pays elsewhere.
+// strictly after the delivered element (the kernel's causality rule:
+// sends carry strictly positive delays); any still below upTo are
+// delivered later in the same call. The drain walks sorted Bottom runs
+// directly, so a delivery is a slot read and a head bump; sorting is paid
+// once per refilled bucket.
 func (l *Ladder[T]) BulkDrain(upTo T, fn func(T)) {
 	for l.n > 0 {
 		l.ensureBottom()
@@ -270,7 +287,9 @@ func (l *Ladder[T]) BulkDrain(upTo T, fn func(T)) {
 	}
 }
 
-// Each visits every element in unspecified order.
+// Each visits every element in unspecified order; the kernel's invariant
+// checker and checkpoint capture use it. The queue must not be mutated
+// during the visit.
 func (l *Ladder[T]) Each(fn func(T)) {
 	for _, v := range l.bottom[l.bhead:] {
 		fn(v)

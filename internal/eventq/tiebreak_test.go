@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -15,45 +16,6 @@ type keyed struct {
 func keyedLess(a, b keyed) bool { return a.key < b.key }
 
 func keyedKey(k keyed) float64 { return float64(k.key) }
-
-// TestHeapTieDeterministic pins the heap's (weaker) documented contract:
-// the drain order of equal elements is a pure function of the operation
-// sequence. Two queues fed the identical randomized Push/Pop schedule must
-// produce bitwise-identical drains — if sift order ever consulted anything
-// beyond the array state (map iteration, addresses, randomness), this
-// would flake immediately.
-func TestHeapTieDeterministic(t *testing.T) {
-	run := func() []keyed {
-		q := NewHeap(keyedLess)
-		rng := rand.New(rand.NewSource(42))
-		var out []keyed
-		for i := 0; i < 2000; i++ {
-			// Heavy ties: only 8 distinct keys across 2000 elements.
-			q.Push(keyed{key: rng.Intn(8), id: i})
-			if rng.Intn(3) == 0 {
-				if v, ok := q.Pop(); ok {
-					out = append(out, v)
-				}
-			}
-		}
-		for {
-			v, ok := q.Pop()
-			if !ok {
-				return out
-			}
-			out = append(out, v)
-		}
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("drain lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("drain diverges at %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
 
 // TestLadderTieFIFO pins the ladder's tie contract: elements comparing
 // equal pop in insertion order. The first half interleaves ties with
@@ -158,14 +120,13 @@ func TestLadderTopBoundaryEqualKeys(t *testing.T) {
 }
 
 // TestQueuesAgreeUnderTotalOrder: with a total order (the kernel's case —
-// ties cannot occur) every registered queue must drain identically, so
-// the kernel's committed schedule cannot depend on the -queue flag. This
-// is the queue-level half of simcheck's queue-dimension differential.
-// The schedule runs under two orders: id-ascending (later pushes sort
-// later among equal float keys) and id-descending (later pushes sort
+// ties cannot occur) the ladder must drain exactly as a stable sort of
+// the same pushes does, so the kernel's committed schedule is the order
+// alone. The schedule runs under two orders: id-ascending (later pushes
+// sort later among equal float keys) and id-descending (later pushes sort
 // EARLIER — the kernel's straggler shape, where an event arriving later
 // must still drain first; this direction is what catches equal-key
-// elements split across a keyed structure's internal bands).
+// elements split across the ladder's internal bands).
 func TestQueuesAgreeUnderTotalOrder(t *testing.T) {
 	orders := map[string]func(a, b keyed) bool{
 		"idAsc": func(a, b keyed) bool {
@@ -181,47 +142,39 @@ func TestQueuesAgreeUnderTotalOrder(t *testing.T) {
 			return a.id > b.id
 		},
 	}
-	drain := func(q Queue[keyed]) []keyed {
-		rng := rand.New(rand.NewSource(7))
-		var out []keyed
-		for i := 0; i < 1500; i++ {
-			q.Push(keyed{key: rng.Intn(16), id: i})
-			if rng.Intn(4) == 0 {
-				if v, ok := q.Pop(); ok {
-					out = append(out, v)
-				}
-			}
-		}
-		for {
-			v, ok := q.Pop()
-			if !ok {
-				return out
-			}
-			out = append(out, v)
-		}
-	}
 	for name, totalLess := range orders {
 		t.Run(name, func(t *testing.T) {
-			kinds := Kinds()
-			drains := make([][]keyed, len(kinds))
-			for i, kind := range kinds {
-				q, err := New[keyed](kind, totalLess, keyedKey)
-				if err != nil {
-					t.Fatal(err)
-				}
-				drains[i] = drain(q)
+			q := NewLadder(totalLess, keyedKey)
+			var ref []keyed
+			popRef := func() keyed {
+				sort.SliceStable(ref, func(i, j int) bool { return totalLess(ref[i], ref[j]) })
+				v := ref[0]
+				ref = ref[1:]
+				return v
 			}
-			for i := 1; i < len(kinds); i++ {
-				a, b := drains[0], drains[i]
-				if len(a) != len(b) {
-					t.Fatalf("drain lengths differ: %s %d vs %s %d", kinds[0], len(a), kinds[i], len(b))
+			rng := rand.New(rand.NewSource(7))
+			pops := 0
+			check := func() {
+				want := popRef()
+				got, ok := q.Pop()
+				if !ok || got != want {
+					t.Fatalf("pop %d = (%+v, %v), reference %+v", pops, got, ok, want)
 				}
-				for j := range a {
-					if a[j] != b[j] {
-						t.Fatalf("%s and %s disagree at %d under a total order: %+v vs %+v",
-							kinds[0], kinds[i], j, a[j], b[j])
-					}
+				pops++
+			}
+			for i := 0; i < 1500; i++ {
+				e := keyed{key: rng.Intn(16), id: i}
+				q.Push(e)
+				ref = append(ref, e)
+				if rng.Intn(4) == 0 {
+					check()
 				}
+			}
+			for len(ref) > 0 {
+				check()
+			}
+			if _, ok := q.Pop(); ok {
+				t.Fatal("ladder holds elements the reference drained")
 			}
 		})
 	}

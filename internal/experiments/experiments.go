@@ -9,7 +9,7 @@
 //	Attachment 3 — sequential vs parallel determinism check
 //
 // plus the extra studies DESIGN.md calls out: the baseline-policy
-// comparison and the event-queue and heartbeat ablations.
+// comparison and the heartbeat ablation.
 //
 // Each figure has a sweep function returning typed points and a table
 // builder rendering the same rows/series the report plots. cmd/figures is

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/eventq"
 )
 
 // tinyOpts keeps experiment smoke tests fast: the quick ladder trimmed
@@ -177,27 +175,6 @@ func TestBaselineSweep(t *testing.T) {
 	}
 }
 
-// TestQueueAblation: every registered queue kind must run and commit
-// identical work.
-func TestQueueAblation(t *testing.T) {
-	points, err := QueueAblation(Options{Steps: 10, Seed: 7, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(eventq.Kinds()); len(points) != want {
-		t.Fatalf("got %d points, want %d", len(points), want)
-	}
-	for _, p := range points[1:] {
-		if p.Committed != points[0].Committed {
-			t.Fatalf("queue %s disagrees on committed work: %d vs %s's %d",
-				p.Queue, p.Committed, points[0].Queue, points[0].Committed)
-		}
-	}
-	if tab := QueueTable(points); len(tab.Rows) != len(points) {
-		t.Fatal("queue table malformed")
-	}
-}
-
 // TestHeartbeatAblation: heartbeats must add exactly routers×steps events.
 func TestHeartbeatAblation(t *testing.T) {
 	opt := Options{Steps: 20, Seed: 8, PEs: 2}
@@ -222,10 +199,11 @@ func TestHeartbeatAblation(t *testing.T) {
 func TestProgressWriter(t *testing.T) {
 	var buf bytes.Buffer
 	opt := Options{Steps: 10, Seed: 9, PEs: 2, Progress: &buf}
-	if _, err := QueueAblation(opt); err != nil {
+	points, err := HeartbeatAblation(opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(eventq.Kinds()); strings.Count(buf.String(), "\n") != want {
+	if want := len(points); strings.Count(buf.String(), "\n") != want {
 		t.Fatalf("progress lines = %d, want %d", strings.Count(buf.String(), "\n"), want)
 	}
 }

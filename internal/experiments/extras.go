@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/hotpotato"
-	"repro/internal/phold"
 	"repro/internal/routing"
 	"repro/internal/stats"
 )
@@ -117,56 +115,6 @@ func BaselineTable(points []PolicyPoint) stats.Table {
 		t.AddRow(p.Policy, fmt.Sprintf("%d", p.N), stats.FormatNumber(p.AvgDelivery),
 			fmt.Sprintf("%.4f", p.DeflectionRate), stats.FormatNumber(p.AvgWait),
 			fmt.Sprintf("%d", p.Delivered))
-	}
-	return t
-}
-
-// QueuePoint is one cell of the event-queue ablation.
-type QueuePoint struct {
-	Queue     string
-	EventRate float64
-	Committed int64
-	Wall      time.Duration
-}
-
-// QueueAblation compares the pending-queue implementations under PHOLD,
-// the neutral kernel stressor.
-func QueueAblation(opt Options) ([]QueuePoint, error) {
-	lps := 1024
-	end := core.Time(opt.steps(50))
-	var out []QueuePoint
-	for _, q := range eventq.Kinds() {
-		cfg := phold.Config{
-			NumLPs:     lps,
-			Population: 8,
-			RemoteProb: 0.5,
-			EndTime:    end,
-			Seed:       opt.seed(),
-			NumPEs:     opt.PEs,
-			Queue:      q,
-		}
-		sim, _, err := phold.Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ks, err := sim.Run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, QueuePoint{Queue: q, EventRate: ks.EventRate, Committed: ks.Committed, Wall: ks.Wall})
-		opt.progressf("queues: %s rate=%.0f ev/s\n", q, ks.EventRate)
-	}
-	return out, nil
-}
-
-// QueueTable renders the event-queue ablation.
-func QueueTable(points []QueuePoint) stats.Table {
-	t := stats.Table{
-		Title:  "Ablation: pending event queue (PHOLD, 1024 LPs, population 8)",
-		Header: []string{"queue", "event rate (ev/s)", "committed", "wall"},
-	}
-	for _, p := range points {
-		t.AddRow(p.Queue, stats.FormatNumber(p.EventRate), fmt.Sprintf("%d", p.Committed), p.Wall.Round(time.Millisecond).String())
 	}
 	return t
 }

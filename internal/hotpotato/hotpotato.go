@@ -106,7 +106,6 @@ type Config struct {
 	NumKPs      int
 	BatchSize   int
 	GVTInterval int
-	Queue       string
 	MaxOptimism core.Time
 	// PEOfKP optionally overrides the kernel's locality-preserving KP→PE
 	// placement (see core.Config). The comms benchmarks use a striped
@@ -235,7 +234,6 @@ func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) 
 		EndTime:     core.Time(cfg.Steps),
 		BatchSize:   cfg.BatchSize,
 		GVTInterval: cfg.GVTInterval,
-		Queue:       cfg.Queue,
 		Seed:        cfg.Seed,
 		MaxOptimism: cfg.MaxOptimism,
 		PEOfKP:      cfg.PEOfKP,

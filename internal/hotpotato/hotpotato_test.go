@@ -58,14 +58,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 	variants := []struct {
 		pes, kps, batch, gvt int
-		queue                string
 	}{
-		{1, 4, 0, 0, ""},
-		{2, 8, 8, 4, ""},
-		{4, 16, 4, 2, ""},
-		{4, 4, 2, 1, "ladder"},
-		{8, 64, 0, 0, "heap"},
-		{4, 64, 4, 2, ""}, // report-style 64 KPs
+		{1, 4, 0, 0},
+		{2, 8, 8, 4},
+		{4, 16, 4, 2},
+		{4, 4, 2, 1},
+		{8, 64, 0, 0},
+		{4, 64, 4, 2}, // report-style 64 KPs
 	}
 	for _, v := range variants {
 		v := v
@@ -73,7 +72,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 			pcfg := cfg
 			pcfg.NumPEs, pcfg.NumKPs = v.pes, v.kps
 			pcfg.BatchSize, pcfg.GVTInterval = v.batch, v.gvt
-			pcfg.Queue = v.queue
 			gotTotals, got, _ := runPar(t, pcfg)
 			if gotTotals != wantTotals {
 				t.Fatalf("totals mismatch:\nparallel:   %+v\nsequential: %+v", gotTotals, wantTotals)

@@ -6,7 +6,7 @@
 // and down.
 //
 // The hot-potato model is the report's workload; PHOLD is the neutral
-// stressor the kernel ablations (queue choice, KP counts, GVT interval)
+// stressor the kernel ablations (KP counts, GVT interval, optimism)
 // use so their results are not confounded by routing dynamics.
 package phold
 
@@ -41,7 +41,6 @@ type Config struct {
 	NumKPs      int
 	BatchSize   int
 	GVTInterval int
-	Queue       string
 	MaxOptimism core.Time
 }
 
@@ -91,7 +90,6 @@ func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) 
 		EndTime:     cfg.EndTime,
 		BatchSize:   cfg.BatchSize,
 		GVTInterval: cfg.GVTInterval,
-		Queue:       cfg.Queue,
 		Seed:        cfg.Seed,
 		MaxOptimism: cfg.MaxOptimism,
 	}, core.Time(cfg.Lookahead))

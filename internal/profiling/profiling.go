@@ -8,8 +8,9 @@
 //
 // The flags are registered on a FlagSet with AddFlags; Start arms the
 // requested outputs and returns a stop function the command must run before
-// exiting — explicitly before any os.Exit path, since deferred calls do not
-// run there.
+// exiting — explicitly before every os.Exit path, failures included, since
+// deferred calls do not run there and an unstopped CPU profile is an empty
+// file.
 package profiling
 
 import (
@@ -40,8 +41,9 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 }
 
 // Start arms every requested output and returns the function that stops
-// them and writes the heap profile. The returned stop is never nil and is
-// safe to call when no flag was set; it must run exactly once.
+// them and writes the heap profile. The returned stop is safe to call when
+// no flag was set, and only its first call acts: a command's error path
+// may call it again after the normal path already has.
 func (f *Flags) Start() (stop func() error, err error) {
 	var cpuFile, traceFile *os.File
 	cleanup := func() {
@@ -79,7 +81,12 @@ func (f *Flags) Start() (stop func() error, err error) {
 			return nil, fmt.Errorf("profiling: %w", err)
 		}
 	}
+	stopped := false
 	return func() error {
+		if stopped {
+			return nil
+		}
+		stopped = true
 		cleanup()
 		if f.MemProfile == "" {
 			return nil

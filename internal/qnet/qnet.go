@@ -42,7 +42,6 @@ type Config struct {
 	NumKPs      int
 	BatchSize   int
 	GVTInterval int
-	Queue       string
 	MaxOptimism core.Time
 }
 
@@ -144,7 +143,6 @@ func BuildEngine(kind core.EngineKind, cfg Config) (core.Engine, *Model, error) 
 		EndTime:     cfg.EndTime,
 		BatchSize:   cfg.BatchSize,
 		GVTInterval: cfg.GVTInterval,
-		Queue:       cfg.Queue,
 		Seed:        cfg.Seed,
 		MaxOptimism: cfg.MaxOptimism,
 	}, 0)

@@ -47,8 +47,11 @@ func (r *Recorder) GVTRound(round int64, gvt core.Time) {
 
 // Finalize assembles the finished Log once the run is over: per-round
 // prefix fingerprints are evaluated against the run's committed trace (GVT
-// estimates are nondecreasing, which is what PrefixHashes requires).
+// estimates are nondecreasing, which is what PrefixHashes requires), and
+// the header's queue slot says "ladder", the pending list every engine
+// runs.
 func (r *Recorder) Finalize(spec Spec, inj []Injection, tr *trace.Recorder, final Fingerprint) *Log {
+	spec.Queue = "ladder"
 	horizons := make([]core.Time, len(r.rounds))
 	for i, rd := range r.rounds {
 		horizons[i] = rd.GVT

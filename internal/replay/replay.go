@@ -33,8 +33,11 @@ type Spec struct {
 	Model string
 	// Codec names the registered payload codec for the model's messages.
 	Codec string
-	// Queue is the pending-queue kind (any registered eventq kind:
-	// "heap" or "ladder").
+	// Queue names the pending queue the recording ran on. Informational,
+	// like BatchSize and GVTInterval: every engine runs the ladder and the
+	// harness ignores the slot. Recordings write "ladder"; logs from builds
+	// that also offered a binary heap may say "heap". The decoder rejects
+	// any other value.
 	Queue string
 	// Mutation optionally names a seeded bug the harness arms on
 	// optimistic builds (simcheck's Mutation); recorded so a shrunk
@@ -96,7 +99,7 @@ type Round struct {
 }
 
 // Fingerprint is the whole-run summary two runs of the same model and seed
-// must agree on, whatever the engine, parallelism, queue kind or fault
+// must agree on, whatever the engine, parallelism, batching or fault
 // plan: committed event count, trace length, the full-trace hash, each
 // LP's event-order hash and the final model-state hash. A log stores every
 // field but LPHashes, so a decoded Log's Final has none.

@@ -169,6 +169,9 @@ func (lg *Log) decodeHeader(r *Reader) {
 		PEs: r.Int(), KPs: r.Int(), BatchSize: r.Int(), GVTInterval: r.Int(),
 		Seed: r.Uvarint(), EndTime: r.Time(),
 	}
+	if q := lg.Spec.Queue; q != "ladder" && q != "heap" {
+		r.Fail("replay: header queue slot %q is neither \"ladder\" nor \"heap\"", q)
+	}
 	if r.Flag() {
 		lg.Spec.Faults = &core.Faults{
 			Seed: r.Uvarint(), RollbackEvery: r.Int(), RollbackDepth: r.Int(),

@@ -79,6 +79,23 @@ func TestWireRoundTripMinimal(t *testing.T) {
 	}
 }
 
+// TestWireRejectsUnknownQueue: the header's queue slot is informational,
+// but it only ever held "heap" or "ladder"; anything else is a corrupt or
+// foreign log, and the error says which slot is wrong.
+func TestWireRejectsUnknownQueue(t *testing.T) {
+	for _, q := range []string{"heap", "ladder"} {
+		if _, err := Decode(Encode(&Log{Spec: Spec{Model: "m", Codec: "c", Queue: q, EndTime: 1}})); err != nil {
+			t.Fatalf("queue slot %q: %v", q, err)
+		}
+	}
+	for _, q := range []string{"splay", ""} {
+		_, err := Decode(Encode(&Log{Spec: Spec{Model: "m", Codec: "c", Queue: q, EndTime: 1}}))
+		if err == nil || !strings.Contains(err.Error(), "queue slot") {
+			t.Fatalf("queue slot %q: Decode error = %v, want one naming the queue slot", q, err)
+		}
+	}
+}
+
 // TestWireTruncation: every proper prefix of a valid log must fail to
 // decode — cleanly, never by panicking.
 func TestWireTruncation(t *testing.T) {

@@ -19,14 +19,14 @@ func TestRunCellResumedMatchesSequential(t *testing.T) {
 	for _, model := range ModelNames() {
 		t.Run(model, func(t *testing.T) {
 			t.Parallel()
-			refCell := Cell{Model: model, Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 42}
+			refCell := Cell{Model: model, Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: 42}
 			ref, err := RunCell(refCell)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
 			c := Cell{
 				Model: model, Engine: core.KindOptimistic,
-				PEs: 4, KPs: 8, Queue: "heap", Seed: 42,
+				PEs: 4, KPs: 8, Seed: 42,
 			}
 			dir := t.TempDir()
 			res, err := RunCellResumed(c, dir, 0)
@@ -61,14 +61,14 @@ func TestRunCellResumedMatchesSequential(t *testing.T) {
 // run: forced rollbacks and shuffled delivery must not leak into what a
 // checkpoint captures.
 func TestRunCellResumedUnderFaults(t *testing.T) {
-	refCell := Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 7}
+	refCell := Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: 7}
 	ref, err := RunCell(refCell)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	c := Cell{
 		Model: "hotpotato", Engine: core.KindOptimistic,
-		PEs: 4, KPs: 8, Queue: "heap", Seed: 7,
+		PEs: 4, KPs: 8, Seed: 7,
 		Faults: DefaultFaults(),
 	}
 	res, err := RunCellResumed(c, t.TempDir(), 0)
@@ -85,11 +85,11 @@ func TestRunCellResumedUnderFaults(t *testing.T) {
 // GVTDelay fault) leaves an empty directory. That is "nothing to resume",
 // not a failure: the uninterrupted run is held to the oracle instead.
 func TestRunCellResumedNothingDue(t *testing.T) {
-	ref, err := RunCell(Cell{Model: "qnet", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 3})
+	ref, err := RunCell(Cell{Model: "qnet", Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: 3})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	c := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Queue: "heap", Seed: 3, Faults: DefaultFaults()}
+	c := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Seed: 3, Faults: DefaultFaults()}
 	dir := t.TempDir()
 	res, err := RunCellResumed(c, dir, 1<<30)
 	if err != nil {
@@ -113,14 +113,14 @@ func TestRunCellResumedNothingDue(t *testing.T) {
 // its fingerprint as this cell's.
 func TestRunCellResumedRefusesStaleCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	other := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 9}
+	other := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Seed: 9}
 	if _, err := RunCellResumed(other, dir, 0); err != nil {
 		t.Fatalf("publishing the stale checkpoint [%s]: %v", other, err)
 	}
 	if _, err := replay.LoadCheckpoint(dir); err != nil {
 		t.Fatalf("setup published no checkpoint: %v", err)
 	}
-	c := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Queue: "heap", Seed: 3, Faults: DefaultFaults()}
+	c := Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Seed: 3, Faults: DefaultFaults()}
 	res, err := RunCellResumed(c, dir, 1<<30)
 	if err == nil {
 		t.Fatalf("resumed [%s] from a stale checkpoint: phase committed %d, composed %d",
@@ -135,7 +135,7 @@ func TestRunCellResumedRefusesStaleCheckpoint(t *testing.T) {
 // without a commit recorder (it carries no trace digests to verify
 // against).
 func TestResumeVerifyLoop(t *testing.T) {
-	lg := mustRecord(t, SpecForCell(Cell{Model: "phold", PEs: 2, KPs: 8, Queue: "heap", Seed: 5}))
+	lg := mustRecord(t, SpecForCell(Cell{Model: "phold", PEs: 2, KPs: 8, Seed: 5}))
 	dir := t.TempDir()
 	for _, step := range []struct {
 		name string
@@ -154,7 +154,7 @@ func TestResumeVerifyLoop(t *testing.T) {
 	}
 
 	hot := t.TempDir()
-	if _, err := ReplayCheckpointed(mustRecord(t, SpecForCell(Cell{Model: "hotpotato", PEs: 2, KPs: 8, Queue: "heap", Seed: 5})), hot, 8); err != nil {
+	if _, err := ReplayCheckpointed(mustRecord(t, SpecForCell(Cell{Model: "hotpotato", PEs: 2, KPs: 8, Seed: 5})), hot, 8); err != nil {
 		t.Fatalf("hotpotato checkpointed verify: %v", err)
 	}
 	if _, err := ResumeVerify(lg, hot); err == nil || !strings.Contains(err.Error(), "does not match log codec") {
@@ -166,7 +166,7 @@ func TestResumeVerifyLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := buildPHOLD(Cell{Model: "phold", Engine: core.KindOptimistic, PEs: 2, KPs: 8, Queue: "heap", Seed: 5}, 0)
+	inst, err := buildPHOLD(Cell{Model: "phold", Engine: core.KindOptimistic, PEs: 2, KPs: 8, Seed: 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

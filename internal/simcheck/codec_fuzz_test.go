@@ -39,7 +39,7 @@ func FuzzModelCodecs(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		inst, err := models[name].build(Cell{Model: name, Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 1}, 0)
+		inst, err := models[name].build(Cell{Model: name, Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: 1}, 0)
 		if err != nil {
 			f.Fatal(err)
 		}

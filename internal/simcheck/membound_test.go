@@ -19,7 +19,7 @@ import (
 // not.
 func TestMemoryBoundDifferential(t *testing.T) {
 	const budget = 8
-	base := Cell{Model: "phold", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 42}
+	base := Cell{Model: "phold", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Seed: 42}
 	free, err := RunCell(base)
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,6 @@ func buildHotpotato(c Cell, endTime core.Time) (*instance, error) {
 		NumKPs:          c.KPs,
 		BatchSize:       cellBatchSize,
 		GVTInterval:     cellGVTInterval,
-		Queue:           c.Queue,
 	}
 	if endTime > 0 {
 		// The hot-potato horizon is an integer step count; round a
@@ -106,7 +105,6 @@ func buildPHOLD(c Cell, endTime core.Time) (*instance, error) {
 		// GVTInterval below via kernel default would be too lazy; phold's
 		// Config exposes it directly.
 		GVTInterval: cellGVTInterval,
-		Queue:       c.Queue,
 	}
 	if endTime > 0 {
 		cfg.EndTime = endTime
@@ -130,7 +128,6 @@ func buildQNet(c Cell, endTime core.Time) (*instance, error) {
 		NumKPs:         c.KPs,
 		BatchSize:      cellBatchSize,
 		GVTInterval:    cellGVTInterval,
-		Queue:          c.Queue,
 	}
 	if endTime > 0 {
 		cfg.EndTime = endTime

@@ -74,7 +74,6 @@ func TestMutationOwnershipRunsClean(t *testing.T) {
 		Engines:  []core.EngineKind{core.KindOptimistic},
 		PEs:      []int{2},
 		KPs:      []int{8},
-		Queues:   []string{"heap"},
 		Seeds:    []uint64{1},
 		Mutation: MutOwnership,
 	}, t.Logf)

@@ -18,7 +18,6 @@ import (
 func SpecForCell(c Cell) replay.Spec {
 	spec := replay.Spec{
 		Model:       c.Model,
-		Queue:       c.Queue,
 		Mutation:    string(c.Mutation),
 		PEs:         c.PEs,
 		KPs:         c.KPs,
@@ -263,7 +262,7 @@ func AutoRecord(dir string, c Cell, logf func(format string, args ...any)) (stri
 
 // artifactName renders a cell into a stable, filesystem-safe file name.
 func artifactName(c Cell) string {
-	name := fmt.Sprintf("%s-%s-pe%d-kp%d-%s-seed%d", c.Model, c.Engine, c.PEs, c.KPs, c.Queue, c.Seed)
+	name := fmt.Sprintf("%s-%s-pe%d-kp%d-seed%d", c.Model, c.Engine, c.PEs, c.KPs, c.Seed)
 	if c.Faults != nil {
 		name += fmt.Sprintf("-faults%x", c.Faults.Seed)
 	}

@@ -25,7 +25,6 @@ func TestAutoRecordShrinksMutation(t *testing.T) {
 		Engines:    []core.EngineKind{core.KindSequential, core.KindOptimistic},
 		PEs:        []int{2},
 		KPs:        []int{8},
-		Queues:     []string{"heap"},
 		Seeds:      []uint64{1},
 		Mutation:   MutMapOrder,
 		AutoRecord: dir,
@@ -78,7 +77,7 @@ func TestAutoRecordShrinksMutation(t *testing.T) {
 func TestRecordVerifyCleanCell(t *testing.T) {
 	spec := SpecForCell(Cell{
 		Model: "hotpotato", Engine: core.KindOptimistic,
-		PEs: 2, KPs: 8, Queue: "heap", Seed: 7,
+		PEs: 2, KPs: 8, Seed: 7,
 	})
 	lg, err := Record(spec)
 	if err != nil {
@@ -110,9 +109,9 @@ func TestRunnerRejectsUnknownSpecs(t *testing.T) {
 		eng  core.EngineKind
 		want string
 	}{
-		{replay.Spec{Model: "nonesuch", PEs: 1, KPs: 1, Queue: "heap"}, core.KindSequential, "unknown model"},
-		{SpecForCell(Cell{Model: "phold", Mutation: "nonesuch", PEs: 2, KPs: 8, Queue: "heap"}), core.KindOptimistic, "unknown mutation"},
-		{SpecForCell(Cell{Model: "qnet", PEs: 2, KPs: 6, Queue: "heap"}), core.KindConservative, "does not support engine"},
+		{replay.Spec{Model: "nonesuch", PEs: 1, KPs: 1}, core.KindSequential, "unknown model"},
+		{SpecForCell(Cell{Model: "phold", Mutation: "nonesuch", PEs: 2, KPs: 8}), core.KindOptimistic, "unknown mutation"},
+		{SpecForCell(Cell{Model: "qnet", PEs: 2, KPs: 6}), core.KindConservative, "does not support engine"},
 	} {
 		_, err := Replay(&replay.Log{Spec: tc.spec}, tc.eng)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

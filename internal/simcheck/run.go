@@ -130,7 +130,7 @@ func run(c Cell, p plan) (*outcome, error) {
 // plan are armed only on the optimistic engine, mirroring the matrix, where
 // the sequential oracle is always clean.
 func runSpec(spec replay.Spec, eng core.EngineKind, p plan) (*outcome, error) {
-	c := Cell{Model: spec.Model, Engine: eng, PEs: spec.PEs, KPs: spec.KPs, Queue: spec.Queue, Seed: spec.Seed}
+	c := Cell{Model: spec.Model, Engine: eng, PEs: spec.PEs, KPs: spec.KPs, Seed: spec.Seed}
 	if eng == core.KindOptimistic {
 		c.Faults, c.Mutation = spec.Faults, Mutation(spec.Mutation)
 	}

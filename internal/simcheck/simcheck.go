@@ -3,10 +3,10 @@
 // execution commits *exactly* the trajectory the sequential simulator
 // produces. The harness makes that claim testable at scale by running each
 // bundled model (hot-potato, PHOLD, qnet) under every engine (sequential,
-// conservative, optimistic) across a matrix of PE/KP counts, queues and
-// seeds, and comparing run fingerprints: a hash of the committed event
-// trace, a per-LP event-order hash (to localise divergence), and a hash of
-// final model state.
+// conservative, optimistic) across a matrix of PE/KP counts and seeds, and
+// comparing run fingerprints: a hash of the committed event trace, a
+// per-LP event-order hash (to localise divergence), and a hash of final
+// model state.
 //
 // On top of the clean differential sweep it drives the kernel's fault
 // injectors (core.Faults) — forced rollbacks, GVT delay, mailbox
@@ -16,7 +16,7 @@
 // see a divergence when one exists.
 //
 // A failure is reported as the diverging matrix cell (model, engine, PEs,
-// KPs, queue, seed, fault plan), which is the complete recipe for
+// KPs, seed, fault plan), which is the complete recipe for
 // reproducing it.
 package simcheck
 
@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
@@ -39,7 +38,6 @@ type Cell struct {
 	Engine core.EngineKind
 	PEs    int
 	KPs    int
-	Queue  string
 	Seed   uint64
 	// Faults is the kernel fault plan; only meaningful for the optimistic
 	// engine.
@@ -60,8 +58,8 @@ type Cell struct {
 
 func (c Cell) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "model=%s engine=%s pes=%d kps=%d queue=%s seed=%d",
-		c.Model, c.Engine, c.PEs, c.KPs, c.Queue, c.Seed)
+	fmt.Fprintf(&b, "model=%s engine=%s pes=%d kps=%d seed=%d",
+		c.Model, c.Engine, c.PEs, c.KPs, c.Seed)
 	if c.Faults != nil {
 		fmt.Fprintf(&b, " faults=%+v", *c.Faults)
 	}
@@ -148,7 +146,7 @@ func Compare(ref, got replay.Fingerprint) []string {
 }
 
 // Matrix spans a differential sweep. Every model runs under every engine it
-// supports, for every (PEs, KPs, queue, fault plan) combination and every
+// supports, for every (PEs, KPs, fault plan, memory bound) combination and every
 // seed; each (model, seed) pair is compared against a clean single-PE
 // sequential reference run.
 type Matrix struct {
@@ -156,7 +154,6 @@ type Matrix struct {
 	Engines []core.EngineKind
 	PEs     []int
 	KPs     []int
-	Queues  []string
 	Seeds   []uint64
 	// Faults are the kernel fault plans to sweep; nil entries mean a clean
 	// run, and non-nil entries apply only to optimistic cells.
@@ -184,22 +181,20 @@ func Smoke() Matrix {
 		Engines:   core.EngineKinds(),
 		PEs:       []int{2, 4},
 		KPs:       []int{8},
-		Queues:    []string{"heap", "ladder"},
 		Seeds:     []uint64{1, 42},
 		Faults:    []*core.Faults{nil, DefaultFaults(), BurstFaults()},
 		MemBounds: []int{0, 10},
 	}
 }
 
-// Full is the pre-merge matrix: every model, every registered queue kind,
-// more seeds and a second KP granularity.
+// Full is the pre-merge matrix: every model, a single-PE parallel run,
+// more seeds, a second KP granularity and a second memory bound.
 func Full() Matrix {
 	return Matrix{
 		Models:    ModelNames(),
 		Engines:   core.EngineKinds(),
 		PEs:       []int{1, 2, 4},
 		KPs:       []int{4, 16},
-		Queues:    eventq.Kinds(),
 		Seeds:     []uint64{1, 7, 42, 1234},
 		Faults:    []*core.Faults{nil, DefaultFaults(), BurstFaults()},
 		MemBounds: []int{0, 6, 24},
@@ -273,7 +268,7 @@ func Injectors() []Injector {
 
 // cells expands the matrix into concrete cells. The sequential engine is
 // deterministic in PEs/KPs/faults, so it collapses to one cell per (model,
-// queue, seed); fault plans apply only to the optimistic engine.
+// seed); fault plans apply only to the optimistic engine.
 func (m Matrix) cells(model string, seed uint64, spec *modelSpec) []Cell {
 	var out []Cell
 	seen := make(map[string]bool)
@@ -297,21 +292,19 @@ func (m Matrix) cells(model string, seed uint64, spec *modelSpec) []Cell {
 		}
 		for _, pe := range pes {
 			for _, kp := range kps {
-				for _, q := range m.Queues {
-					for _, f := range faults {
-						for _, ml := range bounds {
-							c := Cell{
-								Model: model, Engine: eng,
-								PEs: pe, KPs: kp, Queue: q, Seed: seed,
-								Faults: f, MaxLive: ml,
-							}
-							if eng != core.KindSequential {
-								c.Mutation = m.Mutation
-							}
-							if key := c.String(); !seen[key] {
-								seen[key] = true
-								out = append(out, c)
-							}
+				for _, f := range faults {
+					for _, ml := range bounds {
+						c := Cell{
+							Model: model, Engine: eng,
+							PEs: pe, KPs: kp, Seed: seed,
+							Faults: f, MaxLive: ml,
+						}
+						if eng != core.KindSequential {
+							c.Mutation = m.Mutation
+						}
+						if key := c.String(); !seen[key] {
+							seen[key] = true
+							out = append(out, c)
 						}
 					}
 				}
@@ -363,13 +356,9 @@ func Run(m Matrix, logf func(format string, args ...any)) *Report {
 			})
 			continue
 		}
-		queue := "heap"
-		if len(m.Queues) > 0 {
-			queue = m.Queues[0]
-		}
 		for _, seed := range m.Seeds {
 			// The reference is always a clean, unmutated sequential run.
-			refCell := Cell{Model: model, Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: queue, Seed: seed}
+			refCell := Cell{Model: model, Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: seed}
 			ref, err := RunCell(refCell)
 			rep.Cells++
 			if err != nil {

@@ -37,7 +37,6 @@ func TestQNetMatrix(t *testing.T) {
 		Engines: core.EngineKinds(),
 		PEs:     []int{2, 4},
 		KPs:     []int{9},
-		Queues:  []string{"heap", "ladder"},
 		Seeds:   []uint64{3},
 		Faults:  []*core.Faults{nil, DefaultFaults()},
 	}, t.Logf)
@@ -57,7 +56,6 @@ func TestMutationBrokenReverseDetected(t *testing.T) {
 		Engines:  []core.EngineKind{core.KindOptimistic},
 		PEs:      []int{2},
 		KPs:      []int{8},
-		Queues:   []string{"heap"},
 		Seeds:    []uint64{1},
 		Faults:   []*core.Faults{{Seed: 7, RollbackEvery: 1, RollbackDepth: 4, ShuffleMail: true}},
 		Mutation: MutBrokenReverse,
@@ -82,7 +80,6 @@ func TestMutationBrokenPriorityDetected(t *testing.T) {
 		Engines:  []core.EngineKind{core.KindOptimistic},
 		PEs:      []int{2},
 		KPs:      []int{8},
-		Queues:   []string{"heap"},
 		Seeds:    []uint64{1},
 		Mutation: MutBrokenPriority,
 	}, t.Logf)
@@ -107,7 +104,6 @@ func TestMutationMapOrderDetected(t *testing.T) {
 		Engines:  []core.EngineKind{core.KindOptimistic},
 		PEs:      []int{2},
 		KPs:      []int{8},
-		Queues:   []string{"heap"},
 		Seeds:    []uint64{1},
 		Mutation: MutMapOrder,
 	}, t.Logf)
@@ -126,18 +122,18 @@ func TestMutationMapOrderDetected(t *testing.T) {
 // reference un-mutated; this guards against the self-test passing because
 // both sides carry the same bug.
 func TestMutationsInvisibleToCleanCells(t *testing.T) {
-	clean, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5})
+	clean, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5, Mutation: MutBrokenPriority})
+	mutated, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: 5, Mutation: MutBrokenPriority})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diffs := Compare(clean.FP, mutated.FP); len(diffs) == 0 {
 		t.Fatal("broken-priority mutation had no effect even when armed (self-test would be vacuous)")
 	}
-	clean2, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Queue: "heap", Seed: 5})
+	clean2, err := RunCell(Cell{Model: "hotpotato", Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +154,12 @@ func TestRunCellRejectsBadInput(t *testing.T) {
 func TestCellStringIsReproductionRecipe(t *testing.T) {
 	c := Cell{
 		Model: "phold", Engine: core.KindOptimistic, PEs: 4, KPs: 16,
-		Queue: "ladder", Seed: 99,
+		Seed:     99,
 		Faults:   &core.Faults{RollbackEvery: 2},
 		Mutation: MutBrokenReverse,
 	}
 	s := c.String()
-	for _, want := range []string{"model=phold", "engine=optimistic", "pes=4", "kps=16", "queue=ladder", "seed=99", "RollbackEvery:2", "mutation=broken-reverse"} {
+	for _, want := range []string{"model=phold", "engine=optimistic", "pes=4", "kps=16", "seed=99", "RollbackEvery:2", "mutation=broken-reverse"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("cell artifact %q missing %q", s, want)
 		}

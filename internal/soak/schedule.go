@@ -1,15 +1,14 @@
 package soak
 
 // Schedule generation: a soak run is a deterministic function of its seed.
-// Every knob an episode turns — engine, PE/KP shape, queue kind, model
-// seed, fault composition, memory budget — is drawn from a single bounded
-// entropy source, so the same seed replays the same schedule byte for
-// byte, and the fuzz target can substitute arbitrary bytes for the RNG and
-// explore the exact same schedule space.
+// Every knob an episode turns — engine, PE/KP shape, model seed, fault
+// composition, memory budget — is drawn from a single bounded entropy
+// source, so the same seed replays the same schedule byte for byte, and
+// the fuzz target can substitute arbitrary bytes for the RNG and explore
+// the exact same schedule space.
 
 import (
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/simcheck"
 )
 
@@ -75,21 +74,19 @@ const ckptOdds = 8
 // nextEpisode draws episode idx from src. Models rotate round-robin (so
 // every model is exercised no matter how short the run); everything else
 // is random: mostly-optimistic engines with an occasional conservative
-// episode, 1–4 PEs over three KP granularities, both queue kinds, a fault
+// episode, 1–4 PEs over three KP granularities, a fault
 // plan composing each kernel injector with probability 1/3 at a random
 // aggressiveness, and a tight memory budget on a quarter of the optimistic
 // episodes.
 func nextEpisode(src source, idx int, models []string, mutation simcheck.Mutation, paranoid bool) Episode {
 	ckpt := false
 	model := models[idx%len(models)]
-	kinds := eventq.Kinds() // registry order is deterministic, so the draw replays
-	queue := kinds[src.Intn(len(kinds))]
 	pes := 1 + src.Intn(4)
 	kps := []int{4, 8, 16}[src.Intn(3)]
 	seed := u32(src) | 1
 	c := simcheck.Cell{
 		Model: model, Engine: core.KindOptimistic,
-		PEs: pes, KPs: kps, Queue: queue, Seed: seed,
+		PEs: pes, KPs: kps, Seed: seed,
 		Paranoid: paranoid,
 	}
 	if src.Intn(8) == 0 && simcheck.SupportsEngine(model, core.KindConservative) {

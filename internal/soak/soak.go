@@ -216,7 +216,7 @@ func runEpisode(ep Episode, cfg Config, rep *Report, digest io.Writer, logf func
 	c := ep.Cell
 	refCell := simcheck.Cell{
 		Model: c.Model, Engine: core.KindSequential,
-		PEs: 1, KPs: 1, Queue: c.Queue, Seed: c.Seed,
+		PEs: 1, KPs: 1, Seed: c.Seed,
 	}
 	ref, err := simcheck.RunCell(refCell)
 	rep.Cells++

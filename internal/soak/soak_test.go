@@ -6,21 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/replay"
 	"repro/internal/simcheck"
 )
 
 // TestScheduleDiversity: the generator must actually exercise the space it
-// claims — every registered queue kind, multiple PE shapes, conservative
-// episodes, fault compositions of depth >= 2, and memory-bounded cells —
-// within a modest episode count, and rotate through every model.
+// claims — multiple PE shapes, conservative episodes, fault compositions of
+// depth >= 2, and memory-bounded cells — within a modest episode count, and
+// rotate through every model.
 func TestScheduleDiversity(t *testing.T) {
 	models := simcheck.ModelNames()
 	src := rand.New(rand.NewSource(3))
 	const n = 64
 	var (
-		queues       = map[string]int{}
 		modelCount   = map[string]int{}
 		conservative int
 		pes          = map[int]int{}
@@ -30,7 +28,6 @@ func TestScheduleDiversity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ep := nextEpisode(src, i, models, simcheck.MutNone, true)
 		c := ep.Cell
-		queues[c.Queue]++
 		modelCount[c.Model]++
 		pes[c.PEs]++
 		if c.Engine == core.KindConservative {
@@ -73,11 +70,6 @@ func TestScheduleDiversity(t *testing.T) {
 	for _, m := range models {
 		if modelCount[m] == 0 {
 			t.Fatalf("model %s never scheduled in %d episodes", m, n)
-		}
-	}
-	for _, kind := range eventq.Kinds() {
-		if queues[kind] == 0 {
-			t.Fatalf("queue kind %s never scheduled: %v", kind, queues)
 		}
 	}
 	if len(pes) < 3 {
@@ -213,12 +205,12 @@ func TestSoakBadConfig(t *testing.T) {
 // than resume the kept checkpoint as its own.
 func TestSoakReusedArtifactDir(t *testing.T) {
 	dir := t.TempDir()
-	other := simcheck.Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 9}
+	other := simcheck.Cell{Model: "qnet", Engine: core.KindOptimistic, PEs: 4, KPs: 8, Seed: 9}
 	if _, err := simcheck.RunCellResumed(other, filepath.Join(dir, "ckpt-ep0000"), 0); err != nil {
 		t.Fatalf("leaving a checkpoint behind [%s]: %v", other, err)
 	}
 	c := simcheck.Cell{
-		Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Queue: "heap", Seed: 3,
+		Model: "qnet", Engine: core.KindOptimistic, PEs: 1, KPs: 2, Seed: 3,
 		Faults: simcheck.DefaultFaults(),
 	}
 	rep := RunEpisodes([]Episode{{Index: 0, Cell: c, Checkpoint: true}}, Config{ArtifactDir: dir})
