@@ -90,11 +90,11 @@ func NewConservative(cfg Config, lookahead Time) (*Conservative, error) {
 		peID := cfg.PEOfKP(kpID)
 		c.lps[i] = &LP{
 			ID:   LPID(i),
-			rng:  newLPStream(cfg.Seed, i),
 			eng:  c.pes[peID],
 			pool: &c.pes[peID].pool,
 			kp:   &KP{id: kpID},
 		}
+		c.lps[i].seedStream(cfg.Seed)
 	}
 	c.bar = newBarrier(cfg.NumPEs)
 	c.windowMins = make([]Time, cfg.NumPEs)

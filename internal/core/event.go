@@ -70,6 +70,15 @@ const (
 // Following ROSS's idiom, the Data payload doubles as the reverse-
 // computation save area: Forward stores the few values it overwrites into
 // its own message struct, and Reverse restores them.
+//
+// On 64-bit targets an Event is one 128-byte block, and pools carve it
+// 128-aligned (pool.go), so the one miss that fetches an aligned pair of
+// cache lines brings in the whole record. Everything the queue, execution,
+// Send and fossil collection touch — recvTime through first — fills the
+// first 64-byte line, and the rest of the sent list takes the second. The
+// split matters more than the pairing: the ladder reads an event's key long
+// before the event executes, and by then a second line is often gone from
+// the cache again.
 type Event struct {
 	recvTime Time
 	dst      LPID
@@ -92,19 +101,43 @@ type Event struct {
 	// also why Event carries no intrusive queue link: an event and its
 	// anti-message can be in flight simultaneously, which no single
 	// embedded next-pointer could represent.
-	state       eventState
-	gen         uint32 // incarnation counter, bumped on every pool free
-	rngDraws    uint32 // random draws Forward consumed
-	prevSendSeq uint64 // sender-side sequence before Forward, for reversal
-	// sent lists the events produced while processing this event, for
-	// cancellation on rollback. It starts on sentBuf, so the common case
-	// never allocates: the hot-potato ROUTE sends one event and INJECT
-	// two, and a handler that sends more grows onto the heap once (put
-	// keeps the grown array). Because sent points into the event itself,
-	// an Event is never copied by value; pools hand out addresses of slab
-	// elements (pool.go).
-	sent    []*Event
-	sentBuf [2]*Event
+	state    eventState
+	hasMore  bool   // more is non-empty
+	rngDraws uint32 // random draws Forward consumed
+	gen      uint32 // incarnation counter, bumped on every pool free
+	// first and more list the events produced while processing this event,
+	// in send order, for cancellation on rollback. first sits on the hot
+	// line, so an event that sends at most one (every PHOLD event, all but
+	// INJECT in hot-potato) never touches its second. more starts on
+	// moreBuf, so INJECT's second send does not allocate; a handler that
+	// sends more grows onto the heap once (put keeps the grown array).
+	// Because more points into the event itself, an Event is never copied
+	// by value; pools hand out addresses of slab elements (pool.go).
+	first   *Event
+	more    []*Event
+	moreBuf [1]*Event
+	_       [32]byte // pads to 128 bytes on 64-bit targets
+}
+
+// addSent lists ev as sent while processing e.
+func (e *Event) addSent(ev *Event) {
+	if e.first == nil {
+		e.first = ev
+		return
+	}
+	e.more = append(e.more, ev)
+	e.hasMore = true
+}
+
+// clearSent empties the sent list, keeping more's backing array. It reads
+// the second cache line only when more was used.
+func (e *Event) clearSent() {
+	e.first = nil
+	if e.hasMore {
+		clear(e.more)
+		e.more = e.more[:0]
+		e.hasMore = false
+	}
 }
 
 // RecvTime returns the virtual time at which the event executes.

@@ -117,3 +117,91 @@ func TestSetFaultsDisarm(t *testing.T) {
 		t.Fatalf("SetFaults(nil) left %d forced rollbacks", stats.ForcedRollbacks)
 	}
 }
+
+// fanModel is the stress model with a drawn fan-out of 0 to 4 sends per
+// event, and a hash over each received event's (src, seq) identity. Its
+// rollbacks cancel sent lists that stay in Event.first, spill into
+// moreBuf and grow onto the heap, and each must wind the LP's send
+// sequence back by exactly the sends it lists: a wrong count renumbers
+// every later send, which the hash sees.
+type fanModel struct{ numLPs int64 }
+
+func (m fanModel) Forward(lp *LP, ev *Event) {
+	st := lp.State.(*stressState)
+	msg := ev.Data.(*stressMsg)
+	msg.PrevHash = st.Hash
+	st.Hash = st.Hash*1099511628211 ^ uint64(ev.src+1)<<40 ^ ev.seq<<8 ^ uint64(ev.recvTime*1e6)
+	st.Counter++
+	if msg.TTL == 0 {
+		return
+	}
+	for n := lp.RandInt(0, 4); n > 0; n-- {
+		dst := LPID(lp.RandInt(0, m.numLPs-1))
+		lp.Send(dst, Time(lp.RandExp(1.0))+0.001, &stressMsg{TTL: msg.TTL - 1})
+	}
+}
+
+func (m fanModel) Reverse(lp *LP, ev *Event) {
+	st := lp.State.(*stressState)
+	st.Hash = ev.Data.(*stressMsg).PrevHash
+	st.Counter--
+}
+
+// TestFanOutRollbackRestoresSends: under forced rollbacks a fan-out model
+// commits exactly the sequential trajectory, and every LP ends on the
+// sequential run's send sequence.
+func TestFanOutRollbackRestoresSends(t *testing.T) {
+	const lps, ttl = 32, 5
+	type result struct {
+		states  []stressState
+		sendSeq []uint64
+	}
+	run := func(lookup func(LPID) *LP, schedule func(LPID, Time, any), run func() (*Stats, error)) (result, *Stats) {
+		for i := 0; i < lps; i++ {
+			lp := lookup(LPID(i))
+			lp.Handler = fanModel{numLPs: lps}
+			lp.State = &stressState{}
+		}
+		for i := 0; i < lps; i++ {
+			schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: ttl})
+		}
+		stats, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r result
+		for i := 0; i < lps; i++ {
+			r.states = append(r.states, *lookup(LPID(i)).State.(*stressState))
+			r.sendSeq = append(r.sendSeq, lookup(LPID(i)).sendSeq)
+		}
+		return r, stats
+	}
+
+	base := Config{NumLPs: lps, EndTime: 30, Seed: 3}
+	q, err := NewSequential(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := run(q.LP, q.Schedule, q.Run)
+
+	cfg := base
+	cfg.NumPEs, cfg.NumKPs, cfg.BatchSize, cfg.GVTInterval = 4, 16, 8, 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paranoid(s)
+	armFaults(t, &Faults{Seed: 9, RollbackEvery: 2, RollbackDepth: 6})(s)
+	got, stats := run(s.LP, s.Schedule, s.Run)
+	if stats.RolledBackEvents == 0 {
+		t.Fatal("no events rolled back: the sent lists were never cancelled")
+	}
+	if !reflect.DeepEqual(got, want) {
+		for i := range got.states {
+			if got.states[i] != want.states[i] || got.sendSeq[i] != want.sendSeq[i] {
+				t.Fatalf("LP %d diverged: got %+v sendSeq %d, want %+v sendSeq %d",
+					i, got.states[i], got.sendSeq[i], want.states[i], want.sendSeq[i])
+			}
+		}
+	}
+}

@@ -44,27 +44,32 @@ const (
 // LP is one logical process. Handler and State are set by the model during
 // setup (before Run); everything else is kernel-owned. An LP is only ever
 // touched by the PE that owns its KP, so handlers need no locking.
+//
+// On 64-bit targets an LP is exactly 128 bytes, random stream included, so
+// executing an event touches one aligned pair of cache lines of LP state.
+// The small fields share the word after ID to keep it there.
 type LP struct {
 	// ID is the dense identifier of this LP.
-	ID LPID
+	ID   LPID
+	mode lpMode
+	// cancels is set under the optimistic engine, the only one that rolls
+	// back: Send then records each event on its cause's sent list. The
+	// sequential and conservative engines never read that list.
+	cancels bool
+
 	// Handler implements the model's event processing; required.
 	Handler Handler
 	// State is the model's mutable per-LP state.
 	State any
 
 	kp      *KP
-	rng     *rng.Stream
+	rng     rng.Stream // seeded in place by every engine (seedStream)
 	sendSeq uint64
 	cur     *Event
-	mode    lpMode
 	eng     engine
 	// pool is the event pool of the PE (or engine) that executes this LP:
 	// Send draws events from it and Spare payloads.
 	pool *eventPool
-	// cancels is set under the optimistic engine, the only one that rolls
-	// back: Send then records each event on its cause's sent list. The
-	// sequential and conservative engines never read that list.
-	cancels bool
 	// committer is Handler's Committer side, or nil; resolved by
 	// bindHandlers when Run starts.
 	committer Committer
@@ -192,7 +197,7 @@ func (lp *LP) Send(dst LPID, delay Time, data any) *Event {
 	ev.Data = data
 	lp.sendSeq++
 	if lp.cancels {
-		lp.cur.sent = append(lp.cur.sent, ev)
+		lp.cur.addSent(ev)
 	}
 	lp.eng.scheduleNew(ev)
 	return ev

@@ -216,11 +216,22 @@ func (pe *PE) reverse(ev *Event) {
 	lp.mode = modeIdle
 	lp.rng.Reverse(uint64(ev.rngDraws))
 	ev.rngDraws = 0
-	lp.sendSeq = ev.prevSendSeq
-	for i := len(ev.sent) - 1; i >= 0; i-- {
-		pe.cancel(ev.sent[i])
+	if ev.first == nil {
+		return
 	}
-	ev.sent = ev.sent[:0]
+	// Every Send took one sequence number and was listed here, and the
+	// LP's later events are already reversed, so the count listed is
+	// exactly how far Forward moved sendSeq.
+	sent := uint64(1)
+	if ev.hasMore {
+		sent += uint64(len(ev.more))
+		for i := len(ev.more) - 1; i >= 0; i-- {
+			pe.cancel(ev.more[i])
+		}
+	}
+	pe.cancel(ev.first)
+	lp.sendSeq -= sent
+	ev.clearSent()
 }
 
 // cancel routes a cancellation for a previously sent event to the PE that
@@ -275,7 +286,6 @@ func (pe *PE) execute(ev *Event) {
 	kp := lp.kp
 	ev.state = stateProcessed
 	ev.Bits = 0
-	ev.prevSendSeq = lp.sendSeq
 	lp.mode = modeForward
 	lp.cur = ev
 	lp.Handler.Forward(lp, ev)

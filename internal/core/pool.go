@@ -43,9 +43,15 @@ type Recycler interface {
 }
 
 // slabEvents is the number of events one pool miss allocates. One slab is
-// one heap object of about 7 KB: large enough that warm-up costs a handful
-// of allocations, small enough that a pool never over-commits by much.
-const slabEvents = 64
+// one 32 KB heap object (on 64-bit targets): large enough that warm-up
+// costs a handful of allocations, small enough that a pool never
+// over-commits by much. The size is also what aligns the events. Go puts
+// an 8-byte type header in front of every smaller object that holds
+// pointers, which would start each 128-byte Event 8 bytes past a 128-byte
+// boundary. A 32 KB slab is allocated as a page-aligned span of its own,
+// with no header, so every event carved from it is 128-aligned
+// (TestRecordLayout).
+const slabEvents = 256
 
 // eventPool is a LIFO free list of dead events and a stack of their
 // payloads, owned by exactly one goroutine (its PE's, or the engine's for
@@ -55,8 +61,8 @@ const slabEvents = 64
 type eventPool struct {
 	free []*Event //simlint:owned
 	// slab is the unissued remainder of the most recent allocation. Events
-	// are handed out by address and never copied by value: Event.sent
-	// starts on the event's own sentBuf.
+	// are handed out by address and never copied by value: Event.more
+	// starts on the event's own moreBuf.
 	slab []Event //simlint:owned
 	// spares are the payloads of dead events, typed by whichever model
 	// sent them. Retention is bounded by the free list's own length, so a
@@ -112,7 +118,7 @@ func (p *eventPool) carve() *Event {
 	}
 	ev := &p.slab[0]
 	p.slab = p.slab[1:]
-	ev.sent = ev.sentBuf[:0]
+	ev.more = ev.moreBuf[:0]
 	return ev
 }
 
@@ -130,8 +136,10 @@ func (p *eventPool) boot(dst LPID, t Time, src LPID, seq uint64, data any) *Even
 // put returns a dead event to the free list and its payload to the spare
 // stack. The event's generation is bumped so stale references are
 // distinguishable from the recycled incarnation, and its bookkeeping is
-// scrubbed — except the sent slice's backing array, which is kept
-// (cleared) so an event that once outgrew sentBuf does not re-grow.
+// scrubbed — except the more slice's backing array, which is kept
+// (cleared) so an event that once outgrew moreBuf does not re-grow. An
+// event that sent at most one has nothing in more, and put leaves its
+// second cache line untouched.
 func (p *eventPool) put(ev *Event) {
 	if ev.state == stateFree {
 		panic("core: event freed twice: " + ev.String())
@@ -140,13 +148,9 @@ func (p *eventPool) put(ev *Event) {
 	p.recycled++
 	ev.gen++
 	ev.state = stateFree
-	for i := range ev.sent {
-		ev.sent[i] = nil
-	}
-	ev.sent = ev.sent[:0]
+	ev.clearSent()
 	ev.Bits = 0
 	ev.rngDraws = 0
-	ev.prevSendSeq = 0
 	p.free = append(p.free, ev)
 	if ev.Data != nil {
 		if len(p.spares) < len(p.free) {

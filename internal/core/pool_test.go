@@ -9,24 +9,29 @@ import (
 
 // TestEventPoolReuse is the freelist contract: LIFO reuse of the same
 // backing Event, a generation bump per free, scrubbed bookkeeping, a sent
-// list that starts on the event's own buffer and keeps a grown array
-// across recycling, and the payload moved to the spare stack.
+// list whose first two entries stay inside the event and whose grown
+// array survives recycling, and the payload moved to the spare stack.
 func TestEventPoolReuse(t *testing.T) {
 	var p eventPool
 	ev := p.get()
 	if p.misses != 1 || p.hits != 0 {
 		t.Fatalf("first get: hits=%d misses=%d", p.hits, p.misses)
 	}
-	if len(ev.sent) != 0 || cap(ev.sent) != len(ev.sentBuf) {
-		t.Fatalf("fresh event: sent len=%d cap=%d, want 0 and %d", len(ev.sent), cap(ev.sent), len(ev.sentBuf))
+	if ev.first != nil || len(ev.more) != 0 || cap(ev.more) != len(ev.moreBuf) {
+		t.Fatalf("fresh event: first=%v more len=%d cap=%d, want nil, 0 and %d",
+			ev.first, len(ev.more), cap(ev.more), len(ev.moreBuf))
 	}
 	a, b, c := p.get(), p.get(), p.get()
-	ev.sent = append(ev.sent, a, b)
-	if &ev.sent[0] != &ev.sentBuf[0] {
+	ev.addSent(a)
+	if ev.first != a || ev.hasMore {
+		t.Fatal("one send did not stay in first")
+	}
+	ev.addSent(b)
+	if !ev.hasMore || &ev.more[0] != &ev.moreBuf[0] {
 		t.Fatal("two sends left the inline buffer")
 	}
-	ev.sent = append(ev.sent, c)
-	cap0 := cap(ev.sent)
+	ev.addSent(c)
+	cap0 := cap(ev.more)
 	ev.state = statePending
 	ev.Data = "payload"
 	gen := ev.gen
@@ -35,8 +40,8 @@ func TestEventPoolReuse(t *testing.T) {
 	if ev.state != stateFree || ev.gen != gen+1 {
 		t.Fatalf("after put: state=%d gen=%d (was %d)", ev.state, ev.gen, gen)
 	}
-	if ev.Data != nil || len(ev.sent) != 0 || ev.sent[:1][0] != nil {
-		t.Fatalf("put did not scrub: Data=%v sent=%v", ev.Data, ev.sent[:cap0])
+	if ev.Data != nil || ev.first != nil || ev.hasMore || len(ev.more) != 0 || ev.more[:1][0] != nil {
+		t.Fatalf("put did not scrub: Data=%v first=%v more=%v", ev.Data, ev.first, ev.more[:cap0])
 	}
 
 	ev2 := p.get()
@@ -46,8 +51,8 @@ func TestEventPoolReuse(t *testing.T) {
 	if ev2.state != stateInit {
 		t.Fatalf("recycled event state = %d, want stateInit", ev2.state)
 	}
-	if cap(ev2.sent) != cap0 {
-		t.Fatalf("sent capacity lost across recycle: %d -> %d", cap0, cap(ev2.sent))
+	if cap(ev2.more) != cap0 {
+		t.Fatalf("more capacity lost across recycle: %d -> %d", cap0, cap(ev2.more))
 	}
 	if p.hits != 4 || p.misses != 1 || p.recycled != 1 {
 		t.Fatalf("counters: hits=%d misses=%d recycled=%d", p.hits, p.misses, p.recycled)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/eventq"
-	"repro/internal/rng"
 )
 
 // Sequential is an independent, non-optimistic executor for the same model
@@ -35,10 +34,10 @@ func NewSequential(cfg Config) (*Sequential, error) {
 	for i := range q.lps {
 		q.lps[i] = &LP{
 			ID:   LPID(i),
-			rng:  rng.NewStream(streamID(cfg.Seed, i)),
 			eng:  q,
 			pool: &q.pool,
 		}
+		q.lps[i].seedStream(cfg.Seed)
 	}
 	q.pending = newEventQueue()
 	return q, nil

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/eventq"
-	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -211,11 +210,11 @@ func New(cfg Config) (*Simulator, error) {
 		lp := &LP{
 			ID:      LPID(i),
 			kp:      kp,
-			rng:     rng.NewStream(streamID(cfg.Seed, i)),
 			eng:     kp.pe,
 			pool:    &kp.pe.pool,
 			cancels: true,
 		}
+		lp.seedStream(cfg.Seed)
 		s.lps[i] = lp
 	}
 	for _, pe := range s.pes {
@@ -248,9 +247,9 @@ func newEventQueue() *eventq.Ladder[*Event] {
 	return eventq.NewLadder((*Event).before, func(e *Event) float64 { return float64(e.recvTime) })
 }
 
-// newLPStream builds the reversible stream for one LP under a seed.
-func newLPStream(seed uint64, lp int) *rng.Stream {
-	return rng.NewStream(streamID(seed, lp))
+// seedStream seeds lp's reversible stream in place for a run under seed.
+func (lp *LP) seedStream(seed uint64) {
+	lp.rng.SeedStream(streamID(seed, int(lp.ID)))
 }
 
 // NumKPs returns the number of kernel processes after mapping adjustment.

@@ -271,11 +271,15 @@ func (m *Model) Reverse(lp *core.LP, ev *core.Event) {
 // window instead of the whole run. The survivors are copied down within the
 // array the queue already has; they end where they ended before, so
 // Reverse's "drop the last entry" still undoes the right generation.
+//
+// Only an injection that moved qHead — bitInjected or bitDiscarded, which
+// no other kind sets — can change the trim, so every other event returns
+// on its Bits alone, without touching its payload.
 func (m *Model) Commit(lp *core.LP, ev *core.Event) {
-	msg := ev.Data.(*Msg)
-	if msg.Kind != KindInject {
+	if !ev.Bits.Test(bitInjected) && !ev.Bits.Test(bitDiscarded) {
 		return
 	}
+	msg := ev.Data.(*Msg)
 	r := lp.State.(*Router)
 	if drop := msg.SavedHeadAfter - r.qBase; drop > 256 {
 		r.queue = r.queue[:copy(r.queue, r.queue[drop:])]

@@ -617,12 +617,13 @@ func syncDir(dir string) error {
 
 // LoadCheckpoint loads the published checkpoint from dir: the manifest
 // names the file, the manifest's CRC must match the file's contents, and
-// the file must decode. ErrNoCheckpoint means no checkpoint was ever
-// published; any other error means the directory is corrupt.
+// the file must decode. An error that wraps ErrNoCheckpoint (and names
+// dir) means no checkpoint was ever published; any other error means the
+// directory is corrupt.
 func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ErrNoCheckpoint
+		return nil, fmt.Errorf("%w %s", ErrNoCheckpoint, dir)
 	}
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -261,16 +262,20 @@ func TestLoadCheckpointTornStates(t *testing.T) {
 		cp2.Frontier[i].T += 8
 	}
 
-	t.Run("empty-dir", func(t *testing.T) {
-		if _, err := LoadCheckpoint(t.TempDir()); !errors.Is(err, ErrNoCheckpoint) {
+	// The error must stay ErrNoCheckpoint to errors.Is and name the
+	// directory it looked in.
+	noCheckpoint := func(t *testing.T, dir string) {
+		t.Helper()
+		_, err := LoadCheckpoint(dir)
+		if !errors.Is(err, ErrNoCheckpoint) {
 			t.Fatalf("got %v, want ErrNoCheckpoint", err)
 		}
-	})
-	t.Run("missing-dir", func(t *testing.T) {
-		if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nonesuch")); !errors.Is(err, ErrNoCheckpoint) {
-			t.Fatalf("got %v, want ErrNoCheckpoint", err)
+		if !strings.Contains(err.Error(), dir) {
+			t.Fatalf("error %q does not name the directory %s", err, dir)
 		}
-	})
+	}
+	t.Run("empty-dir", func(t *testing.T) { noCheckpoint(t, t.TempDir()) })
+	t.Run("missing-dir", func(t *testing.T) { noCheckpoint(t, filepath.Join(t.TempDir(), "nonesuch")) })
 	t.Run("published", func(t *testing.T) {
 		dir := t.TempDir()
 		publishRaw(t, &CheckpointWriter{dir: dir, seq: 1}, cp1)

@@ -78,8 +78,12 @@ var clcg4Jump = func() (jump [4]uint64) {
 //
 // A Stream is not safe for concurrent use; the kernel guarantees each LP is
 // only ever touched by one processor at a time.
+//
+// Each component is held as a uint32: it is a residue below its modulus,
+// and every modulus is below 2^31. That keeps a Stream at 24 bytes, small
+// enough to sit inline in the kernel's LP record.
 type Stream struct {
-	s     [4]uint64
+	s     [4]uint32
 	draws uint64 // net draws since creation (draws - reversals)
 }
 
@@ -98,14 +102,16 @@ func (st *Stream) SeedStream(id uint64) {
 		// a^(id * spacing) mod m, computed as (a^spacing)^id to keep the
 		// exponent within uint64 without overflow concerns.
 		jump := powMod(clcg4Jump[i], id, clcg4M[i])
-		st.s[i] = defaultSeed[i] * jump % clcg4M[i]
+		st.s[i] = uint32(defaultSeed[i] * jump % clcg4M[i])
 	}
 	st.draws = 0
 }
 
 // State returns the four component states; useful for checkpointing and in
 // tests that assert exact reversal.
-func (st *Stream) State() [4]uint64 { return st.s }
+func (st *Stream) State() [4]uint64 {
+	return [4]uint64{uint64(st.s[0]), uint64(st.s[1]), uint64(st.s[2]), uint64(st.s[3])}
+}
 
 // Draws returns the net number of draws consumed so far.
 func (st *Stream) Draws() uint64 { return st.draws }
@@ -113,11 +119,11 @@ func (st *Stream) Draws() uint64 { return st.draws }
 // step advances every component LCG by one multiplication and returns the
 // combined uniform variate in (0, 1).
 func (st *Stream) step() float64 {
-	s0 := a0 * st.s[0] % m0
-	s1 := a1 * st.s[1] % m1
-	s2 := a2 * st.s[2] % m2
-	s3 := a3 * st.s[3] % m3
-	st.s = [4]uint64{s0, s1, s2, s3}
+	s0 := a0 * uint64(st.s[0]) % m0
+	s1 := a1 * uint64(st.s[1]) % m1
+	s2 := a2 * uint64(st.s[2]) % m2
+	s3 := a3 * uint64(st.s[3]) % m3
+	st.s = [4]uint32{uint32(s0), uint32(s1), uint32(s2), uint32(s3)}
 	// The alternating-sign combination, each term state/modulus.
 	u := float64(s0) * (1.0 / m0)
 	u -= float64(s1) * (1.0 / m1)
@@ -137,11 +143,11 @@ func (st *Stream) step() float64 {
 
 // unstep moves every component LCG back by one multiplication.
 func (st *Stream) unstep() {
-	st.s = [4]uint64{
-		b0 * st.s[0] % m0,
-		b1 * st.s[1] % m1,
-		b2 * st.s[2] % m2,
-		b3 * st.s[3] % m3,
+	st.s = [4]uint32{
+		uint32(b0 * uint64(st.s[0]) % m0),
+		uint32(b1 * uint64(st.s[1]) % m1),
+		uint32(b2 * uint64(st.s[2]) % m2),
+		uint32(b3 * uint64(st.s[3]) % m3),
 	}
 	st.draws--
 }
@@ -183,7 +189,9 @@ func (st *Stream) Restore(state [4]uint64, draws uint64) error {
 			return fmt.Errorf("rng: component %d state %d outside [1, %d]", i, s, clcg4M[i]-1)
 		}
 	}
-	st.s = state
+	for i, s := range state {
+		st.s[i] = uint32(s)
+	}
 	st.draws = draws
 	return nil
 }
