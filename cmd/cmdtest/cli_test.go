@@ -22,7 +22,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"hotpotato", "figures", "phold", "replay", "soaktest", "crashtest"} {
+	for _, tool := range []string{"hotpotato", "figures", "phold", "replay", "simcheck", "soaktest", "crashtest"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "repro/cmd/"+tool)
 		cmd.Dir = ".."
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -52,6 +52,25 @@ func runExpectError(t *testing.T, tool string, args ...string) string {
 		t.Fatalf("%s %v succeeded, expected failure:\n%s", tool, args, out)
 	}
 	return string(out)
+}
+
+// runExit runs tool and returns its exit status with stdout and stderr
+// kept apart, for the CLIs whose exit codes mean different things.
+func runExit(t *testing.T, tool string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(binDir, tool), args...)
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatalf("%s %v: %v", tool, args, err)
+	}
+	return code, out.String(), errOut.String()
 }
 
 // TestHotpotatoCLI covers the main binary's happy path and determinism.
@@ -365,4 +384,23 @@ func TestSoaktestCLI(t *testing.T) {
 		t.Fatalf("summary not on stdout:\n%s", stdout.String())
 	}
 	runExpectError(t, "soaktest", "-models", "nope")
+}
+
+// TestSimcheckCLI covers the matrix binary's three exit codes: 0 for a
+// clean smoke matrix, 1 with a DIVERGENCE artifact on stderr when a seeded
+// bug is armed, and 2 for an unknown model or mutation.
+func TestSimcheckCLI(t *testing.T) {
+	code, stdout, stderr := runExit(t, "simcheck")
+	if code != 0 || !strings.Contains(stdout, "64 cells, 0 divergences") {
+		t.Fatalf("smoke matrix: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	code, stdout, stderr = runExit(t, "simcheck", "-models", "phold", "-mutation", "broken-reverse")
+	if code != 1 || !strings.Contains(stderr, "DIVERGENCE") {
+		t.Fatalf("broken-reverse: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	for _, args := range [][]string{{"-mutation", "nope"}, {"-models", "nope"}} {
+		if code, _, stderr := runExit(t, "simcheck", args...); code != 2 {
+			t.Fatalf("simcheck %v: exit %d, want 2\n%s", args, code, stderr)
+		}
+	}
 }

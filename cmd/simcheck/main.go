@@ -3,7 +3,8 @@
 // and kernel fault plans, comparing committed-trace hashes,
 // per-LP event-order hashes and final-state hashes against a clean
 // sequential reference. It prints a reproduction artifact for every
-// divergence and exits non-zero if any cell mismatched.
+// divergence. Exit status: 0 clean, 1 divergences, 2 usage error
+// (an unknown -models or -mutation name included).
 //
 // Examples:
 //
@@ -35,7 +36,7 @@ func main() {
 		kps        = flag.String("kps", "", "comma-separated KP counts")
 		seeds      = flag.String("seeds", "", "comma-separated seeds")
 		faults     = flag.Bool("faults", true, "also run optimistic cells under the adversarial fault plan")
-		mutation   = flag.String("mutation", "", "arm a seeded bug (self-test demo): broken-reverse or broken-priority")
+		mutation   = flag.String("mutation", "", fmt.Sprintf("arm a seeded bug (self-test demo), one of %v", simcheck.Mutations()))
 		autorecord = flag.String("autorecord", "", "directory for auto-recorded .replay artifacts of diverging optimistic cells (shrunk; see cmd/replay)")
 		verbose    = flag.Bool("v", false, "log every cell, not just failures")
 	)
@@ -84,14 +85,8 @@ func main() {
 	}
 	m.AutoRecord = *autorecord
 	m.Mutation = simcheck.Mutation(*mutation)
-	if m.Mutation != simcheck.MutNone {
-		known := false
-		for _, mu := range simcheck.Mutations() {
-			known = known || mu == m.Mutation
-		}
-		if !known {
-			fatal(fmt.Errorf("unknown -mutation %q (have %v)", *mutation, simcheck.Mutations()))
-		}
+	if err := simcheck.Validate(m.Models, m.Mutation); err != nil {
+		fatal(err)
 	}
 
 	var logf func(string, ...any)

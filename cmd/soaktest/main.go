@@ -1,4 +1,5 @@
-// Command soaktest runs the randomized soak/chaos harness: a seeded
+// Command soaktest runs the randomized soak/chaos harness, simcheck's
+// Soak schedule through the same loop as the matrix: a seeded
 // schedule of differential episodes rotating models and engines, composing
 // kernel fault injectors, squeezing the memory valve, and sweeping kernel
 // invariants live while each episode runs. Budgets are wall-clock or
@@ -24,10 +25,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/profiling"
 	"repro/internal/simcheck"
-	"repro/internal/soak"
 )
 
 func main() {
@@ -36,10 +37,10 @@ func main() {
 		episodes  = flag.Int("episodes", 0, "episode-count budget (0 = none)")
 		wall      = flag.Duration("wall", 0, "wall-clock budget, e.g. 90s or 20m (0 = none)")
 		models    = flag.String("models", "", "comma-separated models to rotate (default: all)")
-		mutation  = flag.String("mutation", "", "arm a seeded bug (self-test demo); see simcheck -mutation")
+		mutation  = flag.String("mutation", "", fmt.Sprintf("arm a seeded bug (self-test demo), one of %v", simcheck.Mutations()))
 		artifacts = flag.String("artifacts", "", "directory for shrunk .replay artifacts of failing optimistic episodes")
 		paranoid  = flag.Bool("paranoid", true, "sweep kernel invariants live during every optimistic episode")
-		verbose   = flag.Bool("v", false, "log every episode, not just failures")
+		verbose   = flag.Bool("v", false, "log every run, not just failures")
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -52,33 +53,38 @@ func main() {
 		fatal(fmt.Errorf("unexpected arguments: %v", flag.Args()))
 	}
 
-	cfg := soak.Config{
-		Seed:        *seed,
-		Episodes:    *episodes,
-		Wall:        *wall,
-		Mutation:    simcheck.Mutation(*mutation),
-		ArtifactDir: *artifacts,
-		Paranoid:    *paranoid,
+	s := simcheck.Soak{
+		Seed:     *seed,
+		Episodes: *episodes,
+		Wall:     *wall,
+		Mutation: simcheck.Mutation(*mutation),
+		Paranoid: *paranoid,
 	}
 	if *models != "" {
-		cfg.Models = strings.Split(*models, ",")
+		s.Models = strings.Split(*models, ",")
 	}
-	if *verbose {
-		cfg.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-
-	rep, err := soak.Run(cfg)
-	if err != nil {
+	if err := simcheck.Validate(s.Models, s.Mutation); err != nil {
 		fatal(err)
 	}
+	var logf func(string, ...any)
+	if *verbose {
+		logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	}
 
-	for _, f := range rep.Failures {
-		fmt.Fprintln(os.Stderr, f)
+	rep := simcheck.Check(s.Schedule(), *artifacts, logf)
+
+	for _, d := range rep.Divergences {
+		fmt.Fprintf(os.Stderr, "FAILURE episode %d: %s\n", d.Index, d)
 	}
 	for _, a := range rep.Artifacts {
 		fmt.Fprintf(os.Stderr, "soaktest: replay artifact %s (inspect with: replay -dump %s)\n", a, a)
 	}
-	fmt.Println(rep)
+	fmt.Printf("soak: seed=%d episodes=%d cells=%d failures=%d fingerprint=%016x\n",
+		*seed, rep.Cases, rep.Cells, len(rep.Divergences), rep.Fingerprint)
+	fmt.Printf("soak: %d forced rollbacks, %d throttled passes, %d invariant sweeps\n",
+		rep.ForcedRollbacks, rep.MemThrottles, rep.InvariantSweeps)
+	fmt.Printf("soak: peak %d live events on one PE, heap high-water %.1f MiB, elapsed %v\n",
+		rep.PeakLivePE, float64(rep.HeapPeak)/(1<<20), rep.Elapsed.Round(time.Millisecond))
 	// Flush profiles before the explicit exit below — deferred calls would
 	// not run past os.Exit.
 	if err := stopProf(); err != nil {

@@ -442,45 +442,3 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	sort.Strings(filenames)
 	return l.check(importPath, dir, filenames)
 }
-
-// LoadModuleDeps typechecks the module-internal packages imported by p
-// (transitively), returning them in dependency order. Fixture packages
-// loaded with LoadDir use this so analyzers can compute facts for the
-// real packages the fixture imports.
-func (l *Loader) LoadModuleDeps(p *Package) ([]*Package, error) {
-	var order []*Package
-	seen := make(map[string]bool)
-	var visit func(path string) error
-	visit = func(path string) error {
-		if seen[path] || !l.inModule(path) {
-			return nil
-		}
-		seen[path] = true
-		m, err := l.ensureMeta(path)
-		if err != nil {
-			return err
-		}
-		deps := append([]string(nil), m.Imports...)
-		sort.Strings(deps)
-		for _, dep := range deps {
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		mp, err := l.loadModulePackage(path)
-		if err != nil {
-			return err
-		}
-		order = append(order, mp)
-		return nil
-	}
-	for _, f := range p.Files {
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if err := visit(path); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return order, nil
-}

@@ -126,9 +126,6 @@ type Router struct {
 	stats RouterStats
 }
 
-// IsInjector reports whether this router runs an injection application.
-func (r *Router) IsInjector() bool { return r.isInjector }
-
 // QueueLen returns the number of packets waiting to be injected.
 func (r *Router) QueueLen() int64 { return r.qBase + int64(len(r.queue)) - r.qHead }
 

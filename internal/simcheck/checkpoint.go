@@ -35,8 +35,8 @@ const CheckpointEvery = 32
 // be resumed as this cell's.
 //
 // The composed fingerprint must equal a clean sequential reference run's:
-// that is the crash-recovery claim in miniature, and the soak harness holds
-// 1-in-N episodes to it.
+// that is the crash-recovery claim in miniature, and Check holds every
+// Checkpoint case (1 in 8 optimistic soak episodes) to it.
 func RunCellResumed(c Cell, dir string, every int) (Result, error) {
 	if c.Engine != core.KindOptimistic {
 		return Result{}, fmt.Errorf("simcheck: resume requires the optimistic engine, not %q", c.Engine)

@@ -81,7 +81,7 @@ func TestRunCellResumedUnderFaults(t *testing.T) {
 }
 
 // TestRunCellResumedNothingDue: a run that ends before its first checkpoint
-// falls due (the soak harness meets this on 1-PE qnet cells under the
+// falls due (the soak schedule meets this on 1-PE qnet cells under the
 // GVTDelay fault) leaves an empty directory. That is "nothing to resume",
 // not a failure: the uninterrupted run is held to the oracle instead.
 func TestRunCellResumedNothingDue(t *testing.T) {

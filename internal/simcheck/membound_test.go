@@ -64,15 +64,12 @@ func TestMemoryBoundDifferential(t *testing.T) {
 func TestMemoryBoundSweepInMatrix(t *testing.T) {
 	m := Smoke()
 	found := false
-	for _, model := range m.Models {
-		spec := models[model]
-		for _, c := range m.cells(model, m.Seeds[0], spec) {
-			if c.MaxLive > 0 {
-				if c.Engine != core.KindOptimistic {
-					t.Fatalf("bounded cell on non-optimistic engine: %s", c)
-				}
-				found = true
+	for _, k := range m.cases() {
+		if c := k.Cell; c.MaxLive > 0 {
+			if c.Engine != core.KindOptimistic {
+				t.Fatalf("bounded cell on non-optimistic engine: %s", c)
 			}
+			found = true
 		}
 	}
 	if !found {

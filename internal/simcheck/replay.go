@@ -238,9 +238,9 @@ func Shrink(lg *replay.Log, logf func(format string, args ...any)) (*ShrinkResul
 // recording to a minimal failing log, and writes it under dir, returning
 // the artifact path. If the shrink cannot reproduce the failure (a flaky
 // divergence) the unshrunk recording is written instead — a recording of
-// the diverging configuration is still the best available artifact. Matrix.AutoRecord uses it for every diverging
-// optimistic cell; the soak harness calls it directly for failed
-// episodes. logf must be non-nil.
+// the diverging configuration is still the best available artifact. Check
+// calls it for every diverging optimistic case when given an artifact
+// directory. logf must be non-nil.
 func AutoRecord(dir string, c Cell, logf func(format string, args ...any)) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err

@@ -2,7 +2,6 @@ package simcheck
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/replay"
@@ -53,8 +52,8 @@ func run(c Cell, p plan) (*outcome, error) {
 	if !ms.engines[c.Engine] {
 		return nil, fmt.Errorf("simcheck: model %q does not support engine %q", c.Model, c.Engine)
 	}
-	if c.Mutation != MutNone && !slices.Contains(Mutations(), c.Mutation) {
-		return nil, fmt.Errorf("simcheck: unknown mutation %q (have %v)", c.Mutation, Mutations())
+	if err := Validate(nil, c.Mutation); err != nil {
+		return nil, fmt.Errorf("simcheck: %w", err)
 	}
 	spec := SpecForCell(c)
 	if p.spec != nil {

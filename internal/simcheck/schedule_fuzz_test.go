@@ -1,8 +1,6 @@
-package soak
+package simcheck
 
-import (
-	"testing"
-)
+import "testing"
 
 // FuzzSoakSchedule treats arbitrary bytes as a soak schedule: every byte
 // string must decode to a valid bounded schedule whose episodes run
@@ -22,9 +20,9 @@ func FuzzSoakSchedule(f *testing.F) {
 		if len(eps) == 0 {
 			t.Fatal("empty schedule decoded")
 		}
-		rep := RunEpisodes(eps, Config{Paranoid: true})
+		rep := Check(Cases(eps...), "", nil)
 		if !rep.OK() {
-			t.Fatalf("decoded schedule diverged:\n%v", rep.Failures)
+			t.Fatalf("decoded schedule diverged:\n%v", rep.Divergences)
 		}
 	})
 }

@@ -15,15 +15,21 @@
 // NOT leave the fingerprints untouched, proving the harness can actually
 // see a divergence when one exists.
 //
-// A failure is reported as the diverging matrix cell (model, engine, PEs,
-// KPs, seed, fault plan), which is the complete recipe for
-// reproducing it.
+// Two sources feed one differential loop (Check): the fixed matrices
+// (Smoke, Full) and the seeded chaos schedule (Soak), an open-ended run of
+// randomized episodes with live invariant sweeps and checkpoint/restore
+// cuts. A failure is reported as the diverging cell (model, engine, PEs,
+// KPs, seed, fault plan), which is the complete recipe for reproducing
+// it, and is auto-recorded as a shrunk .replay when an artifact directory
+// is given.
 package simcheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/replay"
@@ -86,12 +92,16 @@ type Result struct {
 // Divergence is one detected mismatch (or failed run) with the artifact
 // needed to reproduce it.
 type Divergence struct {
+	// Index is the failing case's position in its source (Case.Index).
+	Index int
 	// Ref is the reference cell (zero Cell when Got failed outright).
 	Ref Cell
 	// Got is the diverging cell.
 	Got Cell
 	// Details name the fingerprint fields that differ, or the run error.
 	Details []string
+	// Artifact is the shrunk .replay path, when one was recorded.
+	Artifact string
 }
 
 func (d Divergence) String() string {
@@ -102,6 +112,9 @@ func (d Divergence) String() string {
 	}
 	for _, detail := range d.Details {
 		fmt.Fprintf(&b, "\n  %s", detail)
+	}
+	if d.Artifact != "" {
+		fmt.Fprintf(&b, "\n  artifact: %s", d.Artifact)
 	}
 	return b.String()
 }
@@ -231,7 +244,7 @@ func BurstFaults() *core.Faults {
 }
 
 // Injector is one kernel fault injector (core.Faults) as a composable
-// toggle, so tests and the soak scheduler can build arbitrary
+// toggle, so tests and the soak schedule can build arbitrary
 // compositions from the same canonical list instead of hand-rolling
 // plans. Arm enables the injector on a plan; level in [0, 3] scales its
 // aggressiveness (0 is the mildest setting, not off).
@@ -242,7 +255,7 @@ type Injector struct {
 
 // Injectors returns the canonical list of kernel fault injectors, one per
 // independent core.Faults mechanism. The pairwise composition tests and
-// the soak harness's randomized schedules both draw from this list, so a
+// the soak schedule both draw from this list, so a
 // new injector added here is automatically composed everywhere.
 func Injectors() []Injector {
 	return []Injector{
@@ -266,28 +279,40 @@ func Injectors() []Injector {
 	}
 }
 
-// cells expands the matrix into concrete cells. The sequential engine is
-// deterministic in PEs/KPs/faults, so it collapses to one cell per (model,
-// seed); fault plans apply only to the optimistic engine.
-func (m Matrix) cells(model string, seed uint64, spec *modelSpec) []Cell {
+// cases expands the matrix into concrete cases, grouped by (model, seed).
+func (m Matrix) cases() []Case {
+	var out []Case
+	for _, model := range m.Models {
+		for _, seed := range m.Seeds {
+			for _, c := range m.cells(model, seed) {
+				out = append(out, Case{Index: len(out), Cell: c})
+			}
+		}
+	}
+	return out
+}
+
+// cells expands one (model, seed) of the matrix into concrete cells. The
+// sequential engine is deterministic in PEs/KPs/faults, so it collapses to
+// one cell per (model, seed); fault plans and memory bounds apply only to
+// the optimistic engine. An unknown model keeps every engine: its
+// reference run fails, and Check reports that.
+func (m Matrix) cells(model string, seed uint64) []Cell {
 	var out []Cell
 	seen := make(map[string]bool)
+	spec, known := models[model]
 	for _, eng := range m.Engines {
-		if !spec.engines[eng] {
+		if known && !spec.engines[eng] {
 			continue
 		}
 		pes, kps, faults, bounds := m.PEs, m.KPs, m.Faults, m.MemBounds
 		if eng == core.KindSequential {
 			pes, kps = []int{1}, []int{1}
 		}
-		if eng != core.KindOptimistic {
-			faults = []*core.Faults{nil}
-			bounds = []int{0}
-		}
-		if len(faults) == 0 {
+		if eng != core.KindOptimistic || len(faults) == 0 {
 			faults = []*core.Faults{nil}
 		}
-		if len(bounds) == 0 {
+		if eng != core.KindOptimistic || len(bounds) == 0 {
 			bounds = []int{0}
 		}
 		for _, pe := range pes {
@@ -314,21 +339,35 @@ func (m Matrix) cells(model string, seed uint64, spec *modelSpec) []Cell {
 	return out
 }
 
-// Report is the outcome of a matrix run.
+// Report is the outcome of one Check: a matrix or a soak.
 type Report struct {
-	// Cells is the number of runs executed (references included).
+	// Cases counts the cases drawn: matrix cells or soak episodes.
+	Cases int
+	// Cells counts executed runs, references included.
 	Cells int
 	// Divergences holds every mismatch and failed run.
 	Divergences []Divergence
-	// ForcedRollbacks totals the fault-injected rollbacks across cells —
-	// evidence the adversarial plans actually fired.
-	ForcedRollbacks int64
-	// Artifacts lists the .replay files auto-recorded for diverging cells
-	// (only when Matrix.AutoRecord is set).
+	// Artifacts lists every .replay written (also on Divergences).
 	Artifacts []string
+	// Fingerprint folds every case's recipe and result hashes; two runs of
+	// the same source must agree on it.
+	Fingerprint uint64
+	// ForcedRollbacks, MemThrottles and InvariantSweeps total the kernel
+	// counters across cases — evidence the fault plans, the memory valve
+	// and the live sweeps actually bit.
+	ForcedRollbacks int64
+	MemThrottles    int64
+	InvariantSweeps int64
+	// PeakLivePE is the largest concurrent live-event count any single PE
+	// reached in any case.
+	PeakLivePE int64
+	// HeapPeak is the process heap high-water mark (bytes) sampled after
+	// each case.
+	HeapPeak uint64
+	Elapsed  time.Duration
 }
 
-// OK reports whether every cell matched its reference.
+// OK reports whether every case matched its reference.
 func (r *Report) OK() bool { return len(r.Divergences) == 0 }
 
 // RunCell builds, instruments and runs one cell.
@@ -340,68 +379,10 @@ func RunCell(c Cell) (Result, error) {
 	return out.Result, nil
 }
 
-// Run executes the matrix and returns the report. logf, when non-nil,
-// receives one line per cell.
+// Run checks every cell of the matrix. logf, when non-nil, receives one
+// line per run.
 func Run(m Matrix, logf func(format string, args ...any)) *Report {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	rep := &Report{}
-	for _, model := range m.Models {
-		spec, ok := models[model]
-		if !ok {
-			rep.Divergences = append(rep.Divergences, Divergence{
-				Got:     Cell{Model: model},
-				Details: []string{fmt.Sprintf("unknown model (have %v)", ModelNames())},
-			})
-			continue
-		}
-		for _, seed := range m.Seeds {
-			// The reference is always a clean, unmutated sequential run.
-			refCell := Cell{Model: model, Engine: core.KindSequential, PEs: 1, KPs: 1, Seed: seed}
-			ref, err := RunCell(refCell)
-			rep.Cells++
-			if err != nil {
-				rep.Divergences = append(rep.Divergences, Divergence{
-					Got:     refCell,
-					Details: []string{fmt.Sprintf("reference run failed: %v", err)},
-				})
-				continue
-			}
-			logf("ref  [%s] committed=%d trace=%016x", refCell, ref.FP.Committed, ref.FP.TraceHash)
-			for _, c := range m.cells(model, seed, spec) {
-				got, err := RunCell(c)
-				rep.Cells++
-				if err != nil {
-					rep.Divergences = append(rep.Divergences, Divergence{
-						Ref:     refCell,
-						Got:     c,
-						Details: []string{fmt.Sprintf("run failed: %v", err)},
-					})
-					logf("FAIL [%s] run error: %v", c, err)
-					continue
-				}
-				if got.Stats != nil {
-					rep.ForcedRollbacks += got.Stats.ForcedRollbacks
-				}
-				if diffs := Compare(ref.FP, got.FP); len(diffs) > 0 {
-					rep.Divergences = append(rep.Divergences, Divergence{Ref: refCell, Got: c, Details: diffs})
-					logf("FAIL [%s] %s", c, strings.Join(diffs, "; "))
-					if m.AutoRecord != "" && c.Engine == core.KindOptimistic {
-						if path, err := AutoRecord(m.AutoRecord, c, logf); err != nil {
-							logf("auto-record [%s] failed: %v", c, err)
-						} else {
-							rep.Artifacts = append(rep.Artifacts, path)
-							logf("auto-record [%s] wrote %s", c, path)
-						}
-					}
-				} else {
-					logf("ok   [%s] committed=%d", c, got.FP.Committed)
-				}
-			}
-		}
-	}
-	return rep
+	return Check(Cases(m.cases()...), m.AutoRecord, logf)
 }
 
 // instance is one built, instrumented engine ready to run.
@@ -475,6 +456,20 @@ func newInstance(c Cell, eng core.Engine, endTime core.Time, summary func() stri
 func SupportsEngine(model string, eng core.EngineKind) bool {
 	spec, ok := models[model]
 	return ok && spec.engines[eng]
+}
+
+// Validate rejects the first unknown name among models and mutation: the
+// names a front-end takes from its user.
+func Validate(names []string, mu Mutation) error {
+	for _, name := range names {
+		if _, ok := models[name]; !ok {
+			return fmt.Errorf("unknown model %q (have %v)", name, ModelNames())
+		}
+	}
+	if mu != MutNone && !slices.Contains(Mutations(), mu) {
+		return fmt.Errorf("unknown mutation %q (have %v)", mu, Mutations())
+	}
+	return nil
 }
 
 // ModelNames returns the models the harness knows, sorted.
