@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench-all benchmark-smoke simcheck simlint soak crashtest fuzz lint check figures figures-full examples clean
+.PHONY: all build test race cover bench-all benchmark-smoke simcheck simlint soak crashtest fuzz lint run-patterns check figures figures-full examples clean
 
 all: build test
 
@@ -73,9 +73,15 @@ lint: simlint
 	  echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
+# The CI workflow's targeted steps pick tests with go test -run patterns;
+# a name that matches no test makes its step pass having run nothing. This
+# fails on any such name (go test -list over the step's packages).
+run-patterns:
+	bash .github/check-run-patterns.sh
+
 # Everything a PR must pass: vet, lint, tests, race tests, differential
 # matrix, crash-recovery sweep, benchmark smoke test.
-check: build lint test race simcheck crashtest benchmark-smoke
+check: build lint run-patterns test race simcheck crashtest benchmark-smoke
 
 cover:
 	$(GO) test ./internal/... -cover

@@ -398,7 +398,12 @@ func TestSimcheckCLI(t *testing.T) {
 	if code != 1 || !strings.Contains(stderr, "DIVERGENCE") {
 		t.Fatalf("broken-reverse: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
-	for _, args := range [][]string{{"-mutation", "nope"}, {"-models", "nope"}} {
+	for _, args := range [][]string{
+		{"-mutation", "nope"},
+		{"-models", "nope"},
+		{"-engines", "nope"},
+		{"-models", "qnet", "-engines", "conservative"},
+	} {
 		if code, _, stderr := runExit(t, "simcheck", args...); code != 2 {
 			t.Fatalf("simcheck %v: exit %d, want 2\n%s", args, code, stderr)
 		}

@@ -3,8 +3,9 @@
 // and kernel fault plans, comparing committed-trace hashes,
 // per-LP event-order hashes and final-state hashes against a clean
 // sequential reference. It prints a reproduction artifact for every
-// divergence. Exit status: 0 clean, 1 divergences, 2 usage error
-// (an unknown -models or -mutation name included).
+// divergence. Exit status: 0 clean, 1 divergences, 2 usage error (an
+// unknown -models, -engines or -mutation name included, and a matrix
+// that expands to no cells, e.g. -models qnet -engines conservative).
 //
 // Examples:
 //
@@ -85,7 +86,7 @@ func main() {
 	}
 	m.AutoRecord = *autorecord
 	m.Mutation = simcheck.Mutation(*mutation)
-	if err := simcheck.Validate(m.Models, m.Mutation); err != nil {
+	if err := simcheck.Validate(m.Models, m.Engines, m.Mutation); err != nil {
 		fatal(err)
 	}
 
@@ -94,6 +95,9 @@ func main() {
 		logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	}
 	rep := simcheck.Run(m, logf)
+	if rep.Cases == 0 {
+		fatal(fmt.Errorf("the matrix expands to no cells: no requested model runs on the requested engines"))
+	}
 
 	for _, d := range rep.Divergences {
 		fmt.Fprintln(os.Stderr, d)

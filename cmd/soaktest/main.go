@@ -63,7 +63,7 @@ func main() {
 	if *models != "" {
 		s.Models = strings.Split(*models, ",")
 	}
-	if err := simcheck.Validate(s.Models, s.Mutation); err != nil {
+	if err := simcheck.Validate(s.Models, nil, s.Mutation); err != nil {
 		fatal(err)
 	}
 	var logf func(string, ...any)

@@ -1,9 +1,9 @@
 // Package analysis implements simlint: a suite of static analyzers that
 // enforce the Time Warp kernel's model-author contracts at build time —
 // reverse-computation completeness (reversecheck), handler determinism
-// (determcheck), event/payload lifecycle discipline (lifecheck), per-PE
-// counter ownership (statscheck), goroutine-ownership of annotated
-// fields (ownercheck) and lock-free publish discipline (atomiccheck).
+// (determcheck), event/payload lifecycle discipline (lifecheck),
+// goroutine-ownership of annotated fields, the PEs' counter records
+// among them (ownercheck), and lock-free publish discipline (atomiccheck).
 // See docs/ANALYSIS.md for the contracts and the escape-hatch
 // annotations.
 //
@@ -147,5 +147,5 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 
 // Analyzers returns the full simlint suite in its canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Reversecheck, Determcheck, Lifecheck, Statscheck, Ownercheck, Atomiccheck}
+	return []*Analyzer{Reversecheck, Determcheck, Lifecheck, Ownercheck, Atomiccheck}
 }

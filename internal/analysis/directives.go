@@ -16,9 +16,8 @@ import (
 // (enforced by the driver): an unexplained waiver is itself a finding, so
 // every escape hatch in the tree names the invariant it bypasses.
 //
-// The non-suppression directives are markers: //simlint:sharded tags a
-// struct field as a PE-sharded counter (statscheck), //simlint:owned
-// tags a field as goroutine-owned (ownercheck), //simlint:spsc tags an
+// The non-suppression directives are markers: //simlint:owned tags a
+// struct field as goroutine-owned (ownercheck), //simlint:spsc tags an
 // atomic index of a single-producer/single-consumer pair and
 // //simlint:publishes <field> tags an atomic guard whose store publishes
 // the named sibling field (both atomiccheck). Markers take no reason;
@@ -26,19 +25,18 @@ import (
 const directivePrefix = "//simlint:"
 
 // SuppressionKeywords maps each annotation keyword to the analyzers it
-// waives. Markers ("sharded", "owned", "spsc", "publishes") are absent:
+// waives. Markers ("owned", "spsc", "publishes") are absent:
 // they tag declarations, they don't waive findings.
 var SuppressionKeywords = map[string]string{
 	"irreversible":  "reversecheck",
 	"deterministic": "determcheck",
 	"retained":      "lifecheck",
-	"crosspe":       "statscheck, ownercheck, atomiccheck",
+	"crosspe":       "ownercheck, atomiccheck",
 }
 
 // MarkerKeywords are directives that tag declarations for an analyzer
 // rather than waiving findings.
 var MarkerKeywords = map[string]bool{
-	"sharded":   true,
 	"owned":     true,
 	"spsc":      true,
 	"publishes": true,
@@ -203,7 +201,7 @@ func Directives(fset *token.FileSet, files []*ast.File) []Directive {
 }
 
 // HasMarker reports whether a comment group carries the given marker
-// directive (e.g. "sharded").
+// directive (e.g. "owned").
 func HasMarker(cg *ast.CommentGroup, keyword string) bool {
 	if cg == nil {
 		return false

@@ -15,7 +15,7 @@ func TestParseDirective(t *testing.T) {
 		ok      bool
 	}{
 		{"//simlint:irreversible stats are write-only", "irreversible", "stats are write-only", true},
-		{"//simlint:sharded", "sharded", "", true},
+		{"//simlint:owned", "owned", "", true},
 		{"//simlint:crosspe", "crosspe", "", true},
 		{"// simlint:crosspe spaced prefix is not a directive", "", "", false},
 		{"// plain comment", "", "", false},

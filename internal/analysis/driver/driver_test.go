@@ -22,7 +22,7 @@ func TestRepoIsClean(t *testing.T) {
 	for _, a := range analysis.Analyzers() {
 		suite[a.Name] = true
 	}
-	for _, want := range []string{"reversecheck", "determcheck", "lifecheck", "statscheck", "ownercheck", "atomiccheck"} {
+	for _, want := range []string{"reversecheck", "determcheck", "lifecheck", "ownercheck", "atomiccheck"} {
 		if !suite[want] {
 			t.Errorf("analyzer suite is missing %s", want)
 		}
@@ -47,7 +47,8 @@ func TestRepoIsClean(t *testing.T) {
 // ownership finding (surfaces as a waived finding, not a stale one), one
 // anchored to innocent code (stale — it suppresses nothing), and one
 // trailing a closing brace (misplaced — it cannot apply to anything, and
-// placement is reported instead of staleness).
+// placement is reported instead of staleness). The retired
+// //simlint:sharded marker rides along and must be reported as unknown.
 func TestStaleAndMisplacedWaivers(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) {
@@ -61,6 +62,7 @@ func TestStaleAndMisplacedWaivers(t *testing.T) {
 
 type worker struct {
 	n int //simlint:owned
+	m int //simlint:sharded retired marker: must be reported as unknown
 }
 
 func (w *worker) bump() { w.n++ }
@@ -85,7 +87,7 @@ func stray() {
 	if err != nil {
 		t.Fatalf("driver.Run on temp module: %v", err)
 	}
-	var waivedOwner, stale, misplaced int
+	var waivedOwner, stale, misplaced, unknown int
 	for _, f := range findings {
 		switch {
 		case f.Analyzer == "ownercheck" && f.Waived:
@@ -97,6 +99,8 @@ func stray() {
 			}
 		case strings.Contains(f.Message, "misplaced //simlint:crosspe"):
 			misplaced++
+		case strings.Contains(f.Message, "unknown directive //simlint:sharded"):
+			unknown++
 		default:
 			t.Errorf("unexpected finding: %s", f)
 		}
@@ -110,7 +114,10 @@ func stray() {
 	if misplaced != 1 {
 		t.Errorf("want 1 misplaced-waiver finding, got %d", misplaced)
 	}
-	if got := len(driver.Unwaived(findings)); got != stale+misplaced {
-		t.Errorf("unwaived count %d, want %d (stale + misplaced only)", got, stale+misplaced)
+	if unknown != 1 {
+		t.Errorf("want 1 unknown-directive finding for the retired //simlint:sharded marker, got %d", unknown)
+	}
+	if got := len(driver.Unwaived(findings)); got != stale+misplaced+unknown {
+		t.Errorf("unwaived count %d, want %d (stale, misplaced and unknown only)", got, stale+misplaced+unknown)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// Ownercheck generalizes statscheck's counter discipline into full
-// goroutine-ownership analysis. A struct field tagged //simlint:owned
-// (PE freelists, the liveEvents gauge, outbox ledgers, epoch tables)
-// belongs to the goroutine running its owner's methods: the only
-// accesses that stay on that goroutine are those made through the
-// enclosing method's own receiver. Everything else is a cross-goroutine
+// Ownercheck is the kernel's goroutine-ownership analysis. A struct field
+// tagged //simlint:owned (PE freelists, the liveEvents gauge, outbox
+// ledgers, epoch tables, each PE's counter record) belongs to the
+// goroutine running its owner's methods: the only accesses that stay on
+// that goroutine are those made through the enclosing method's own
+// receiver. Everything else is a cross-goroutine
 // access — the bug class behind the use-after-free panics that
 // motivated this analyzer — and must either go through an atomic field
 // type (sanctioned, and then policed by atomiccheck) or carry a
@@ -140,4 +140,56 @@ func markWriteChain(expr ast.Expr, writes map[ast.Node]bool) {
 			return
 		}
 	}
+}
+
+// receiverVar returns the receiver variable of a method declaration, or
+// nil for plain functions and anonymous receivers.
+func receiverVar(pass *Pass, fd *ast.FuncDecl) *types.Var {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+		return nil
+	}
+	v, _ := pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
+	return v
+}
+
+// ownedAccess reports whether the selection reads the field through the
+// enclosing method's own receiver — the one access pattern that stays on
+// the owning goroutine. owner may be nil for fields imported via facts;
+// the receiver's base type is then matched against the field's parent
+// struct by type identity.
+func ownedAccess(pass *Pass, fd *ast.FuncDecl, recvVar *types.Var, owner *types.Named, field *types.Var, sel *ast.SelectorExpr) bool {
+	if recvVar == nil {
+		return false
+	}
+	// The base expression must be exactly the receiver identifier.
+	base, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if !ok || pass.TypesInfo.Uses[base] != recvVar {
+		return false
+	}
+	recvNamed := namedOf(recvVar.Type())
+	if recvNamed == nil {
+		return false
+	}
+	if owner != nil {
+		return recvNamed.Obj() == owner.Obj()
+	}
+	// Imported field: owner is the struct type that declares it. Accept if
+	// the receiver's underlying struct declares this exact field object.
+	if st, ok := recvNamed.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == field {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// fieldOwnerName renders the declaring package of a marked field for
+// diagnostics.
+func fieldOwnerName(field *types.Var) string {
+	if field.Pkg() != nil {
+		return field.Pkg().Name()
+	}
+	return "?"
 }

@@ -89,8 +89,8 @@ func BenchmarkRollbackReplay(b *testing.B) {
 				pe.fossilCollect(now)
 			}
 			b.StopTimer()
-			if pe.rolledBackEvents != int64(b.N)*int64(window) {
-				b.Fatalf("rolled back %d, want %d", pe.rolledBackEvents, int64(b.N)*int64(window))
+			if pe.stats.RolledBackEvents != int64(b.N)*int64(window) {
+				b.Fatalf("rolled back %d, want %d", pe.stats.RolledBackEvents, int64(b.N)*int64(window))
 			}
 		})
 	}

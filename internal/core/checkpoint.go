@@ -221,7 +221,7 @@ func (s *Simulator) captureCheckpoint(gvt Time) error {
 	cs := &s.ckptState
 	cs.GVT, cs.Committed = gvt, 0
 	for _, pe := range s.pes {
-		cs.Committed += pe.committed //simlint:crosspe barrier-ordered read inside the checkpoint rendezvous
+		cs.Committed += pe.stats.Committed //simlint:crosspe barrier-ordered read inside the checkpoint rendezvous
 	}
 	cs.LPs = slices.Grow(cs.LPs[:0], len(s.lps))[:len(s.lps)]
 	for i, lp := range s.lps {

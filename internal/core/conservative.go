@@ -45,8 +45,7 @@ type Conservative struct {
 	failOnce sync.Once
 	failErr  error
 
-	windows   int64
-	processed int64
+	windows int64
 }
 
 // consPE is one conservative worker: a pending queue and an inbox, no
@@ -59,17 +58,19 @@ type Conservative struct {
 // the destination's — and within a window the destination PE is the only
 // one touching the event.
 type consPE struct {
-	id        int
-	sim       *Conservative
-	pending   *eventq.Ladder[*Event]
-	inbox     [][]*Event
-	pool      eventPool
-	processed int64
+	id      int
+	sim     *Conservative
+	pending *eventq.Ladder[*Event]
+	inbox   [][]*Event
+	pool    eventPool
+	stats   Counters //simlint:owned
 }
 
 // NewConservative builds the conservative engine. lookahead must be a
 // strictly positive lower bound on every send delay the model performs;
 // the engine enforces it at Send time and fails the run on violation.
+//
+//simlint:crosspe construction: the worker goroutines have not started, and Run's goroutine spawn orders these writes before them
 func NewConservative(cfg Config, lookahead Time) (*Conservative, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -82,6 +83,7 @@ func NewConservative(cfg Config, lookahead Time) (*Conservative, error) {
 	for i := range c.pes {
 		pe := &consPE{id: i, sim: c, inbox: make([][]*Event, cfg.NumPEs)}
 		pe.pending = newEventQueue()
+		pe.pool.stats = &pe.stats
 		c.pes[i] = pe
 	}
 	c.lps = make([]*LP, cfg.NumLPs)
@@ -166,24 +168,13 @@ func (c *Conservative) Run() (*Stats, error) {
 			return nil, err
 		}
 	}
-	st := &Stats{
-		Processed: c.processed,
-		Committed: c.processed,
-		GVTRounds: c.windows, // window rounds play GVT's role
-		NumPEs:    len(c.pes),
-		NumKPs:    len(c.pes),
-		Wall:      wall,
+	workers := make([]PEStats, len(c.pes))
+	for i, pe := range c.pes {
+		pe.stats.Committed = pe.stats.Processed             //simlint:crosspe post-Run access; wg.Wait orders every worker's counter writes before it
+		workers[i] = PEStats{ID: pe.id, Counters: pe.stats} //simlint:crosspe post-Run read; wg.Wait orders every worker's counter writes before it
 	}
-	for _, pe := range c.pes {
-		var ps PEStats
-		pe.pool.addTo(&ps)
-		st.addPool(ps)
-	}
-	st.finishPools()
-	if secs := wall.Seconds(); secs > 0 {
-		st.EventRate = float64(st.Committed) / secs
-	}
-	st.Efficiency = 1
+	st := newStats(wall, len(c.pes), workers)
+	st.GVTRounds = c.windows // window rounds play GVT's role
 	return st, nil
 }
 
@@ -203,7 +194,7 @@ func (pe *consPE) run() (err error) {
 	bound := &Event{dst: -1 << 31, src: -1 << 31}
 	execute := func(ev *Event) {
 		c.lps[ev.dst].executeFinal(ev)
-		pe.processed++
+		pe.stats.Processed++
 	}
 	for {
 		// Drain cross-PE events sent during the previous window.
@@ -260,12 +251,6 @@ func (pe *consPE) run() (err error) {
 		pe.pending.BulkDrain(bound, execute)
 		if err := c.bar.await(); err != nil {
 			return err
-		}
-		if pe.id == 0 {
-			for _, p := range c.pes {
-				c.processed += p.processed
-				p.processed = 0
-			}
 		}
 	}
 }

@@ -83,6 +83,63 @@ func TestEngineHostContract(t *testing.T) {
 	}
 }
 
+// TestEngineStatsIdentities holds every engine's Stats to the same
+// identities: the derived rates are the ratios of the totals they are
+// derived from, and where an engine reports per-PE records the totals are
+// exactly their fold.
+func TestEngineStatsIdentities(t *testing.T) {
+	for _, kind := range EngineKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			const numLPs = 32
+			e, err := NewEngine(kind, Config{NumLPs: numLPs, NumPEs: 2, NumKPs: 4, EndTime: 30, Seed: 5}, 0.001)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.ForEachLP(func(lp *LP) {
+				lp.Handler = stressModel{numLPs: numLPs}
+				lp.State = &stressState{}
+			})
+			for i := 0; i < numLPs; i++ {
+				e.Schedule(LPID(i), Time(0.001*float64(i+1)), &stressMsg{TTL: 12})
+			}
+			st, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Committed == 0 || st.Processed < st.Committed || st.Wall <= 0 {
+				t.Fatalf("degenerate run: committed %d, processed %d, wall %v", st.Committed, st.Processed, st.Wall)
+			}
+			if want := float64(st.Committed) / float64(st.Processed); st.Efficiency != want {
+				t.Errorf("Efficiency %g, want Committed/Processed = %g", st.Efficiency, want)
+			}
+			if want := float64(st.Committed) / st.Wall.Seconds(); st.EventRate != want {
+				t.Errorf("EventRate %g, want Committed/Wall = %g", st.EventRate, want)
+			}
+			if want := float64(st.PoolHits) / float64(st.PoolHits+st.PoolMisses); st.PoolHitRate != want {
+				t.Errorf("PoolHitRate %g, want PoolHits/(PoolHits+PoolMisses) = %g", st.PoolHitRate, want)
+			}
+			if st.BatchesFlushed > 0 {
+				if want := float64(st.BatchedMessages) / float64(st.BatchesFlushed); st.AvgBatchSize != want {
+					t.Errorf("AvgBatchSize %g, want BatchedMessages/BatchesFlushed = %g", st.AvgBatchSize, want)
+				}
+			}
+			if len(st.PEs) == 0 {
+				return
+			}
+			if len(st.PEs) != st.NumPEs {
+				t.Fatalf("%d PE records for %d PEs", len(st.PEs), st.NumPEs)
+			}
+			var sum Counters
+			for i := range st.PEs {
+				sum.add(&st.PEs[i].Counters)
+			}
+			if sum != st.Counters {
+				t.Errorf("totals are not the fold of the PE records:\n got %+v\nwant %+v", st.Counters, sum)
+			}
+		})
+	}
+}
+
 // TestPlacementOutOfRange: a KPOfLP or PEOfKP that returns an out-of-range
 // value is a configuration error on every engine, never a panic.
 func TestPlacementOutOfRange(t *testing.T) {

@@ -215,7 +215,7 @@ func (pe *PE) maybeForceRollback(executed int) {
 	}
 	key := kp.processed[len(kp.processed)-depth].key()
 	n := pe.rollback(kp, key)
-	pe.forcedRollbacks++
+	pe.stats.ForcedRollbacks++
 	if rec := pe.sim.record; rec != nil {
 		rec.Rollback(pe.id, kp.id, n, false, true)
 	}

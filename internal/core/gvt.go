@@ -59,12 +59,12 @@ func (b *barrier) poison() {
 }
 
 // await is the PE-side barrier wait: it charges the blocked time to this
-// PE's gvtWait shard. The barrier only ever gathers the PEs at a checkpoint
+// PE's GVTWait. The barrier only ever gathers the PEs at a checkpoint
 // rendezvous and at the shutdown drain; GVT rounds themselves never wait.
 func (pe *PE) await() error {
 	t0 := time.Now()
 	err := pe.sim.bar.await()
-	pe.gvtWait += time.Since(t0)
+	pe.stats.GVTWait += time.Since(t0)
 	return err
 }
 
@@ -93,10 +93,10 @@ func (s *Simulator) requestGVT() {
 // (which may trigger rollbacks that send further anti-messages) until the
 // sent and delivered counts agree. The fixed point only needs the
 // in-flight count to agree, not a live global count, so the counters are
-// sharded: each PE owns plain mailSent/mailReceived fields and PE 0 sums
+// sharded: each PE owns plain MailSent/MailReceived counts and PE 0 sums
 // them between barriers. The barrier's mutex orders every PE's writes
 // before PE 0's reads (and PE 0's reads before anyone's next write), so no
-// atomics are needed. mailSent is bumped at outbox-append time, which
+// atomics are needed. MailSent is bumped at outbox-append time, which
 // makes the fixed point cover outboxes and lanes alike: mail held anywhere
 // keeps the loop unstable.
 //
@@ -128,8 +128,8 @@ func (pe *PE) commsFixedPoint() error {
 				// The barrier just crossed orders every PE's counter writes
 				// before these reads, and the next barrier holds the PEs
 				// until PE0 is done reading.
-				sent += p.mailSent          //simlint:crosspe barrier-ordered read inside the comms fixed point's stability window
-				delivered += p.mailReceived //simlint:crosspe barrier-ordered read inside the comms fixed point's stability window
+				sent += p.stats.MailSent          //simlint:crosspe barrier-ordered read inside the comms fixed point's stability window
+				delivered += p.stats.MailReceived //simlint:crosspe barrier-ordered read inside the comms fixed point's stability window
 			}
 			s.commsStable.Store(sent == delivered)
 		}

@@ -127,7 +127,7 @@ func (pe *PE) asyncPass() (bool, error) {
 		// its own feedback loop.
 		pe.obsRound = n
 		pe.sinceGVT = 0
-		pe.opt.observe(pe.processed, pe.rolledBackEvents)
+		pe.opt.observe(pe.stats.Processed, pe.stats.RolledBackEvents)
 	}
 	if s.ckptPending.Load() {
 		// A completed round armed a checkpoint: rendezvous before anything
@@ -278,7 +278,7 @@ func (pe *PE) completeRound(est Time) {
 	}
 	s.gvtRequested.Store(false)
 	pe.sinceGVT = 0
-	pe.gvtLatency += time.Since(pe.roundStart)
+	pe.stats.GVTLatency += time.Since(pe.roundStart)
 	if est >= s.cfg.EndTime {
 		s.finished.Store(true)
 		s.wakeAll()

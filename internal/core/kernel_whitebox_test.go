@@ -105,8 +105,8 @@ func TestStragglerRollsBackOnlyItsKP(t *testing.T) {
 	if got := len(st1.Log); got != 1 {
 		t.Fatalf("LP1 was rolled back: %v", st1.Log)
 	}
-	if pe.rolledBackEvents != 1 || pe.primaryRollbacks != 1 {
-		t.Fatalf("rollback counters: events=%d primary=%d", pe.rolledBackEvents, pe.primaryRollbacks)
+	if pe.stats.RolledBackEvents != 1 || pe.stats.PrimaryRollbacks != 1 {
+		t.Fatalf("rollback counters: events=%d primary=%d", pe.stats.RolledBackEvents, pe.stats.PrimaryRollbacks)
 	}
 	// Re-execution: straggler (12) then the reversed event (20).
 	e1 := exec(t, pe)
@@ -142,8 +142,8 @@ func TestCascadingCancellation(t *testing.T) {
 	if len(st1.Log) != 0 {
 		t.Fatalf("downstream event not reversed: %v", st1.Log)
 	}
-	if pe.secondaryRollbacks != 1 {
-		t.Fatalf("secondary rollbacks = %d", pe.secondaryRollbacks)
+	if pe.stats.SecondaryRollbacks != 1 {
+		t.Fatalf("secondary rollbacks = %d", pe.stats.SecondaryRollbacks)
 	}
 	// The cancelled event must not re-execute: drain everything.
 	for {
@@ -175,8 +175,8 @@ func TestCancelPendingIsLazy(t *testing.T) {
 
 	// Roll back the sender before the downstream event runs.
 	pe.insert(&Event{recvTime: 2, dst: 0, src: NoLP, seq: 101, Data: &recMsg{}})
-	if pe.canceledPending != 1 {
-		t.Fatalf("canceledPending = %d", pe.canceledPending)
+	if pe.stats.CanceledPending != 1 {
+		t.Fatalf("canceledPending = %d", pe.stats.CanceledPending)
 	}
 	_ = src
 	// Drain: LP1 must see exactly one event (the re-sent one at 15).
@@ -267,8 +267,8 @@ func TestFossilCollectionCommitsBelowGVT(t *testing.T) {
 		t.Fatalf("live = %d", kp.live())
 	}
 	pe.fossilCollect(51) // events at t=1..50 commit; t=51 stays
-	if kp.committed != 50 {
-		t.Fatalf("committed = %d", kp.committed)
+	if pe.stats.Committed != 50 {
+		t.Fatalf("committed = %d", pe.stats.Committed)
 	}
 	if kp.live() != 50 {
 		t.Fatalf("live after fossil = %d", kp.live())
@@ -305,8 +305,8 @@ func TestFossilCompaction(t *testing.T) {
 	if len(kp.processed) > 256 {
 		t.Fatalf("processed slice grew to %d despite fossil collection", len(kp.processed))
 	}
-	if kp.committed != 5000 {
-		t.Fatalf("committed = %d", kp.committed)
+	if pe.stats.Committed != 5000 {
+		t.Fatalf("committed = %d", pe.stats.Committed)
 	}
 }
 
@@ -504,8 +504,8 @@ func TestFossilCollectionFreesStateSaves(t *testing.T) {
 	}
 
 	pe.fossilCollect(151) // t=1..150 commit; 50 live remain
-	if kp.committed != 150 || kp.live() != 50 {
-		t.Fatalf("committed=%d live=%d", kp.committed, kp.live())
+	if pe.stats.Committed != 150 || kp.live() != 50 {
+		t.Fatalf("committed=%d live=%d", pe.stats.Committed, kp.live())
 	}
 	if pe.liveEvents != 50 {
 		t.Fatalf("gauge after fossil = %d, want 50", pe.liveEvents)

@@ -25,12 +25,9 @@ type KP struct {
 	lastKey eventKey
 	hasLast bool
 
-	// Statistics.
-	rolledBackEvents   int64
-	primaryRollbacks   int64
-	secondaryRollbacks int64
-	committed          int64
-	peakLive           int
+	// peakLive is the high-water mark of live(), the KP's share of
+	// Stats.PeakLiveEvents.
+	peakLive int
 }
 
 // ID returns the KP's index.
@@ -82,8 +79,10 @@ func (kp *KP) tail() *Event {
 // gvt, calling Commit handlers in processing order. A committed event can
 // never be referenced again — its KP keeps only the value-copied lastKey,
 // and a cancellation for it would be a GVT violation — so it returns to
-// the owning PE's pool the moment its Commit handler finishes.
-func (kp *KP) fossilCollect(gvt Time, pe *PE) {
+// the owning PE's pool the moment its Commit handler finishes. It returns
+// the number of events committed.
+func (kp *KP) fossilCollect(gvt Time, pe *PE) int64 {
+	var committed int64
 	for kp.head < len(kp.processed) {
 		ev := kp.processed[kp.head]
 		if ev.recvTime >= gvt {
@@ -93,7 +92,7 @@ func (kp *KP) fossilCollect(gvt Time, pe *PE) {
 		ev.state = stateCommitted
 		kp.processed[kp.head] = nil
 		kp.head++
-		kp.committed++
+		committed++
 		pe.free(ev)
 	}
 	// Compact once the dead prefix dominates, to keep memory bounded.
@@ -105,4 +104,5 @@ func (kp *KP) fossilCollect(gvt Time, pe *PE) {
 		kp.processed = kp.processed[:n]
 		kp.head = 0
 	}
+	return committed
 }

@@ -35,8 +35,8 @@ const laneCap = 128
 // that holds it retires only once head passes its index; see gvt_async.go),
 // so no estimate can overtake it and no event can be fossil-collected or
 // recycled while its mail is still in flight. It is also counted as
-// sent-but-not-delivered (the sender bumped mailSent at outbox-append time,
-// the consumer bumps mailReceived only at drain), so the comms fixed point
+// sent-but-not-delivered (the sender bumped MailSent at outbox-append time,
+// the consumer bumps MailReceived only at drain), so the comms fixed point
 // cannot be reached while the lane is non-empty. drainMailbox additionally
 // asserts the lifecycle in paranoid mode (SetParanoid).
 type lane struct {
@@ -116,7 +116,7 @@ type outbox struct {
 // the sender's in-flight records are updated here, at append time, so mail
 // parked in the outbox (or a lane) is covered from the moment it exists:
 // the open coverage epoch's minimum keeps GVT at or below its receive time,
-// and the per-PE mailSent counter (this PE's shard of the global in-flight
+// and the per-PE MailSent counter (this PE's shard of the global in-flight
 // accounting) keeps the comms fixed point unstable.
 func (pe *PE) post(dst *PE, msg mail) {
 	ob := &pe.outbox
@@ -125,7 +125,7 @@ func (pe *PE) post(dst *PE, msg mail) {
 		ob.dirty = append(ob.dirty, d)
 	}
 	ob.bufs[d] = append(ob.bufs[d], msg)
-	pe.mailSent++
+	pe.stats.MailSent++
 	// An anti-message carries its target's receive time, which bounds
 	// everything the cancellation can cause.
 	if t := msg.ev.recvTime; t < pe.outMin[d] {
@@ -150,8 +150,8 @@ func (pe *PE) flushDst(d int) {
 	if n == 0 {
 		return
 	}
-	pe.batchesFlushed++
-	pe.batchedMessages += int64(n)
+	pe.stats.BatchesFlushed++
+	pe.stats.BatchedMessages += int64(n)
 	if n < len(buf) {
 		rest := copy(buf, buf[n:])
 		for i := rest; i < len(buf); i++ {
@@ -212,9 +212,9 @@ func (pe *PE) drainMailbox() {
 	if len(msgs) == 0 {
 		return
 	}
-	pe.mailReceived += int64(len(msgs))
-	if n := int64(len(msgs)); n > pe.mailboxPeak {
-		pe.mailboxPeak = n
+	pe.stats.MailReceived += int64(len(msgs))
+	if n := int64(len(msgs)); n > pe.stats.MailboxPeak {
+		pe.stats.MailboxPeak = n
 	}
 	if pe.faults != nil && pe.faults.plan.ShuffleMail && len(msgs) > 1 {
 		pe.faults.perturbMail(msgs)
@@ -292,7 +292,7 @@ func (pe *PE) park() {
 		pe.parked.Store(false)
 		return
 	}
-	pe.parks++
+	pe.stats.Parks++
 	<-pe.wakeCh
 	pe.parked.Store(false)
 }

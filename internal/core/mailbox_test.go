@@ -130,8 +130,8 @@ func TestOutboxPartialFlushKeepsOrder(t *testing.T) {
 	for i := 0; i < total; i++ {
 		src.post(dst, mail{ev: &Event{seq: uint64(i)}})
 	}
-	if src.mailSent != int64(total) {
-		t.Fatalf("mailSent = %d, want %d", src.mailSent, total)
+	if src.stats.MailSent != int64(total) {
+		t.Fatalf("mailSent = %d, want %d", src.stats.MailSent, total)
 	}
 
 	var got []mail
@@ -150,8 +150,8 @@ func TestOutboxPartialFlushKeepsOrder(t *testing.T) {
 	if len(src.outbox.dirty) != 0 {
 		t.Fatal("outbox still dirty after full flush")
 	}
-	if src.batchesFlushed < 2 {
-		t.Fatalf("batchesFlushed = %d, want >= 2 (one full lane + remainder)", src.batchesFlushed)
+	if src.stats.BatchesFlushed < 2 {
+		t.Fatalf("batchesFlushed = %d, want >= 2 (one full lane + remainder)", src.stats.BatchesFlushed)
 	}
 }
 
@@ -251,8 +251,8 @@ func TestParkWakeOnMail(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("flushMail did not wake the parked PE")
 	}
-	if dst.parks != 1 {
-		t.Fatalf("parks = %d, want 1", dst.parks)
+	if dst.stats.Parks != 1 {
+		t.Fatalf("parks = %d, want 1", dst.stats.Parks)
 	}
 	if dst.wakes.Load() != 1 {
 		t.Fatalf("wakes = %d, want 1", dst.wakes.Load())
@@ -261,7 +261,7 @@ func TestParkWakeOnMail(t *testing.T) {
 	// Mail still in the lane: the recheck must bail out instead of
 	// sleeping with work pending.
 	dst.park()
-	if got := dst.parks; got != 1 {
+	if got := dst.stats.Parks; got != 1 {
 		t.Fatalf("PE parked with mail in its lane (parks = %d)", got)
 	}
 }
@@ -289,8 +289,8 @@ func TestParkWakeOnGVTRequest(t *testing.T) {
 
 	// With the request still pending, park must refuse to sleep.
 	pe.park()
-	if pe.parks != 1 {
-		t.Fatalf("PE parked while a GVT round was requested (parks = %d)", pe.parks)
+	if pe.stats.Parks != 1 {
+		t.Fatalf("PE parked while a GVT round was requested (parks = %d)", pe.stats.Parks)
 	}
 }
 
@@ -365,7 +365,7 @@ func FuzzMailboxOrdering(f *testing.F) {
 			for i := range senders {
 				out = consumer.lanes[senders[i].id].drain(out)
 			}
-			consumer.mailReceived += int64(len(out))
+			consumer.stats.MailReceived += int64(len(out))
 			for _, m := range out {
 				key := [2]uint64{uint64(m.ev.src), m.ev.seq}
 				if m.cancel {
@@ -421,8 +421,8 @@ func FuzzMailboxOrdering(f *testing.F) {
 				break
 			}
 		}
-		if sent := senders[0].mailSent + senders[1].mailSent; sent != consumer.mailReceived {
-			t.Fatalf("counter conservation broken: sent %d, received %d", sent, consumer.mailReceived)
+		if sent := senders[0].stats.MailSent + senders[1].stats.MailSent; sent != consumer.stats.MailReceived {
+			t.Fatalf("counter conservation broken: sent %d, received %d", sent, consumer.stats.MailReceived)
 		}
 	})
 }

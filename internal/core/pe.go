@@ -36,6 +36,9 @@ type PE struct {
 
 	parked atomic.Bool
 	wakeCh chan struct{}
+	// wakes counts the wakeups delivered to this PE. The waker bumps it,
+	// not the owner, so it is atomic and joins stats.Wakes at collection.
+	wakes atomic.Int64
 
 	sinceGVT  int
 	idleSpins int
@@ -87,34 +90,13 @@ type PE struct {
 	// sweep (SetParanoid).
 	sweepSince int
 
-	// Statistics (owned by this PE; read by others only after Run).
-	// mailSent and mailReceived double as this PE's shards of the global
-	// in-flight message accounting: the comms fixed point sums them across
-	// PEs between barriers (gvt.go), so no live global counter — and no
-	// cross-PE cache-line ping-pong — is needed.
-	//
-	//simlint:sharded
-	processed          int64
-	committed          int64         //simlint:sharded
-	rolledBackEvents   int64         //simlint:sharded
-	primaryRollbacks   int64         //simlint:sharded
-	secondaryRollbacks int64         //simlint:sharded
-	mailSent           int64         //simlint:sharded
-	mailReceived       int64         //simlint:sharded
-	canceledPending    int64         //simlint:sharded
-	forcedRollbacks    int64         //simlint:sharded
-	batchesFlushed     int64         //simlint:sharded
-	batchedMessages    int64         //simlint:sharded
-	mailboxPeak        int64         //simlint:sharded
-	livePeak           int64         //simlint:sharded
-	memThrottles       int64         //simlint:sharded
-	invariantSweeps    int64         //simlint:sharded
-	parks              int64         //simlint:sharded
-	wakes              atomic.Int64  // bumped by the waker, not the owner: atomic, so not sharded
-	busy               time.Duration //simlint:sharded
-	gvtWait            time.Duration //simlint:sharded
-	gvtLatency         time.Duration //simlint:sharded
-	optClamps          int64         //simlint:sharded
+	// stats is this PE's counter record, its pool's counts included.
+	// Others read it only after Run or between barriers: the comms fixed
+	// point sums MailSent and MailReceived, this PE's shards of the global
+	// in-flight message accounting (gvt.go), and the checkpoint rendezvous
+	// sums Committed — so no live global counter, and no cross-PE
+	// cache-line ping-pong, is needed.
+	stats Counters //simlint:owned
 
 	// ckptRun is this PE's share of a checkpoint's frontier, sorted and
 	// reused from one capture to the next (collectFrontier). Cold: written
@@ -141,8 +123,7 @@ func (pe *PE) insert(ev *Event) {
 	kp := pe.sim.lps[ev.dst].kp
 	if kp.hasLast && ev.beforeKey(kp.lastKey) {
 		n := pe.rollback(kp, ev.key())
-		kp.primaryRollbacks++
-		pe.primaryRollbacks++
+		pe.stats.PrimaryRollbacks++
 		if rec := pe.sim.record; rec != nil {
 			rec.Rollback(pe.id, kp.id, n, false, false)
 		}
@@ -158,18 +139,17 @@ func (pe *PE) cancelLocal(ev *Event) {
 		// Lazy removal: the event stays queued and is discarded when it
 		// surfaces at the top.
 		ev.state = stateCanceled
-		pe.canceledPending++
+		pe.stats.CanceledPending++
 	case stateProcessed:
 		kp := pe.sim.lps[ev.dst].kp
 		n := pe.rollback(kp, ev.key())
-		kp.secondaryRollbacks++
-		pe.secondaryRollbacks++
+		pe.stats.SecondaryRollbacks++
 		if rec := pe.sim.record; rec != nil {
 			rec.Rollback(pe.id, kp.id, n, true, false)
 		}
 		// The rollback returned the event to pending; discard it there.
 		ev.state = stateCanceled
-		pe.canceledPending++
+		pe.stats.CanceledPending++
 	case stateCanceled:
 		panic("core: event cancelled twice")
 	case stateCommitted:
@@ -198,8 +178,7 @@ func (pe *PE) rollback(kp *KP, key eventKey) int {
 		pe.reverse(tail)
 		tail.state = statePending
 		pe.pending.Push(tail)
-		kp.rolledBackEvents++
-		pe.rolledBackEvents++
+		pe.stats.RolledBackEvents++
 		pe.liveEvents--
 		n++
 	}
@@ -292,10 +271,10 @@ func (pe *PE) execute(ev *Event) {
 	lp.cur = nil
 	lp.mode = modeIdle
 	kp.push(ev)
-	pe.processed++
+	pe.stats.Processed++
 	pe.liveEvents++
-	if pe.liveEvents > pe.livePeak {
-		pe.livePeak = pe.liveEvents
+	if pe.liveEvents > pe.stats.LivePeak {
+		pe.stats.LivePeak = pe.liveEvents
 	}
 }
 
@@ -311,7 +290,7 @@ func (pe *PE) run() (err error) {
 	}()
 	s := pe.sim
 	start := time.Now()
-	defer func() { pe.busy = time.Since(start) }()
+	defer func() { pe.stats.Busy = time.Since(start) }()
 	for {
 		// Drain before flushing: applying inbound mail can roll back and
 		// generate anti-messages, and those are the latency-critical
@@ -350,10 +329,10 @@ func (pe *PE) run() (err error) {
 		// the adaptive window and the pressure valve; see throttle.go.
 		horizon, clamped, throttled := pe.opt.horizon(s.GVT(), pe.liveEvents)
 		if clamped {
-			pe.optClamps++
+			pe.stats.OptClamps++
 		}
 		if throttled {
-			pe.memThrottles++
+			pe.stats.MemThrottles++
 		}
 		for n < batch {
 			ev, ok := pe.nextLive()
@@ -426,7 +405,7 @@ func (pe *PE) run() (err error) {
 			pe.sweepSince++
 			if pe.sweepSince >= sw {
 				pe.sweepSince = 0
-				pe.invariantSweeps++
+				pe.stats.InvariantSweeps++
 				if err := pe.checkInvariants(s.GVT()); err != nil {
 					s.fail(err)
 					return err
@@ -458,11 +437,9 @@ func (pe *PE) lookup(id LPID) *LP { return pe.sim.lookup(id) }
 // what re-opens a memory-throttled PE's optimism window.
 func (pe *PE) fossilCollect(gvt Time) {
 	for _, kp := range pe.kps {
-		before := kp.committed
-		kp.fossilCollect(gvt, pe)
-		delta := kp.committed - before
-		pe.committed += delta
-		pe.liveEvents -= delta
+		n := kp.fossilCollect(gvt, pe)
+		pe.stats.Committed += n
+		pe.liveEvents -= n
 	}
 	pe.reclaimCanceled(gvt)
 }

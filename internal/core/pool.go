@@ -69,43 +69,33 @@ type eventPool struct {
 	// model that never calls LP.Spare pins no more payloads than events.
 	spares []any //simlint:owned
 
-	// Counters for Stats: hits are gets served without allocating, misses
-	// the gets that had to allocate a slab, recycled the puts, payloads
-	// the spares reissued through LP.Spare. live tracks this pool's net
-	// outstanding events (gets minus puts); because events allocated on
-	// one PE may die on another, a single pool's live count is
-	// approximate — it can even go negative on a PE that frees more than
-	// it allocates — but the sum over all pools is exact net allocation,
-	// and livePeak bounds each pool's contribution to the optimistic
-	// memory footprint.
-	hits     int64 //simlint:sharded
-	misses   int64 //simlint:sharded
-	recycled int64 //simlint:sharded
-	payloads int64 //simlint:sharded
-	live     int64 //simlint:sharded
-	livePeak int64 //simlint:sharded
+	// stats is the owning worker's counter record, set once at
+	// construction; the pool keeps its Pool* counts and
+	// EventsRecycled/PayloadsRecycled there.
+	stats *Counters //simlint:owned
 }
 
 // get returns a ready-to-initialise event: recycled when possible, carved
 // from the slab otherwise. All kernel bookkeeping fields are clean (put
 // scrubbed them); the caller sets identity, payload and time.
 func (p *eventPool) get() *Event {
-	p.live++
-	if p.live > p.livePeak {
-		p.livePeak = p.live
+	c := p.stats
+	c.PoolLive++
+	if c.PoolLive > c.PoolLivePeak {
+		c.PoolLivePeak = c.PoolLive
 	}
 	if n := len(p.free); n > 0 {
 		ev := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		p.hits++
+		c.PoolHits++
 		ev.state = stateInit
 		return ev
 	}
 	if len(p.slab) == 0 {
-		p.misses++
+		c.PoolMisses++
 	} else {
-		p.hits++
+		c.PoolHits++
 	}
 	return p.carve()
 }
@@ -144,8 +134,9 @@ func (p *eventPool) put(ev *Event) {
 	if ev.state == stateFree {
 		panic("core: event freed twice: " + ev.String())
 	}
-	p.live--
-	p.recycled++
+	c := p.stats
+	c.PoolLive--
+	c.EventsRecycled++
 	ev.gen++
 	ev.state = stateFree
 	ev.clearSent()
@@ -169,15 +160,6 @@ func (p *eventPool) spare() any {
 	data := p.spares[n-1]
 	p.spares[n-1] = nil
 	p.spares = p.spares[:n-1]
-	p.payloads++
+	p.stats.PayloadsRecycled++
 	return data
-}
-
-// addTo folds this pool's counters into a PEStats record.
-func (p *eventPool) addTo(ps *PEStats) {
-	ps.PoolHits += p.hits
-	ps.PoolMisses += p.misses
-	ps.EventsRecycled += p.recycled
-	ps.PayloadsRecycled += p.payloads
-	ps.PoolLivePeak += p.livePeak
 }

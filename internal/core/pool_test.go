@@ -12,10 +12,10 @@ import (
 // list whose first two entries stay inside the event and whose grown
 // array survives recycling, and the payload moved to the spare stack.
 func TestEventPoolReuse(t *testing.T) {
-	var p eventPool
+	p := eventPool{stats: new(Counters)}
 	ev := p.get()
-	if p.misses != 1 || p.hits != 0 {
-		t.Fatalf("first get: hits=%d misses=%d", p.hits, p.misses)
+	if p.stats.PoolMisses != 1 || p.stats.PoolHits != 0 {
+		t.Fatalf("first get: hits=%d misses=%d", p.stats.PoolHits, p.stats.PoolMisses)
 	}
 	if ev.first != nil || len(ev.more) != 0 || cap(ev.more) != len(ev.moreBuf) {
 		t.Fatalf("fresh event: first=%v more len=%d cap=%d, want nil, 0 and %d",
@@ -54,17 +54,17 @@ func TestEventPoolReuse(t *testing.T) {
 	if cap(ev2.more) != cap0 {
 		t.Fatalf("more capacity lost across recycle: %d -> %d", cap0, cap(ev2.more))
 	}
-	if p.hits != 4 || p.misses != 1 || p.recycled != 1 {
-		t.Fatalf("counters: hits=%d misses=%d recycled=%d", p.hits, p.misses, p.recycled)
+	if p.stats.PoolHits != 4 || p.stats.PoolMisses != 1 || p.stats.EventsRecycled != 1 {
+		t.Fatalf("counters: hits=%d misses=%d recycled=%d", p.stats.PoolHits, p.stats.PoolMisses, p.stats.EventsRecycled)
 	}
-	if p.live != 4 || p.livePeak != 4 {
-		t.Fatalf("live accounting: live=%d peak=%d", p.live, p.livePeak)
+	if p.stats.PoolLive != 4 || p.stats.PoolLivePeak != 4 {
+		t.Fatalf("live accounting: live=%d peak=%d", p.stats.PoolLive, p.stats.PoolLivePeak)
 	}
-	if got := p.spare(); got != "payload" || p.payloads != 1 {
-		t.Fatalf("spare = %v (payloads=%d), want the freed event's payload", got, p.payloads)
+	if got := p.spare(); got != "payload" || p.stats.PayloadsRecycled != 1 {
+		t.Fatalf("spare = %v (payloads=%d), want the freed event's payload", got, p.stats.PayloadsRecycled)
 	}
-	if got := p.spare(); got != nil || p.payloads != 1 {
-		t.Fatalf("empty spare stack returned %v (payloads=%d)", got, p.payloads)
+	if got := p.spare(); got != nil || p.stats.PayloadsRecycled != 1 {
+		t.Fatalf("empty spare stack returned %v (payloads=%d)", got, p.stats.PayloadsRecycled)
 	}
 }
 
@@ -72,10 +72,10 @@ func TestEventPoolReuse(t *testing.T) {
 // allocation, events of one slab are neighbours in memory, and bootstrap
 // carving draws on the same slab without counting as a Send.
 func TestEventPoolSlabs(t *testing.T) {
-	var p eventPool
+	p := eventPool{stats: new(Counters)}
 	boot := p.carve()
-	if p.hits != 0 || p.misses != 0 || p.live != 0 {
-		t.Fatalf("carve touched the Send counters: hits=%d misses=%d live=%d", p.hits, p.misses, p.live)
+	if p.stats.PoolHits != 0 || p.stats.PoolMisses != 0 || p.stats.PoolLive != 0 {
+		t.Fatalf("carve touched the Send counters: hits=%d misses=%d live=%d", p.stats.PoolHits, p.stats.PoolMisses, p.stats.PoolLive)
 	}
 	prev := boot
 	for i := 1; i < slabEvents; i++ {
@@ -85,12 +85,12 @@ func TestEventPoolSlabs(t *testing.T) {
 		}
 		prev = ev
 	}
-	if p.misses != 0 || p.hits != slabEvents-1 {
-		t.Fatalf("within the carved slab: hits=%d misses=%d", p.hits, p.misses)
+	if p.stats.PoolMisses != 0 || p.stats.PoolHits != slabEvents-1 {
+		t.Fatalf("within the carved slab: hits=%d misses=%d", p.stats.PoolHits, p.stats.PoolMisses)
 	}
 	p.get()
-	if p.misses != 1 {
-		t.Fatalf("get past the slab: misses=%d, want 1", p.misses)
+	if p.stats.PoolMisses != 1 {
+		t.Fatalf("get past the slab: misses=%d, want 1", p.stats.PoolMisses)
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < slabEvents; i++ {
@@ -105,7 +105,7 @@ func TestEventPoolSlabs(t *testing.T) {
 // fewer spares than free events, so a model that never calls LP.Spare pins
 // at most one payload per pooled event — the free list's high-water mark.
 func TestSpareRetentionBounded(t *testing.T) {
-	var p eventPool
+	p := eventPool{stats: new(Counters)}
 	const n = 8
 	evs := make([]*Event, n)
 	fill := func() {
@@ -138,7 +138,7 @@ func TestSpareRetentionBounded(t *testing.T) {
 // TestEventPoolDoubleFreePanics: freeing the same incarnation twice is the
 // classic freelist corruption and must die immediately.
 func TestEventPoolDoubleFreePanics(t *testing.T) {
-	var p eventPool
+	p := eventPool{stats: new(Counters)}
 	ev := p.get()
 	ev.state = statePending
 	p.put(ev)

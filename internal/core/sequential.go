@@ -18,8 +18,7 @@ type Sequential struct {
 	cfg     Config
 	pending *eventq.Ladder[*Event]
 	pool    eventPool
-
-	processed int64
+	stats   Counters
 }
 
 // NewSequential builds a sequential executor. It validates cfg exactly as
@@ -30,6 +29,7 @@ func NewSequential(cfg Config) (*Sequential, error) {
 		return nil, err
 	}
 	q := &Sequential{cfg: cfg}
+	q.pool.stats = &q.stats //simlint:crosspe construction: the engine has one goroutine, and Run has not started it
 	q.lps = make([]*LP, cfg.NumLPs)
 	for i := range q.lps {
 		q.lps[i] = &LP{
@@ -68,23 +68,9 @@ func (q *Sequential) Run() (*Stats, error) {
 	bound := &Event{recvTime: q.cfg.EndTime, dst: -1 << 31, src: -1 << 31}
 	q.pending.BulkDrain(bound, func(ev *Event) {
 		q.lps[ev.dst].executeFinal(ev)
-		q.processed++
+		q.stats.Processed++
 	})
 	wall := time.Since(start)
-	st := &Stats{
-		Processed: q.processed,
-		Committed: q.processed,
-		NumPEs:    1,
-		NumKPs:    1,
-		Wall:      wall,
-	}
-	var ps PEStats
-	q.pool.addTo(&ps)
-	st.addPool(ps)
-	st.finishPools()
-	if secs := wall.Seconds(); secs > 0 {
-		st.EventRate = float64(st.Committed) / secs
-	}
-	st.Efficiency = 1
-	return st, nil
+	q.stats.Committed = q.stats.Processed
+	return newStats(wall, 1, []PEStats{{Counters: q.stats}}), nil
 }

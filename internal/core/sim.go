@@ -195,6 +195,7 @@ func New(cfg Config) (*Simulator, error) {
 			lanes:  make([]lane, cfg.NumPEs),
 			wakeCh: make(chan struct{}, 1),
 		}
+		s.pes[i].pool.stats = &s.pes[i].stats
 		s.pes[i].bindReclaim()
 		s.pes[i].outbox.bufs = make([][]mail, cfg.NumPEs)
 	}

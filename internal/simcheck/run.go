@@ -52,7 +52,7 @@ func run(c Cell, p plan) (*outcome, error) {
 	if !ms.engines[c.Engine] {
 		return nil, fmt.Errorf("simcheck: model %q does not support engine %q", c.Model, c.Engine)
 	}
-	if err := Validate(nil, c.Mutation); err != nil {
+	if err := Validate(nil, nil, c.Mutation); err != nil {
 		return nil, fmt.Errorf("simcheck: %w", err)
 	}
 	spec := SpecForCell(c)

@@ -211,16 +211,19 @@ func TestSoakMutationFailsAndShrinks(t *testing.T) {
 	}
 }
 
-// TestSoakBadConfig: unknown models and mutations must be rejected before
-// any episode runs; both front-ends call Validate first.
+// TestSoakBadConfig: unknown models, engines and mutations must be
+// rejected before any episode runs; both front-ends call Validate first.
 func TestSoakBadConfig(t *testing.T) {
-	if err := Validate([]string{"phold", "nope"}, MutNone); err == nil {
+	if err := Validate([]string{"phold", "nope"}, nil, MutNone); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	if err := Validate(nil, "nope"); err == nil {
+	if err := Validate(nil, []core.EngineKind{core.KindOptimistic, "nope"}, MutNone); err == nil {
+		t.Fatal("unknown engine accepted")
+	}
+	if err := Validate(nil, nil, "nope"); err == nil {
 		t.Fatal("unknown mutation accepted")
 	}
-	if err := Validate(ModelNames(), MutOwnership); err != nil {
+	if err := Validate(ModelNames(), core.EngineKinds(), MutOwnership); err != nil {
 		t.Fatalf("known names rejected: %v", err)
 	}
 }

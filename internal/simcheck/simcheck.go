@@ -458,12 +458,17 @@ func SupportsEngine(model string, eng core.EngineKind) bool {
 	return ok && spec.engines[eng]
 }
 
-// Validate rejects the first unknown name among models and mutation: the
-// names a front-end takes from its user.
-func Validate(names []string, mu Mutation) error {
+// Validate rejects the first unknown name among models, engines and
+// mutation: the names a front-end takes from its user.
+func Validate(names []string, engines []core.EngineKind, mu Mutation) error {
 	for _, name := range names {
 		if _, ok := models[name]; !ok {
 			return fmt.Errorf("unknown model %q (have %v)", name, ModelNames())
+		}
+	}
+	for _, eng := range engines {
+		if !slices.Contains(core.EngineKinds(), eng) {
+			return fmt.Errorf("unknown engine %q (have %v)", eng, core.EngineKinds())
 		}
 	}
 	if mu != MutNone && !slices.Contains(Mutations(), mu) {
