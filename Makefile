@@ -95,8 +95,10 @@ cover:
 benchmark-smoke:
 	cd benchmark && $(GO) test ./...
 
-# Every benchmark in every package, human-readable: the per-figure
-# miniatures in the root bench_test.go and the package microbenchmarks.
+# Every benchmark in every package, human-readable: BenchmarkFigures in
+# the root bench_test.go (one sub-benchmark per experiments.Figures entry,
+# the same sweeps cmd/figures runs, at bench scale), the root kernel
+# benchmarks and the package microbenchmarks.
 # Nothing gates on these numbers; performance claims go through
 # `bash benchmark/run.sh` (benchmark/README.md), allocation ceilings
 # through the TestEventPathAllocs / TestLadderSteadyStateAllocs Go tests.

@@ -3,6 +3,7 @@
 package cmdtest
 
 import (
+	"encoding/csv"
 	"errors"
 	"math"
 	"os"
@@ -173,12 +174,12 @@ func TestFiguresCLI(t *testing.T) {
 	if !strings.Contains(out, "HEARTBEAT") || !strings.Contains(out, "true") || !strings.Contains(out, "false") {
 		t.Fatalf("heartbeat ablation output wrong:\n%s", out)
 	}
-	csv, err := os.ReadFile(filepath.Join(outDir, "heartbeat.csv"))
+	file, err := os.ReadFile(filepath.Join(outDir, "heartbeat.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(csv), "heartbeat,") {
-		t.Fatalf("CSV header wrong: %q", string(csv)[:20])
+	if !strings.HasPrefix(string(file), "heartbeat,") {
+		t.Fatalf("CSV header wrong: %q", string(file)[:20])
 	}
 
 	det := run(t, "figures", "-fig", "determinism", "-steps", "20", "-progress=false")
@@ -194,6 +195,31 @@ func TestFiguresCLI(t *testing.T) {
 		t.Fatalf("CSV mode missing title comment:\n%s", chart)
 	}
 	runExpectError(t, "figures", "-fig", "99")
+
+	// Under -csv every line of every figure, charts and text included, is
+	// either a '#' comment or a CSV row as wide as its table's header.
+	all := run(t, "figures", "-fig", "all", "-steps", "3", "-pes", "2", "-csv", "-chart", "-progress=false")
+	var header []string
+	tables := 0
+	for i, line := range strings.Split(strings.TrimSuffix(all, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			header = nil
+			continue
+		}
+		row, err := csv.NewReader(strings.NewReader(line)).Read()
+		if err != nil {
+			t.Fatalf("line %d is neither a comment nor CSV (%v): %q", i+1, err, line)
+		}
+		if header == nil {
+			header = row
+			tables++
+		} else if len(row) != len(header) {
+			t.Fatalf("line %d has %d fields under a %d-column header: %q", i+1, len(row), len(header), line)
+		}
+	}
+	if tables != 16 {
+		t.Fatalf("-fig all -csv printed %d tables, want 16:\n%s", tables, all)
+	}
 }
 
 // TestReplayCLI drives the full record -> verify -> dump -> shrink loop: a

@@ -1,6 +1,7 @@
 // Command figures regenerates the report's figures as aligned tables (or
-// CSV) from fresh simulation runs. Each figure corresponds to one sweep of
-// internal/experiments; see DESIGN.md's experiment index.
+// CSV) from fresh simulation runs. It draws the entries of
+// experiments.Figures, in that order; `figures -h` lists their names and
+// DESIGN.md's experiment index says what each one reproduces.
 //
 //	figures -fig 3           # delivery time vs N (Figure 3)
 //	figures -fig 3 -chart    # with the ASCII curve rendering
@@ -8,8 +9,8 @@
 //	figures -fig 7 -csv      # machine-readable output
 //	figures -fig all -out d/ # also write one CSV file per table
 //
-// Figure names: 3, 4, 5, 6, 7, 8, determinism, baselines, heartbeat,
-// distance, rates, tuning, sync, patterns, memory, topology, warmup, all.
+// Under -csv every line that is not CSV (titles, charts, fits, the
+// determinism verdict) starts with '#'.
 package main
 
 import (
@@ -17,18 +18,24 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
 func main() {
+	var names []string
+	for _, f := range experiments.Figures {
+		names = append(names, f.Name)
+	}
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 3,4,5,6,7,8,determinism,baselines,heartbeat,distance,rates,tuning,sync,patterns,memory,topology,warmup,all")
+		fig      = flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, ",")+",all")
 		full     = flag.Bool("full", false, "report-scale sweeps (N up to 256; takes a long time)")
 		steps    = flag.Int("steps", 0, "override simulation length in time steps (0 = per-figure default)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		pes      = flag.Int("pes", 0, "PE count for non-PE-sweep figures (0 = default)")
+		pes      = flag.Int("pes", 0, "PE count for non-PE-sweep figures (0 = default, 4)")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		outDir   = flag.String("out", "", "directory to also write each table as a CSV file")
 		chart    = flag.Bool("chart", false, "also draw ASCII charts for the curve figures")
@@ -40,197 +47,94 @@ func main() {
 	if *progress {
 		opt.Progress = os.Stderr
 	}
-
-	run := func(name string) error {
-		switch name {
-		case "3", "4":
-			points, err := experiments.DeliverySweep(opt)
-			if err != nil {
-				return err
-			}
-			if name == "3" || *fig == "all" {
-				emit("fig3", experiments.Fig3Table(points), *csvOut, *outDir)
-				plot(*chart, experiments.Fig3Chart(points))
-				slope, r2 := experiments.LinearityReport(points,
-					func(p experiments.LoadPoint) float64 { return p.AvgDelivery }, 100)
-				fmt.Printf("linearity (100%% load): slope=%.3f steps/N, R²=%.3f\n\n", slope, r2)
-			}
-			if name == "4" || *fig == "all" {
-				emit("fig4", experiments.Fig4Table(points), *csvOut, *outDir)
-				plot(*chart, experiments.Fig4Chart(points))
-				slope, r2 := experiments.LinearityReport(points,
-					func(p experiments.LoadPoint) float64 { return p.AvgWait }, 100)
-				fmt.Printf("linearity (100%% load): slope=%.3f steps/N, R²=%.3f\n\n", slope, r2)
-			}
-			return nil
-		case "5", "6":
-			points, err := experiments.SpeedupSweep(opt)
-			if err != nil {
-				return err
-			}
-			if name == "5" || *fig == "all" {
-				emit("fig5", experiments.Fig5Table(points), *csvOut, *outDir)
-				plot(*chart, experiments.Fig5Chart(points))
-			}
-			if name == "6" || *fig == "all" {
-				emit("fig6", experiments.Fig6Table(points), *csvOut, *outDir)
-			}
-			return nil
-		case "7", "8":
-			points, err := experiments.KPSweep(opt)
-			if err != nil {
-				return err
-			}
-			if name == "7" || *fig == "all" {
-				emit("fig7", experiments.Fig7Table(points), *csvOut, *outDir)
-				plot(*chart, experiments.Fig7Chart(points))
-			}
-			if name == "8" || *fig == "all" {
-				emit("fig8", experiments.Fig8Table(points), *csvOut, *outDir)
-				plot(*chart, experiments.Fig8Chart(points))
-			}
-			return nil
-		case "determinism":
-			res, err := experiments.Determinism(opt)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Attachment 3: determinism check (sequential vs %d PEs / %d KPs)\n", res.PEs, res.KPs)
-			fmt.Printf("sequential:\n%v", res.Sequential)
-			fmt.Printf("parallel:\n%v", res.Parallel)
-			if res.Equal {
-				fmt.Println("RESULT: identical — the parallel model is deterministic and repeatable")
-			} else {
-				fmt.Println("RESULT: MISMATCH — determinism violated")
-				os.Exit(1)
-			}
-			fmt.Println()
-			return nil
-		case "baselines":
-			points, err := experiments.BaselineSweep(opt)
-			if err != nil {
-				return err
-			}
-			emit("baselines", experiments.BaselineTable(points), *csvOut, *outDir)
-			return nil
-		case "heartbeat":
-			points, err := experiments.HeartbeatAblation(opt)
-			if err != nil {
-				return err
-			}
-			emit("heartbeat", experiments.HeartbeatTable(points), *csvOut, *outDir)
-			return nil
-		case "distance":
-			points, err := experiments.DistanceProfile(opt)
-			if err != nil {
-				return err
-			}
-			emit("distance", experiments.DistanceProfileTable(points), *csvOut, *outDir)
-			plot(*chart, experiments.DistanceChart(points))
-			slope, r2 := experiments.ProfileLinearity(points)
-			fmt.Printf("linearity: slope=%.3f steps/hop, R²=%.3f\n\n", slope, r2)
-			return nil
-		case "rates":
-			points, err := experiments.RateSweep(opt)
-			if err != nil {
-				return err
-			}
-			emit("rates", experiments.RateTable(points), *csvOut, *outDir)
-			return nil
-		case "tuning":
-			points, err := experiments.TuningSweep(opt)
-			if err != nil {
-				return err
-			}
-			emit("tuning", experiments.TuningTable(points), *csvOut, *outDir)
-			return nil
-		case "sync":
-			points, err := experiments.SyncComparison(opt)
-			if err != nil {
-				return err
-			}
-			emit("sync", experiments.SyncTable(points), *csvOut, *outDir)
-			return nil
-		case "warmup":
-			points, err := experiments.Warmup(opt)
-			if err != nil {
-				return err
-			}
-			emit("warmup", experiments.WarmupTable(points), *csvOut, *outDir)
-			plot(*chart, experiments.WarmupChart(points))
-			return nil
-		case "topology":
-			points, err := experiments.TopologySweep(opt)
-			if err != nil {
-				return err
-			}
-			emit("topology", experiments.TopologyTable(points), *csvOut, *outDir)
-			return nil
-		case "memory":
-			points, err := experiments.MemorySweep(opt)
-			if err != nil {
-				return err
-			}
-			emit("memory", experiments.MemoryTable(points), *csvOut, *outDir)
-			return nil
-		case "patterns":
-			points, err := experiments.PatternSweep(opt)
-			if err != nil {
-				return err
-			}
-			emit("patterns", experiments.PatternTable(points), *csvOut, *outDir)
-			return nil
-		default:
-			return fmt.Errorf("unknown figure %q", name)
+	figs := experiments.Figures
+	if *fig != "all" {
+		i := slices.Index(names, *fig)
+		if i < 0 {
+			fail(fmt.Errorf("unknown figure %q", *fig))
 		}
+		figs = figs[i : i+1]
 	}
 
-	var names []string
-	if *fig == "all" {
-		names = []string{"3", "5", "7", "determinism", "baselines", "heartbeat", "distance", "rates", "tuning", "sync", "patterns", "memory", "topology", "warmup"}
-	} else {
-		names = []string{*fig}
-	}
-	for _, name := range names {
-		if err := run(name); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+	// Consecutive figures drawn from one sweep (3 and 4, ...) share its runs.
+	var (
+		sweep *experiments.Sweep
+		runs  []experiments.Run
+		err   error
+	)
+	for _, f := range figs {
+		if f.Sweep != sweep {
+			if runs, err = f.Sweep.Runs(opt); err != nil {
+				fail(err)
+			}
+			sweep = f.Sweep
+		}
+		out, err := f.Render(runs)
+		if perr := emit(f.Name, out, *csvOut, *chart, *outDir); perr != nil {
+			fail(perr)
+		}
+		if err != nil {
+			fail(err)
 		}
 	}
 }
 
-func emit(name string, t stats.Table, csvOut bool, outDir string) {
-	var err error
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "figures:", err)
+	os.Exit(1)
+}
+
+// emit writes one figure: its table, then its chart (under -chart) and
+// text. Under -csv the table is CSV and every other line a '#' comment.
+func emit(name string, out experiments.Output, csvOut, chart bool, outDir string) error {
+	var text strings.Builder
+	if t := out.Table; t.Header != nil {
+		if csvOut {
+			fmt.Printf("# %s\n", t.Title)
+			if err := t.RenderCSV(os.Stdout); err != nil {
+				return err
+			}
+		} else {
+			if err := t.Render(&text); err != nil {
+				return err
+			}
+			text.WriteString("\n")
+		}
+		if outDir != "" {
+			if err := writeCSV(outDir, name, t); err != nil {
+				return err
+			}
+		}
+	}
+	if chart && out.Chart != nil {
+		if err := out.Chart.Render(&text); err != nil {
+			return err
+		}
+		text.WriteString("\n")
+	}
+	if out.Text != "" {
+		text.WriteString(out.Text + "\n")
+	}
+	s := text.String()
 	if csvOut {
-		fmt.Printf("# %s\n", t.Title)
-		err = t.RenderCSV(os.Stdout)
-	} else {
-		err = t.Render(os.Stdout)
-		fmt.Println()
+		var b strings.Builder
+		for _, line := range strings.Split(s, "\n") {
+			if line != "" {
+				b.WriteString("# " + line + "\n")
+			}
+		}
+		s = b.String()
 	}
-	if err == nil && outDir != "" {
-		err = writeCSV(outDir, name, t)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
+	_, err := os.Stdout.WriteString(s)
+	return err
 }
 
-// plot renders an ASCII chart when charts are enabled.
-func plot(enabled bool, c stats.Chart) {
-	if !enabled {
-		return
-	}
-	if err := c.Render(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
-	fmt.Println()
-}
-
-// writeCSV saves one table as <dir>/<name>.csv.
+// writeCSV saves one table as <dir>/fig<name>.csv for the numbered figures
+// and <dir>/<name>.csv for the rest.
 func writeCSV(dir, name string, t stats.Table) error {
+	if name[0] >= '0' && name[0] <= '9' {
+		name = "fig" + name
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

@@ -4,52 +4,56 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/hotpotato"
 )
 
-// TestChartsRender: every figure chart must build from sweep points and
+// TestChartsRender: every figure chart must build from run records and
 // render with its series legend.
 func TestChartsRender(t *testing.T) {
-	loadPts := []LoadPoint{
-		{N: 8, LoadPct: 0, AvgDelivery: 5, AvgWait: 0},
-		{N: 8, LoadPct: 50, AvgDelivery: 6, AvgWait: 7},
-		{N: 8, LoadPct: 75, AvgDelivery: 6.5, AvgWait: 12},
-		{N: 8, LoadPct: 100, AvgDelivery: 7, AvgWait: 16},
-		{N: 16, LoadPct: 0, AvgDelivery: 11, AvgWait: 0},
-		{N: 16, LoadPct: 50, AvgDelivery: 12, AvgWait: 18},
-		{N: 16, LoadPct: 75, AvgDelivery: 12.3, AvgWait: 23},
-		{N: 16, LoadPct: 100, AvgDelivery: 12.5, AvgWait: 26},
+	load := func(n int, pct, delivery, wait float64) Run {
+		return Run{Cfg: hotpotato.Config{N: n, InjectorPercent: pct},
+			Totals: hotpotato.Totals{AvgDelivery: delivery, AvgWait: wait}}
 	}
-	kpPts := []KPPoint{
-		{N: 16, KPs: 4, RolledBackEvents: 500, EventRate: 1e6},
-		{N: 16, KPs: 16, RolledBackEvents: 200, EventRate: 1.2e6},
-		{N: 32, KPs: 4, RolledBackEvents: 900, EventRate: 9e5},
-		{N: 32, KPs: 16, RolledBackEvents: 400, EventRate: 1.1e6},
+	loadRuns := []Run{
+		load(8, 0, 5, 0), load(8, 50, 6, 7), load(8, 75, 6.5, 12), load(8, 100, 7, 16),
+		load(16, 0, 11, 0), load(16, 50, 12, 18), load(16, 75, 12.3, 23), load(16, 100, 12.5, 26),
 	}
-	spPts := []SpeedupPoint{
-		{N: 8, PEs: 1, EventRate: 1e6}, {N: 8, PEs: 2, EventRate: 1.5e6}, {N: 8, PEs: 4, EventRate: 2e6},
-		{N: 16, PEs: 1, EventRate: 1e6}, {N: 16, PEs: 2, EventRate: 1.6e6}, {N: 16, PEs: 4, EventRate: 2.5e6},
+	kp := func(n, kps int, rolled int64, rate float64) Run {
+		return Run{Cfg: hotpotato.Config{N: n, NumKPs: kps},
+			Stats: core.Stats{Counters: core.Counters{RolledBackEvents: rolled}, EventRate: rate}}
 	}
-	profilePts := []ProfilePoint{
+	kpRuns := []Run{kp(16, 4, 500, 1e6), kp(16, 16, 200, 1.2e6), kp(32, 4, 900, 9e5), kp(32, 16, 400, 1.1e6)}
+	sp := func(n, pes int, rate float64) Run {
+		return Run{Cfg: hotpotato.Config{N: n, NumPEs: pes}, Stats: core.Stats{EventRate: rate}}
+	}
+	spRuns := []Run{
+		sp(8, 1, 1e6), sp(8, 2, 1.5e6), sp(8, 4, 2e6),
+		sp(16, 1, 1e6), sp(16, 2, 1.6e6), sp(16, 4, 2.5e6),
+	}
+	profileRuns := []Run{{Profile: []hotpotato.DistPoint{
 		{Distance: 1, AvgDelivery: 2, Count: 10},
 		{Distance: 4, AvgDelivery: 6, Count: 20},
 		{Distance: 8, AvgDelivery: 11, Count: 15},
-	}
+	}}}
 
 	cases := []struct {
 		name   string
-		render func(*bytes.Buffer) error
+		render func([]Run) (Output, error)
+		runs   []Run
 		want   string
 	}{
-		{"fig3", func(b *bytes.Buffer) error { c := Fig3Chart(loadPts); return c.Render(b) }, "100%"},
-		{"fig4", func(b *bytes.Buffer) error { c := Fig4Chart(loadPts); return c.Render(b) }, "wait"},
-		{"fig5", func(b *bytes.Buffer) error { c := Fig5Chart(spPts); return c.Render(b) }, "4 PE"},
-		{"fig7", func(b *bytes.Buffer) error { c := Fig7Chart(kpPts); return c.Render(b) }, "32x32"},
-		{"fig8", func(b *bytes.Buffer) error { c := Fig8Chart(kpPts); return c.Render(b) }, "events/s"},
-		{"distance", func(b *bytes.Buffer) error { c := DistanceChart(profilePts); return c.Render(b) }, "ideal"},
+		{"fig3", fig3, loadRuns, "100%"},
+		{"fig4", fig4, loadRuns, "wait"},
+		{"fig5", fig5, spRuns, "4 PE"},
+		{"fig7", fig7, kpRuns, "32x32"},
+		{"fig8", fig8, kpRuns, "events/s"},
+		{"distance", renderDistance, profileRuns, "ideal"},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
-		if err := tc.render(&buf); err != nil {
+		if err := mustRender(t, tc.render, tc.runs).Chart.Render(&buf); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !strings.Contains(buf.String(), tc.want) {
@@ -60,32 +64,29 @@ func TestChartsRender(t *testing.T) {
 
 // TestPatternSweepSmoke covers the traffic-pattern experiment end to end.
 func TestPatternSweepSmoke(t *testing.T) {
-	points, err := PatternSweep(Options{Steps: 15, Seed: 15, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, patterns, Options{Steps: 15, Seed: 15, PEs: 2})
+	if len(runs) != 6 {
+		t.Fatalf("got %d pattern runs", len(runs))
 	}
-	if len(points) != 6 {
-		t.Fatalf("got %d pattern points", len(points))
-	}
-	for _, p := range points {
-		if p.Delivered == 0 {
-			t.Fatalf("pattern %s delivered nothing", p.Pattern)
+	for _, r := range runs {
+		if r.Totals.Delivered == 0 {
+			t.Fatalf("pattern %s delivered nothing", r.Cfg.Traffic.Name())
 		}
 	}
 	// Nearest-neighbour traffic must be the fastest of the suite.
 	var neighbor, uniform float64
-	for _, p := range points {
-		switch p.Pattern {
+	for _, r := range runs {
+		switch r.Cfg.Traffic.Name() {
 		case "neighbor":
-			neighbor = p.AvgDelivery
+			neighbor = r.Totals.AvgDelivery
 		case "uniform":
-			uniform = p.AvgDelivery
+			uniform = r.Totals.AvgDelivery
 		}
 	}
 	if neighbor >= uniform {
 		t.Fatalf("neighbour delivery %.2f not below uniform %.2f", neighbor, uniform)
 	}
-	if tab := PatternTable(points); len(tab.Rows) != 6 {
+	if tab := mustRender(t, renderPatterns, runs).Table; len(tab.Rows) != 6 {
 		t.Fatal("pattern table malformed")
 	}
 }
@@ -107,5 +108,8 @@ func TestFullOptionLadders(t *testing.T) {
 	}
 	if (Options{Seed: 9}).seed() != 9 {
 		t.Error("explicit seed ignored")
+	}
+	if quick.pes() != 4 || (Options{PEs: 2}).pes() != 2 {
+		t.Error("PE count must default to 4 and follow an explicit value")
 	}
 }

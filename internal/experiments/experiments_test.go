@@ -4,7 +4,29 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
+
+// mustRun executes a sweep's runs, failing the test on an error.
+func mustRun(t *testing.T, s Sweep, opt Options) []Run {
+	t.Helper()
+	runs, err := s.Runs(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
+// mustRender draws a figure from its runs, failing the test on an error.
+func mustRender(t *testing.T, render func([]Run) (Output, error), runs []Run) Output {
+	t.Helper()
+	out, err := render(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // tinyOpts keeps experiment smoke tests fast: the quick ladder trimmed
 // further via the Steps override.
@@ -18,39 +40,36 @@ func tinyOpts() Options {
 func TestDeliverySweepShape(t *testing.T) {
 	opt := tinyOpts()
 	opt.Steps = 0 // use per-size defaults so larger N gets a fair window
-	points, err := DeliverySweep(opt)
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, delivery, opt)
+	if len(runs) != len(opt.networkSizes())*len(loads) {
+		t.Fatalf("got %d runs", len(runs))
 	}
-	if len(points) != len(opt.networkSizes())*len(loads) {
-		t.Fatalf("got %d points", len(points))
-	}
-	byLoad := map[float64][]LoadPoint{}
-	for _, p := range points {
-		if p.Delivered == 0 {
-			t.Fatalf("no deliveries at N=%d load=%.0f", p.N, p.LoadPct)
+	series := map[float64][]Run{}
+	for _, r := range runs {
+		if r.Totals.Delivered == 0 {
+			t.Fatalf("no deliveries at N=%d load=%.0f", r.Cfg.N, r.Cfg.InjectorPercent)
 		}
-		byLoad[p.LoadPct] = append(byLoad[p.LoadPct], p)
+		series[r.Cfg.InjectorPercent] = append(series[r.Cfg.InjectorPercent], r)
 	}
-	for load, series := range byLoad {
-		first, last := series[0], series[len(series)-1]
-		if last.AvgDelivery <= first.AvgDelivery {
+	for load, s := range series {
+		first, last := s[0], s[len(s)-1]
+		if last.Totals.AvgDelivery <= first.Totals.AvgDelivery {
 			t.Errorf("load %.0f%%: delivery time not growing with N (%.2f at N=%d vs %.2f at N=%d)",
-				load, first.AvgDelivery, first.N, last.AvgDelivery, last.N)
+				load, first.Totals.AvgDelivery, first.Cfg.N, last.Totals.AvgDelivery, last.Cfg.N)
 		}
 	}
 	// Injection wait must be zero at 0% load and positive at 100%.
-	for _, p := range points {
-		if p.LoadPct == 0 && (p.AvgWait != 0 || p.Injected != 0) {
-			t.Errorf("N=%d: static run has injections", p.N)
+	for _, r := range runs {
+		if r.Cfg.InjectorPercent == 0 && (r.Totals.AvgWait != 0 || r.Totals.Injected != 0) {
+			t.Errorf("N=%d: static run has injections", r.Cfg.N)
 		}
-		if p.LoadPct == 100 && p.AvgWait <= 0 {
-			t.Errorf("N=%d: saturated run has zero injection wait", p.N)
+		if r.Cfg.InjectorPercent == 100 && r.Totals.AvgWait <= 0 {
+			t.Errorf("N=%d: saturated run has zero injection wait", r.Cfg.N)
 		}
 	}
 
-	fig3 := Fig3Table(points)
-	fig4 := Fig4Table(points)
+	fig3 := mustRender(t, fig3, runs).Table
+	fig4 := mustRender(t, fig4, runs).Table
 	var buf bytes.Buffer
 	if err := fig3.Render(&buf); err != nil {
 		t.Fatal(err)
@@ -62,7 +81,7 @@ func TestDeliverySweepShape(t *testing.T) {
 		t.Fatalf("figure 4 rows = %d", len(fig4.Rows))
 	}
 
-	slope, r2 := LinearityReport(points, func(p LoadPoint) float64 { return p.AvgDelivery }, 100)
+	slope, r2 := linearity(runs, func(r Run) float64 { return r.Totals.AvgDelivery })
 	if slope <= 0 {
 		t.Errorf("delivery-vs-N slope %.3f not positive", slope)
 	}
@@ -75,31 +94,29 @@ func TestDeliverySweepShape(t *testing.T) {
 // an efficiency ≤ a small constant (super-linear flukes aside).
 func TestSpeedupSweepShape(t *testing.T) {
 	opt := Options{Steps: 15, Seed: 3}
-	points, err := SpeedupSweep(opt)
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, speedup, opt)
+	if len(runs) != len(opt.networkSizes())*len(peSweep) {
+		t.Fatalf("got %d runs", len(runs))
 	}
-	if len(points) != len(opt.networkSizes())*len(peSweep) {
-		t.Fatalf("got %d points", len(points))
-	}
-	for _, p := range points {
-		if p.EventRate <= 0 || p.Committed <= 0 {
-			t.Fatalf("empty cell %+v", p)
+	for _, r := range runs {
+		if r.Stats.EventRate <= 0 || r.Stats.Committed <= 0 {
+			t.Fatalf("empty cell N=%d PEs=%d: %+v", r.Cfg.N, r.Cfg.NumPEs, r.Stats)
 		}
 	}
 	// Committed work must not depend on the PE count (determinism).
-	forEachN(points, func(n int, row []SpeedupPoint) {
-		want := row[0].Committed
-		for _, p := range row {
-			if p.Committed != want {
-				t.Errorf("N=%d: committed differs across PE counts: %d vs %d", n, p.Committed, want)
+	g := byPEs(runs)
+	for _, n := range g.rows {
+		want := g.at[[2]int{n, g.cols[0]}].Stats.Committed
+		for _, pes := range g.cols {
+			if got := g.at[[2]int{n, pes}].Stats.Committed; got != want {
+				t.Errorf("N=%d: committed differs across PE counts: %d vs %d", n, got, want)
 			}
 		}
-	})
-	if eff := Efficiency(points, opt.networkSizes()[0], 2); eff <= 0 {
+	}
+	if eff := efficiency(g, g.at[[2]int{opt.networkSizes()[0], 2}]); eff <= 0 {
 		t.Errorf("efficiency %.3f", eff)
 	}
-	tab5, tab6 := Fig5Table(points), Fig6Table(points)
+	tab5, tab6 := mustRender(t, fig5, runs).Table, mustRender(t, fig6, runs).Table
 	if len(tab5.Rows) == 0 || len(tab6.Rows) == 0 {
 		t.Fatal("empty speed-up tables")
 	}
@@ -109,24 +126,21 @@ func TestSpeedupSweepShape(t *testing.T) {
 // counts across KP settings (determinism) and present rollback counters.
 func TestKPSweepShape(t *testing.T) {
 	opt := Options{Steps: 15, Seed: 4, PEs: 2}
-	points, err := KPSweep(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) == 0 {
-		t.Fatal("no KP points")
+	runs := mustRun(t, kpSweep, opt)
+	if len(runs) == 0 {
+		t.Fatal("no KP runs")
 	}
 	committed := map[int]int64{}
-	for _, p := range points {
-		if p.EventRate <= 0 {
-			t.Fatalf("empty cell %+v", p)
+	for _, r := range runs {
+		if r.Stats.EventRate <= 0 {
+			t.Fatalf("empty cell N=%d KPs=%d: %+v", r.Cfg.N, r.Cfg.NumKPs, r.Stats)
 		}
-		if prev, ok := committed[p.N]; ok && prev != p.Committed {
-			t.Errorf("N=%d: committed varies with KP count: %d vs %d", p.N, prev, p.Committed)
+		if prev, ok := committed[r.Cfg.N]; ok && prev != r.Stats.Committed {
+			t.Errorf("N=%d: committed varies with KP count: %d vs %d", r.Cfg.N, prev, r.Stats.Committed)
 		}
-		committed[p.N] = p.Committed
+		committed[r.Cfg.N] = r.Stats.Committed
 	}
-	tab7, tab8 := Fig7Table(points), Fig8Table(points)
+	tab7, tab8 := mustRender(t, fig7, runs).Table, mustRender(t, fig8, runs).Table
 	if len(tab7.Rows) == 0 || len(tab8.Rows) == 0 {
 		t.Fatal("empty KP tables")
 	}
@@ -141,14 +155,15 @@ func TestKPSweepShape(t *testing.T) {
 
 // TestDeterminism is the Attachment 3 reproduction at harness level.
 func TestDeterminism(t *testing.T) {
-	res, err := Determinism(Options{Steps: 30, Seed: 5, PEs: 4})
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, determinism, Options{Steps: 30, Seed: 5, PEs: 4})
+	seq, par := runs[0].Totals, runs[1].Totals
+	if _, err := renderDeterminism(runs); err != nil || seq != par {
+		t.Fatalf("sequential and parallel totals differ (%v):\nseq: %+v\npar: %+v", err, seq, par)
 	}
-	if !res.Equal {
-		t.Fatalf("sequential and parallel totals differ:\nseq: %+v\npar: %+v", res.Sequential, res.Parallel)
+	if runs[0].Kind != core.KindSequential || runs[1].Kind != core.KindOptimistic || runs[1].Cfg.NumPEs != 4 {
+		t.Fatalf("determinism check ran %s and %s on %d PEs", runs[0].Kind, runs[1].Kind, runs[1].Cfg.NumPEs)
 	}
-	if res.Sequential.Delivered == 0 {
+	if seq.Delivered == 0 {
 		t.Fatal("determinism check ran an empty simulation")
 	}
 }
@@ -156,21 +171,18 @@ func TestDeterminism(t *testing.T) {
 // TestBaselineSweep: every policy must appear with deliveries; the paper's
 // policy must not be wildly worse than greedy on the saturated torus.
 func TestBaselineSweep(t *testing.T) {
-	points, err := BaselineSweep(Options{Steps: 40, Seed: 6, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := mustRun(t, baselines, Options{Steps: 40, Seed: 6, PEs: 2})
 	seen := map[string]bool{}
-	for _, p := range points {
-		seen[p.Policy] = true
-		if p.Delivered == 0 {
-			t.Fatalf("policy %s N=%d delivered nothing", p.Policy, p.N)
+	for _, r := range runs {
+		seen[r.Cfg.Policy.Name()] = true
+		if r.Totals.Delivered == 0 {
+			t.Fatalf("policy %s N=%d delivered nothing", r.Cfg.Policy.Name(), r.Cfg.N)
 		}
 	}
 	if len(seen) != 4 {
 		t.Fatalf("expected 4 policies, saw %v", seen)
 	}
-	if tab := BaselineTable(points); len(tab.Rows) != len(points) {
+	if tab := mustRender(t, renderBaselines, runs).Table; len(tab.Rows) != len(runs) {
 		t.Fatal("baseline table row mismatch")
 	}
 }
@@ -178,19 +190,16 @@ func TestBaselineSweep(t *testing.T) {
 // TestHeartbeatAblation: heartbeats must add exactly routers×steps events.
 func TestHeartbeatAblation(t *testing.T) {
 	opt := Options{Steps: 20, Seed: 8, PEs: 2}
-	points, err := HeartbeatAblation(opt)
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, heartbeat, opt)
+	if len(runs) != 2 {
+		t.Fatalf("got %d runs", len(runs))
 	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points", len(points))
-	}
-	extra := points[1].Committed - points[0].Committed
+	extra := runs[1].Stats.Committed - runs[0].Stats.Committed
 	want := int64(16 * 16 * opt.Steps)
 	if extra != want {
 		t.Fatalf("heartbeat overhead %d events, want %d", extra, want)
 	}
-	if tab := HeartbeatTable(points); len(tab.Rows) != 2 {
+	if tab := mustRender(t, renderHeartbeat, runs).Table; len(tab.Rows) != 2 {
 		t.Fatal("heartbeat table malformed")
 	}
 }
@@ -199,11 +208,50 @@ func TestHeartbeatAblation(t *testing.T) {
 func TestProgressWriter(t *testing.T) {
 	var buf bytes.Buffer
 	opt := Options{Steps: 10, Seed: 9, PEs: 2, Progress: &buf}
-	points, err := HeartbeatAblation(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(points); strings.Count(buf.String(), "\n") != want {
+	runs := mustRun(t, heartbeat, opt)
+	if want := len(runs); strings.Count(buf.String(), "\n") != want {
 		t.Fatalf("progress lines = %d, want %d", strings.Count(buf.String(), "\n"), want)
+	}
+}
+
+// TestEveryFigure draws every entry of Figures, as cmd/figures -fig all
+// does: each table row must have its header's width and every chart must
+// render.
+func TestEveryFigure(t *testing.T) {
+	opt := Options{Steps: 3, PEs: 2}
+	seen := map[string]bool{}
+	for _, f := range Figures {
+		if seen[f.Name] {
+			t.Fatalf("figure %q listed twice", f.Name)
+		}
+		seen[f.Name] = true
+		out := mustRender(t, f.Render, mustRun(t, *f.Sweep, opt))
+		if out.Table.Header == nil && out.Text == "" {
+			t.Errorf("figure %s rendered nothing", f.Name)
+		}
+		for i, row := range out.Table.Rows {
+			if len(row) != len(out.Table.Header) {
+				t.Errorf("figure %s row %d has %d cells for %d columns", f.Name, i, len(row), len(out.Table.Header))
+			}
+		}
+		if out.Chart != nil {
+			var buf bytes.Buffer
+			if err := out.Chart.Render(&buf); err != nil {
+				t.Errorf("figure %s chart: %v", f.Name, err)
+			}
+		}
+	}
+}
+
+// TestTitlesNameWhatRan: a title that states a configuration states the
+// one its runs used.
+func TestTitlesNameWhatRan(t *testing.T) {
+	title := mustRender(t, renderTuning, mustRun(t, tuning, Options{PEs: 2, Steps: 2})).Table.Title
+	if !strings.Contains(title, "2 PEs") {
+		t.Errorf("tuning at 2 PEs titled %q", title)
+	}
+	title = mustRender(t, renderRates, mustRun(t, rates, Options{Full: true, Steps: 2})).Table.Title
+	if !strings.Contains(title, "32x32") {
+		t.Errorf("rates at Full titled %q", title)
 	}
 }

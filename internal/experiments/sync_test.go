@@ -1,41 +1,41 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestSyncComparison: every engine must appear, committed work must agree
 // between engines on the same workload (determinism across engines), and
 // conservative PHOLD throughput must improve with lookahead.
 func TestSyncComparison(t *testing.T) {
-	points, err := SyncComparison(Options{Steps: 15, Seed: 14, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, syncSweep, Options{Steps: 15, Seed: 14, PEs: 2})
+	if len(runs) != 9 {
+		t.Fatalf("got %d sync runs", len(runs))
 	}
-	if len(points) != 9 {
-		t.Fatalf("got %d sync points", len(points))
-	}
-	committed := map[string]map[float64]int64{}
-	for _, p := range points {
-		if p.EventRate <= 0 || p.Committed <= 0 {
-			t.Fatalf("empty cell %+v", p)
+	committed := map[string]int64{}
+	for _, r := range runs {
+		if r.Stats.EventRate <= 0 || r.Stats.Committed <= 0 {
+			t.Fatalf("empty cell %s/%s: %+v", r.workload(), r.Kind, r.Stats)
 		}
-		key := p.Workload
-		if committed[key] == nil {
-			committed[key] = map[float64]int64{}
+		// One key per workload and lookahead: the rows the engines share.
+		key := r.workload()
+		if r.PHOLD != nil {
+			key = fmt.Sprintf("%s la=%g", key, r.PHOLD.Lookahead)
 		}
-		if prev, ok := committed[key][p.Lookahead]; ok && prev != p.Committed {
-			t.Fatalf("%s la=%g: engines commit different work: %d vs %d",
-				key, p.Lookahead, prev, p.Committed)
+		if prev, ok := committed[key]; ok && prev != r.Stats.Committed {
+			t.Fatalf("%s: engines commit different work: %d vs %d", key, prev, r.Stats.Committed)
 		}
-		committed[key][p.Lookahead] = p.Committed
-		if p.Engine != "optimistic" && p.RolledBack != 0 {
-			t.Fatalf("%s engine %s rolled back events", p.Workload, p.Engine)
+		committed[key] = r.Stats.Committed
+		if r.Kind != "optimistic" && r.Stats.RolledBackEvents != 0 {
+			t.Fatalf("%s engine %s rolled back events", r.workload(), r.Kind)
 		}
 	}
 	// Conservative window counts must shrink as lookahead grows.
 	var consRounds []int64
-	for _, p := range points {
-		if p.Workload == "phold-1024" && p.Engine == "conservative" {
-			consRounds = append(consRounds, p.Rounds)
+	for _, r := range runs {
+		if r.workload() == "phold-1024" && r.Kind == "conservative" {
+			consRounds = append(consRounds, r.Stats.GVTRounds)
 		}
 	}
 	if len(consRounds) != 3 {
@@ -46,7 +46,7 @@ func TestSyncComparison(t *testing.T) {
 			t.Fatalf("conservative windows did not shrink with lookahead: %v", consRounds)
 		}
 	}
-	if tab := SyncTable(points); len(tab.Rows) != 9 {
+	if tab := mustRender(t, renderSync, runs).Table; len(tab.Rows) != 9 {
 		t.Fatal("sync table malformed")
 	}
 }

@@ -3,15 +3,15 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/hotpotato"
 )
 
 // TestDistanceProfile: the E[delivery | distance] curve must be strongly
 // linear with slope ≥ 1 (a packet needs at least one step per hop).
 func TestDistanceProfile(t *testing.T) {
-	points, err := DistanceProfile(Options{Seed: 11, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := mustRun(t, distance, Options{Seed: 11, PEs: 2})
+	points := runs[0].Profile
 	if len(points) < 5 {
 		t.Fatalf("profile has only %d bins", len(points))
 	}
@@ -22,14 +22,14 @@ func TestDistanceProfile(t *testing.T) {
 	if total == 0 {
 		t.Fatal("profile counted no packets")
 	}
-	slope, r2 := ProfileLinearity(points)
+	slope, r2 := profileFit(points)
 	if slope < 1 {
 		t.Errorf("delivery grows %.3f steps per hop; must be at least 1", slope)
 	}
 	if r2 < 0.9 {
 		t.Errorf("R² = %.3f; the theorem check expects a strongly linear profile", r2)
 	}
-	if tab := DistanceProfileTable(points); len(tab.Rows) != len(points) {
+	if tab := mustRender(t, renderDistance, runs).Table; len(tab.Rows) != len(points) {
 		t.Fatal("profile table row mismatch")
 	}
 }
@@ -37,30 +37,27 @@ func TestDistanceProfile(t *testing.T) {
 // TestRateSweep: waits must grow monotonically-ish with rate, and sources
 // below capacity must see small backlogs relative to saturating sources.
 func TestRateSweep(t *testing.T) {
-	points, err := RateSweep(Options{Steps: 80, Seed: 12, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, rates, Options{Steps: 80, Seed: 12, PEs: 2})
+	if len(runs) != 5 {
+		t.Fatalf("got %d rate runs", len(runs))
 	}
-	if len(points) != 5 {
-		t.Fatalf("got %d rate points", len(points))
-	}
-	lightest, heaviest := points[0], points[len(points)-1]
-	if lightest.AvgWait >= heaviest.AvgWait {
+	lightest, heaviest := runs[0], runs[len(runs)-1]
+	if lightest.Totals.AvgWait >= heaviest.Totals.AvgWait {
 		t.Fatalf("wait at rate %.2f (%.2f) >= wait at rate %.2f (%.2f)",
-			lightest.Rate, lightest.AvgWait, heaviest.Rate, heaviest.AvgWait)
+			lightest.Cfg.InjectionProb, lightest.Totals.AvgWait, heaviest.Cfg.InjectionProb, heaviest.Totals.AvgWait)
 	}
-	if lightest.StillQueued >= heaviest.StillQueued {
-		t.Fatalf("backlog at light load %d >= heavy load %d", lightest.StillQueued, heaviest.StillQueued)
+	if lightest.Totals.StillQueued >= heaviest.Totals.StillQueued {
+		t.Fatalf("backlog at light load %d >= heavy load %d", lightest.Totals.StillQueued, heaviest.Totals.StillQueued)
 	}
-	for _, p := range points {
-		if p.Generated == 0 || p.Injected == 0 {
-			t.Fatalf("rate %.2f generated/injected nothing: %+v", p.Rate, p)
+	for _, r := range runs {
+		if r.Totals.Generated == 0 || r.Totals.Injected == 0 {
+			t.Fatalf("rate %.2f generated/injected nothing: %+v", r.Cfg.InjectionProb, r.Totals)
 		}
-		if p.Injected > p.Generated {
-			t.Fatalf("rate %.2f injected more than generated", p.Rate)
+		if r.Totals.Injected > r.Totals.Generated {
+			t.Fatalf("rate %.2f injected more than generated", r.Cfg.InjectionProb)
 		}
 	}
-	if tab := RateTable(points); len(tab.Rows) != 5 {
+	if tab := mustRender(t, renderRates, runs).Table; len(tab.Rows) != 5 {
 		t.Fatal("rate table malformed")
 	}
 }
@@ -68,21 +65,18 @@ func TestRateSweep(t *testing.T) {
 // TestTopologySweep: the torus must beat the mesh at equal N on both
 // distance and delivery — the report's §1.1 claim.
 func TestTopologySweep(t *testing.T) {
-	points, err := TopologySweep(Options{Steps: 40, Seed: 17, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, topology, Options{Steps: 40, Seed: 17, PEs: 2})
+	if len(runs) != 4 {
+		t.Fatalf("got %d topology runs", len(runs))
 	}
-	if len(points) != 4 {
-		t.Fatalf("got %d topology points", len(points))
-	}
-	get := func(topo string, n int) TopologyPoint {
-		for _, p := range points {
-			if p.Topology == topo && p.N == n {
-				return p
+	get := func(topo string, n int) hotpotato.Totals {
+		for _, r := range runs {
+			if r.Cfg.Topology == topo && r.Cfg.N == n {
+				return r.Totals
 			}
 		}
 		t.Fatalf("missing %s N=%d", topo, n)
-		return TopologyPoint{}
+		return hotpotato.Totals{}
 	}
 	for _, n := range []int{8, 16} {
 		torus, mesh := get("torus", n), get("mesh", n)
@@ -93,7 +87,7 @@ func TestTopologySweep(t *testing.T) {
 			t.Errorf("N=%d: torus delivery %.2f >= mesh %.2f", n, torus.AvgDelivery, mesh.AvgDelivery)
 		}
 	}
-	if tab := TopologyTable(points); len(tab.Rows) != 4 {
+	if tab := mustRender(t, renderTopology, runs).Table; len(tab.Rows) != 4 {
 		t.Fatal("topology table malformed")
 	}
 }
@@ -116,33 +110,31 @@ func TestTopologySweep(t *testing.T) {
 //   - a live event that will not commit is rolled back later, so the
 //     speculative surplus is at most the run's rolled-back count.
 func TestMemorySweep(t *testing.T) {
-	points, err := MemorySweep(Options{Steps: 20, Seed: 16, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 6 {
-		t.Fatalf("got %d memory points", len(points))
+	runs := mustRun(t, memory, Options{Steps: 20, Seed: 16, PEs: 2})
+	if len(runs) != 6 {
+		t.Fatalf("got %d memory runs", len(runs))
 	}
 	const routers, perStep = 16 * 16, 9
 	throttled := 0
-	for _, p := range points {
-		if p.PeakLive <= 0 {
-			t.Fatalf("empty cell %+v", p)
+	for _, r := range runs {
+		peak, maxOpt, rolled := r.Stats.PeakLiveEvents, r.Cfg.MaxOptimism, r.Stats.RolledBackEvents
+		if peak <= 0 {
+			t.Fatalf("empty cell GVT interval %d: %+v", r.Cfg.GVTInterval, r.Stats)
 		}
-		if p.MaxOptimism == 0 {
+		if maxOpt == 0 {
 			continue
 		}
 		throttled++
-		bound := routers*perStep*(2*int(p.MaxOptimism)+2) + int(p.RolledBack)
-		if p.PeakLive > bound {
+		bound := routers*perStep*(2*int(maxOpt)+2) + int(rolled)
+		if peak > bound {
 			t.Errorf("max optimism %g: peak %d live events exceeds the window's bound %d (%d rolled back)",
-				p.MaxOptimism, p.PeakLive, bound, p.RolledBack)
+				float64(maxOpt), peak, bound, rolled)
 		}
 	}
 	if throttled != 2 {
 		t.Fatalf("got %d throttled cells, want 2", throttled)
 	}
-	if tab := MemoryTable(points); len(tab.Rows) != 6 {
+	if tab := mustRender(t, renderMemory, runs).Table; len(tab.Rows) != 6 {
 		t.Fatal("memory table malformed")
 	}
 }
@@ -150,10 +142,8 @@ func TestMemorySweep(t *testing.T) {
 // TestWarmup: the time series must rise from the initial transient to a
 // steady plateau.
 func TestWarmup(t *testing.T) {
-	points, err := Warmup(Options{Seed: 18, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := mustRun(t, warmup, Options{Seed: 18, PEs: 2})
+	points := runs[0].Series
 	if len(points) < 8 {
 		t.Fatalf("only %d warm-up bins", len(points))
 	}
@@ -161,12 +151,12 @@ func TestWarmup(t *testing.T) {
 	if first.AvgDelivery >= last.AvgDelivery {
 		t.Fatalf("no transient: %.2f >= %.2f", first.AvgDelivery, last.AvgDelivery)
 	}
-	if tab := WarmupTable(points); len(tab.Rows) != len(points) {
+	out := mustRender(t, renderWarmup, runs)
+	if len(out.Table.Rows) != len(points) {
 		t.Fatal("warmup table malformed")
 	}
 	var buf strings.Builder
-	c := WarmupChart(points)
-	if err := c.Render(&buf); err != nil {
+	if err := out.Chart.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -174,29 +164,28 @@ func TestWarmup(t *testing.T) {
 // TestTuningSweep: the ablation grid must fill and commit identical work
 // in every cell (tuning knobs must not change results, only performance).
 func TestTuningSweep(t *testing.T) {
-	points, err := TuningSweep(Options{Steps: 20, Seed: 13, PEs: 2})
-	if err != nil {
-		t.Fatal(err)
+	runs := mustRun(t, tuning, Options{Steps: 20, Seed: 13, PEs: 2})
+	if len(runs) != 10 {
+		t.Fatalf("got %d tuning runs", len(runs))
 	}
-	if len(points) != 10 {
-		t.Fatalf("got %d tuning points", len(points))
-	}
-	for _, p := range points {
-		if p.EventRate <= 0 || p.GVTRounds <= 0 {
-			t.Fatalf("empty cell %+v", p)
+	for _, r := range runs {
+		if r.Stats.EventRate <= 0 || r.Stats.GVTRounds <= 0 {
+			t.Fatalf("empty cell batch %d interval %d: %+v", r.Cfg.BatchSize, r.Cfg.GVTInterval, r.Stats)
 		}
 	}
 	// Only results are compared across cells. Counters of how the kernel
 	// got there (GVT rounds, rollbacks) depend on how the PE goroutines were
 	// scheduled: under the async token even "a longer GVT interval means no
 	// more rounds" fails about one run in three on two cores.
-	for _, p := range points[1:] {
-		if p.Committed != points[0].Committed || p.Totals != points[0].Totals {
+	first := runs[0]
+	for _, r := range runs[1:] {
+		if r.Stats.Committed != first.Stats.Committed || r.Totals != first.Totals {
 			t.Errorf("batch %d interval %d maxopt %g: committed %d, totals %+v; first cell committed %d, totals %+v",
-				p.BatchSize, p.GVTInterval, p.MaxOptimism, p.Committed, p.Totals, points[0].Committed, points[0].Totals)
+				r.Cfg.BatchSize, r.Cfg.GVTInterval, float64(r.Cfg.MaxOptimism), r.Stats.Committed, r.Totals,
+				first.Stats.Committed, first.Totals)
 		}
 	}
-	if tab := TuningTable(points); len(tab.Rows) != 10 {
+	if tab := mustRender(t, renderTuning, runs).Table; len(tab.Rows) != 10 {
 		t.Fatal("tuning table malformed")
 	}
 }

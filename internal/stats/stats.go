@@ -1,6 +1,6 @@
 // Package stats provides the small numeric and presentation helpers the
-// experiment harness uses: summary statistics and aligned-text / CSV table
-// rendering for the report's figures.
+// experiment harness uses: a linear fit and aligned-text / CSV table and
+// ASCII chart rendering for the report's figures.
 package stats
 
 import (
@@ -11,69 +11,14 @@ import (
 	"strings"
 )
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Min returns the smallest element; 0 for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element; 0 for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // LinearFit returns the least-squares slope and intercept of y on x. The
 // report's headline claims are "approximately linear in N"; the harness
 // quantifies them with this fit plus R².
 func LinearFit(x, y []float64) (slope, intercept, r2 float64) {
-	n := float64(len(x))
 	if len(x) != len(y) || len(x) < 2 {
 		return 0, 0, 0
 	}
-	mx, my := Mean(x), Mean(y)
+	mx, my := mean(x), mean(y)
 	var sxx, sxy, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
@@ -90,8 +35,15 @@ func LinearFit(x, y []float64) (slope, intercept, r2 float64) {
 		return slope, intercept, 1
 	}
 	r2 = sxy * sxy / (sxx * syy)
-	_ = n
 	return slope, intercept, r2
+}
+
+func mean(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // Table is a simple column-oriented result table.
@@ -103,16 +55,6 @@ type Table struct {
 
 // AddRow appends a row of already-formatted cells.
 func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-}
-
-// AddNumbers appends a row formatting each value with %g precision
-// appropriate for result tables.
-func (t *Table) AddNumbers(vals ...float64) {
-	cells := make([]string, len(vals))
-	for i, v := range vals {
-		cells[i] = FormatNumber(v)
-	}
 	t.Rows = append(t.Rows, cells)
 }
 

@@ -8,29 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Errorf("Mean = %v", m)
-	}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Errorf("StdDev = %v", s)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Error("empty/degenerate cases wrong")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty cases wrong")
-	}
-}
-
 // TestLinearFitExact: a perfectly linear series must recover slope,
 // intercept and R² = 1.
 func TestLinearFitExact(t *testing.T) {
@@ -81,7 +58,7 @@ func TestFormatNumber(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tab := Table{Title: "demo", Header: []string{"N", "value"}}
 	tab.AddRow("8", "1.5")
-	tab.AddNumbers(16, 2.25)
+	tab.AddRow("16", FormatNumber(2.25))
 	var buf bytes.Buffer
 	if err := tab.Render(&buf); err != nil {
 		t.Fatal(err)
