@@ -116,7 +116,6 @@ figures-full:
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/optical
-	$(GO) run ./examples/pcs
 	$(GO) run ./examples/determinism
 	$(GO) run ./examples/custommodel
 	$(GO) run ./examples/tracing

@@ -3,16 +3,20 @@
 //
 // The model here is a ring of N stations passing a token with a random
 // per-hop latency; each station counts its token sightings. It shows the
-// three things every gotw model implements:
+// four things a gotw model implements:
 //
-//  1. Forward  — mutate LP state, draw randomness through the LP, send
-//     events with positive delays, and save whatever you overwrite into
-//     your own message struct;
+//  1. Forward  — mutate the LP state later events read, draw randomness
+//     through the LP, send events with positive delays, and save whatever
+//     you overwrite into your own message struct;
 //
 //  2. Reverse  — restore exactly what Forward changed (the kernel undoes
 //     sends, random draws and the send sequence for you);
 //
-//  3. setup    — install handlers/state through the Host interface and
+//  3. Commit   — count output statistics, once per committed event, in
+//     per-LP order (optional: core.Committer). No event reads them, so
+//     they need no save slot and no undo;
+//
+//  4. setup    — install handlers/state through the Host interface and
 //     schedule bootstrap events, so the same code runs on the sequential
 //     engine and the parallel kernel.
 //
@@ -26,7 +30,9 @@ import (
 	"repro/internal/core"
 )
 
-// station is the per-LP state.
+// station is the per-LP state. LastSeen is state a later event may read
+// (a model timing the gap between sightings would), so Forward and Reverse
+// keep it; Sightings is output only, counted in Commit.
 type station struct {
 	Sightings int64
 	LastSeen  core.Time
@@ -44,14 +50,13 @@ type ring struct {
 	size int64
 }
 
-// Forward counts the sighting and passes the token to the next station
-// with a random latency, until its hop budget runs out.
+// Forward records the sighting time and passes the token to the next
+// station with a random latency, until its hop budget runs out.
 func (r ring) Forward(lp *core.LP, ev *core.Event) {
 	st := lp.State.(*station)
 	msg := ev.Data.(*tokenMsg)
 
 	msg.PrevSeen = st.LastSeen // save before overwrite
-	st.Sightings++
 	st.LastSeen = ev.RecvTime()
 
 	if msg.HopsLeft > 0 {
@@ -61,13 +66,17 @@ func (r ring) Forward(lp *core.LP, ev *core.Event) {
 	}
 }
 
-// Reverse restores the two fields Forward changed. The send, the random
-// draw and the send-sequence counter are rolled back by the kernel.
+// Reverse restores the field Forward changed. The send, the random draw
+// and the send-sequence counter are rolled back by the kernel.
 func (r ring) Reverse(lp *core.LP, ev *core.Event) {
 	st := lp.State.(*station)
 	msg := ev.Data.(*tokenMsg)
-	st.Sightings--
 	st.LastSeen = msg.PrevSeen
+}
+
+// Commit counts the sighting once the event can no longer be rolled back.
+func (r ring) Commit(lp *core.LP, ev *core.Event) {
+	lp.State.(*station).Sightings++
 }
 
 // setup installs the model on either engine.

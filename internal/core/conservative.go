@@ -24,7 +24,7 @@ import (
 //
 // Its performance lives and dies by the lookahead-to-activity ratio: the
 // hot-potato model's sub-step schedule offers a usable lookahead (0.05
-// steps), while models that forward messages in nanoseconds (pcs, qnet)
+// steps), while models that forward messages in nanoseconds (qnet)
 // degenerate to one barrier per event — which is exactly the argument for
 // optimistic synchronisation, reproduced here as an experiment.
 //
@@ -185,7 +185,7 @@ func (pe *consPE) run() (err error) {
 		if r := recover(); r != nil {
 			buf := make([]byte, 16<<10)
 			buf = buf[:runtime.Stack(buf, false)]
-			err = fmt.Errorf("core: conservative PE %d panicked: %v\n%s", pe.id, r, buf)
+			err = fmt.Errorf("core: conservative PE %d panicked%s: %v\n%s", pe.id, inHandler(pe.sim.lps, pe), r, buf)
 			pe.sim.fail(err)
 		}
 	}()

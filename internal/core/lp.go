@@ -41,6 +41,33 @@ const (
 	modeCommit
 )
 
+// String names the handler phase.
+func (m lpMode) String() string {
+	switch m {
+	case modeForward:
+		return "Forward"
+	case modeReverse:
+		return "Reverse"
+	case modeCommit:
+		return "Commit"
+	}
+	return "idle"
+}
+
+// inHandler names the LP among lps that eng executes and that is inside a
+// handler phase, with the phase and the event, for a panic report. It
+// returns "" when no such LP is, i.e. when the kernel itself panicked.
+// Every phase sets mode and cur on entry and a panic skips their reset, so
+// reading them here adds nothing to the hot path.
+func inHandler(lps []*LP, eng engine) string {
+	for _, lp := range lps {
+		if lp.eng == eng && lp.mode != modeIdle {
+			return fmt.Sprintf(" in LP %d %s %s", lp.ID, lp.mode, lp.cur)
+		}
+	}
+	return ""
+}
+
 // LP is one logical process. Handler and State are set by the model during
 // setup (before Run); everything else is kernel-owned. An LP is only ever
 // touched by the PE that owns its KP, so handlers need no locking.

@@ -284,7 +284,7 @@ func (pe *PE) run() (err error) {
 		if r := recover(); r != nil {
 			buf := make([]byte, 16<<10)
 			buf = buf[:runtime.Stack(buf, false)]
-			err = fmt.Errorf("core: PE %d panicked: %v\n%s", pe.id, r, buf)
+			err = fmt.Errorf("core: PE %d panicked%s: %v\n%s", pe.id, inHandler(pe.sim.lps, pe), r, buf)
 			pe.sim.fail(err)
 		}
 	}()

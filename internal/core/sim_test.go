@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -329,16 +330,26 @@ type panicModel struct{}
 func (panicModel) Forward(lp *LP, ev *Event) { panic("boom") }
 func (panicModel) Reverse(lp *LP, ev *Event) {}
 
+// The error names the LP, the phase and the event that panicked.
 func TestHandlerPanicBecomesError(t *testing.T) {
-	for _, pes := range []int{1, 4} {
-		s, err := New(Config{NumLPs: 8, EndTime: 10, NumPEs: pes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.ForEachLP(func(lp *LP) { lp.Handler = panicModel{} })
-		s.Schedule(3, 1, nil)
-		if _, err := s.Run(); err == nil {
-			t.Fatalf("pes=%d: Run did not surface the handler panic", pes)
+	for _, kind := range []EngineKind{KindOptimistic, KindConservative} {
+		for _, pes := range []int{1, 4} {
+			eng, err := NewEngine(kind, Config{NumLPs: 8, EndTime: 10, NumPEs: pes}, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.ForEachLP(func(lp *LP) { lp.Handler = panicModel{} })
+			eng.Schedule(3, 1, nil)
+			_, err = eng.Run()
+			if err == nil {
+				t.Fatalf("%v pes=%d: Run did not surface the handler panic", kind, pes)
+			}
+			msg, _, _ := strings.Cut(err.Error(), "\n")
+			for _, want := range []string{"in LP 3 Forward", "t=1 ", "boom"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("%v pes=%d: error %q does not name %q", kind, pes, msg, want)
+				}
+			}
 		}
 	}
 }

@@ -86,6 +86,7 @@ func TestScratchStaysOutOfState(t *testing.T) {
 		if _, err := sim.Run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		snapshot(t, sim)
 		if got := m.Totals(sim); got != wantTotals {
 			t.Errorf("%s: totals differ from sequential:\n got %+v\nwant %+v", name, got, wantTotals)
 		}
@@ -149,6 +150,7 @@ func TestInjectorQueueTrimmedInPlace(t *testing.T) {
 		if _, err := run(); err != nil {
 			t.Fatal(err)
 		}
+		snapshot(t, h)
 		h.ForEachLP(func(lp *core.LP) {
 			r := lp.State.(*Router)
 			if r.qBase == 0 && r.isInjector {

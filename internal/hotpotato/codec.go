@@ -33,7 +33,8 @@ func init() {
 // too, so a restored router must be bit-identical: link claims, the cached
 // link set, the injection queue window (including its absolute base, which
 // commit-time trimming advances deterministically) and the full statistics
-// block.
+// block. A state whose queue head is not Injected+Discarded is rejected:
+// Commit reads the committed head from those two counts.
 type codec struct{}
 
 func (codec) Name() string      { return CodecName }
@@ -162,6 +163,12 @@ func (codec) DecodeState(src []byte, state any) error {
 	statsFields(&dec.stats, &fields)
 	for _, f := range fields {
 		*f = r.Varint()
+	}
+	// Commit finds the committed queue head as Injected+Discarded; every
+	// checkpoint cut is committed state, where the two agree.
+	if done := dec.stats.Injected + dec.stats.Discarded; done != dec.qHead {
+		r.Fail("hotpotato: queue head %d in state, but %d packets injected or discarded",
+			dec.qHead, done)
 	}
 	if err := r.Done("hotpotato state"); err != nil {
 		return err

@@ -29,10 +29,14 @@ func TestConservativeMatchesSequential(t *testing.T) {
 		if got != want {
 			t.Fatalf("pes=%d: conservative totals differ:\ncons: %+v\nseq:  %+v", pes, got, want)
 		}
+		for i, st := range snapshot(t, cons) {
+			if st != wantStats[i] {
+				t.Fatalf("pes=%d router %d: conservative stats differ:\ncons: %+v\nseq:  %+v", pes, i, st, wantStats[i])
+			}
+		}
 		if ks.GVTRounds == 0 {
 			t.Fatalf("pes=%d: no windows executed", pes)
 		}
-		_ = wantStats
 	}
 }
 

@@ -62,33 +62,31 @@ type Packet struct {
 	Hops int32
 }
 
-// Msg is the model's message payload. The Saved* fields are the reverse-
-// computation save area: Forward records the values it overwrites and
-// Reverse restores them (the Bits flags on the event record which branches
-// ran).
+// Msg is the model's message payload. SavedDir and SavedClaim are the
+// reverse-computation save area: a routing or injection decision records
+// the link claim it overwrites and Reverse restores it. Statistics need no
+// save slot: Commit counts them, once, from the Bits flags Forward set.
 type Msg struct {
 	Kind Kind
 	P    Packet
 
-	SavedDir         topology.Direction
-	SavedClaim       int64
-	SavedWait        int64
-	SavedWaitMax     int64
-	SavedHeadAfter   int64
-	SavedDeliveryMax int64
+	SavedDir   topology.Direction
+	SavedClaim int64
 }
 
-// Event bit-flag indices (the tw_bf analogue).
+// Event bit-flag indices (the tw_bf analogue). Each counted outcome sets
+// one flag, so Commit tells outcomes apart without reading the payload and
+// returns at once on a forwarded arrival, the one event that sets none.
 const (
-	bitDelivered   = 0 // Arrive: packet was absorbed here
-	bitInjected    = 1 // Inject: a packet entered the network
-	bitWaitMax     = 2 // Inject: the worst-case wait was updated
-	bitDeflected   = 3 // Route: the packet was deflected
-	bitUpgraded    = 4 // Route: priority increased
-	bitDowngraded  = 5 // Route: priority decreased
-	bitGenerated   = 6 // Inject: a new packet was generated this step
-	bitDeliveryMax = 7 // Arrive: the worst-case delivery time was updated
-	bitDiscarded   = 8 // Inject: a self-addressed packet was dropped
+	bitDelivered  = 0 // Arrive: packet was absorbed here
+	bitInjected   = 1 // Inject: a packet entered the network
+	bitRouted     = 2 // Route: a link was claimed for the packet
+	bitDeflected  = 3 // Route: the packet was deflected
+	bitUpgraded   = 4 // Route: priority increased
+	bitDowngraded = 5 // Route: priority decreased
+	bitGenerated  = 6 // Inject: a new packet was generated this step
+	bitHeartbeat  = 7 // Heartbeat: the router ticked
+	bitDiscarded  = 8 // Inject: a self-addressed packet was dropped
 )
 
 // DistBuckets is the resolution of the per-distance delivery profile: each
@@ -105,7 +103,7 @@ const DistBuckets = 32
 const TimeBuckets = 32
 
 // Router is the per-LP state: the link claims of the current step, the
-// injection application's queue, and reversible statistics counters.
+// injection application's queue, and the committed statistics.
 type Router struct {
 	// claim[d] is the last step in which output link d was claimed; a
 	// link is free in step s while claim[d] != s.
@@ -134,13 +132,16 @@ func (r *Router) Stats() RouterStats { return r.stats }
 
 // RouterStats are the per-router measurements of §3.1.5: delivery counts
 // and times, injection counts and waits, plus algorithm-behaviour counters.
-// Every field is reversible (counters and saved-max), so statistics survive
-// optimistic execution exactly.
-// RouterStats fields measuring time do so in whole synchronous steps and
-// are int64 on purpose: integer accumulators make += / -= exactly
-// invertible, so statistics survive any rollback sequence bit-exactly
-// (floating-point accumulators are not associative and would drift after
-// reverse computation).
+// They are output only — no event reads them — so Commit counts them once
+// per committed event and neither Forward nor Reverse touches them. Sums
+// and maxima do not depend on the order commits of different routers
+// interleave, so every engine ends with the same block. Times are in whole
+// synchronous steps.
+//
+// Commit also leans on one identity: the committed injection-queue head is
+// Injected+Discarded, because qHead starts at 0 and only those two outcomes
+// move it. At the end of a run, and at every checkpoint cut, qHead equals
+// that sum.
 type RouterStats struct {
 	Delivered       int64
 	DeliveredByPrio [routing.NumStates]int64
@@ -196,92 +197,105 @@ func (m *Model) Forward(lp *core.LP, ev *core.Event) {
 	case KindInject:
 		m.inject(lp, ev, msg)
 	case KindHeartbeat:
-		r := lp.State.(*Router)
-		r.stats.Heartbeats++
+		ev.Bits.Set(bitHeartbeat)
 		lp.SendSelf(1.0, newMsg(lp, Msg{Kind: KindHeartbeat}))
 	default:
 		panic(fmt.Sprintf("hotpotato: unknown event kind %d", msg.Kind))
 	}
 }
 
-// Reverse implements core.Handler, restoring exactly what Forward changed.
+// Reverse implements core.Handler, restoring the routing state Forward
+// changed: a link claim, the injection-queue head and a generated entry.
 func (m *Model) Reverse(lp *core.LP, ev *core.Event) {
-	msg := ev.Data.(*Msg)
 	r := lp.State.(*Router)
-	switch msg.Kind {
-	case KindArrive:
-		if ev.Bits.Test(bitDelivered) {
-			transit := step(ev.RecvTime()) - step(msg.P.Born)
-			r.stats.Delivered--
-			r.stats.DeliveredByPrio[msg.P.Prio]--
-			r.stats.TransitTotal -= transit
-			r.stats.DistTotal -= int64(msg.P.Dist)
-			r.stats.HopsTotal -= int64(msg.P.Hops)
-			b := m.distBucket(int(msg.P.Dist))
-			r.stats.DelivTimeByDist[b] -= transit
-			r.stats.DelivCountByDist[b]--
-			tb := m.timeBucket(step(ev.RecvTime()))
-			r.stats.DelivTimeByTime[tb] -= transit
-			r.stats.DelivCountByTime[tb]--
-			if ev.Bits.Test(bitDeliveryMax) {
-				r.stats.DeliveryMax = msg.SavedDeliveryMax
-			}
-		}
-	case KindRoute:
+	if ev.Bits.Test(bitRouted) || ev.Bits.Test(bitInjected) {
+		msg := ev.Data.(*Msg)
 		r.claim[msg.SavedDir] = msg.SavedClaim
-		r.stats.Routed--
-		if ev.Bits.Test(bitDeflected) {
-			r.stats.Deflections--
-		}
-		if ev.Bits.Test(bitUpgraded) {
-			r.stats.Upgrades--
-		}
-		if ev.Bits.Test(bitDowngraded) {
-			r.stats.Downgrades--
-		}
-	case KindInject:
-		if ev.Bits.Test(bitInjected) {
-			if ev.Bits.Test(bitWaitMax) {
-				r.stats.WaitMax = msg.SavedWaitMax
-			}
-			r.stats.WaitTotal -= msg.SavedWait
-			r.stats.Injected--
-			r.claim[msg.SavedDir] = msg.SavedClaim
-			r.qHead--
-		}
-		if ev.Bits.Test(bitDiscarded) {
-			r.stats.Discarded--
-			r.qHead--
-		}
-		if ev.Bits.Test(bitGenerated) {
-			r.queue = r.queue[:len(r.queue)-1]
-			r.stats.Generated--
-		}
-	case KindHeartbeat:
-		r.stats.Heartbeats--
+	}
+	if ev.Bits.Test(bitInjected) || ev.Bits.Test(bitDiscarded) {
+		r.qHead--
+	}
+	if ev.Bits.Test(bitGenerated) {
+		r.queue = r.queue[:len(r.queue)-1]
 	}
 }
 
-// Commit implements core.Committer: once an injection event is final, the
-// queue entries it consumed can never be re-read, so the committed prefix
-// is trimmed to keep injector memory proportional to the uncommitted
-// window instead of the whole run. The survivors are copied down within the
-// array the queue already has; they end where they ended before, so
-// Reverse's "drop the last entry" still undoes the right generation.
+// Commit implements core.Committer: it counts the event's outcome into the
+// router's statistics, reading the payload only for a delivered packet.
+// A forwarded arrival sets no flag and returns on its Bits alone.
 //
-// Only an injection that moved qHead — bitInjected or bitDiscarded, which
-// no other kind sets — can change the trim, so every other event returns
-// on its Bits alone, without touching its payload.
+// An injection that moved the queue head also trims the committed prefix,
+// keeping injector memory proportional to the uncommitted window instead
+// of the whole run. The committed head before the event is
+// Injected+Discarded (see RouterStats), and the entry it consumed is still
+// in the queue, so the wait is read from it before the trim. The survivors
+// are copied down within the array the queue already has; they end where
+// they ended before, so Reverse's "drop the last entry" still undoes the
+// right generation.
 func (m *Model) Commit(lp *core.LP, ev *core.Event) {
-	if !ev.Bits.Test(bitInjected) && !ev.Bits.Test(bitDiscarded) {
+	if ev.Bits == 0 {
 		return
 	}
-	msg := ev.Data.(*Msg)
 	r := lp.State.(*Router)
-	if drop := msg.SavedHeadAfter - r.qBase; drop > 256 {
-		r.queue = r.queue[:copy(r.queue, r.queue[drop:])]
-		r.qBase = msg.SavedHeadAfter
+	s := &r.stats
+	switch {
+	case ev.Bits.Test(bitDelivered):
+		m.countDelivery(s, ev.RecvTime(), &ev.Data.(*Msg).P)
+	case ev.Bits.Test(bitRouted):
+		s.Routed++
+		if ev.Bits.Test(bitDeflected) {
+			s.Deflections++
+		}
+		if ev.Bits.Test(bitUpgraded) {
+			s.Upgrades++
+		}
+		if ev.Bits.Test(bitDowngraded) {
+			s.Downgrades++
+		}
+	case ev.Bits.Test(bitHeartbeat):
+		s.Heartbeats++
+	default:
+		if ev.Bits.Test(bitGenerated) {
+			s.Generated++
+		}
+		head := s.Injected + s.Discarded
+		switch {
+		case ev.Bits.Test(bitInjected):
+			wait := step(ev.RecvTime()) - r.queue[head-r.qBase]
+			s.Injected++
+			s.WaitTotal += wait
+			s.WaitMax = max(s.WaitMax, wait)
+		case ev.Bits.Test(bitDiscarded):
+			s.Discarded++
+		default:
+			return
+		}
+		head++
+		if drop := head - r.qBase; drop > 256 {
+			r.queue = r.queue[:copy(r.queue, r.queue[drop:])]
+			r.qBase = head
+		}
 	}
+}
+
+// countDelivery adds a packet absorbed at virtual time t to the delivery
+// statistics.
+func (m *Model) countDelivery(s *RouterStats, t core.Time, p *Packet) {
+	// Both times share the packet's jitter, so the step difference is the
+	// exact whole number of steps in transit.
+	transit := step(t) - step(p.Born)
+	s.Delivered++
+	s.DeliveredByPrio[p.Prio]++
+	s.TransitTotal += transit
+	s.DistTotal += int64(p.Dist)
+	s.HopsTotal += int64(p.Hops)
+	b := m.distBucket(int(p.Dist))
+	s.DelivTimeByDist[b] += transit
+	s.DelivCountByDist[b]++
+	tb := m.timeBucket(step(t))
+	s.DelivTimeByTime[tb] += transit
+	s.DelivCountByTime[tb]++
+	s.DeliveryMax = max(s.DeliveryMax, transit)
 }
 
 // arrive handles a packet arriving at a router: absorb it at its
@@ -290,28 +304,8 @@ func (m *Model) Commit(lp *core.LP, ev *core.Event) {
 func (m *Model) arrive(lp *core.LP, ev *core.Event, msg *Msg) {
 	t := ev.RecvTime()
 	p := &msg.P
-	r := lp.State.(*Router)
 	if p.Dst == lp.ID && (m.cfg.AbsorbSleeping || p.Prio != routing.Sleeping) {
 		ev.Bits.Set(bitDelivered)
-		// Both times share the packet's jitter, so the step difference is
-		// the exact whole number of steps in transit.
-		transit := step(t) - step(p.Born)
-		r.stats.Delivered++
-		r.stats.DeliveredByPrio[p.Prio]++
-		r.stats.TransitTotal += transit
-		r.stats.DistTotal += int64(p.Dist)
-		r.stats.HopsTotal += int64(p.Hops)
-		b := m.distBucket(int(p.Dist))
-		r.stats.DelivTimeByDist[b] += transit
-		r.stats.DelivCountByDist[b]++
-		tb := m.timeBucket(step(t))
-		r.stats.DelivTimeByTime[tb] += transit
-		r.stats.DelivCountByTime[tb]++
-		if transit > r.stats.DeliveryMax {
-			ev.Bits.Set(bitDeliveryMax)
-			msg.SavedDeliveryMax = r.stats.DeliveryMax
-			r.stats.DeliveryMax = transit
-		}
 		return
 	}
 	s := step(t)
@@ -342,22 +336,19 @@ func (m *Model) route(lp *core.LP, ev *core.Event, msg *Msg) {
 		panic(fmt.Sprintf("hotpotato: policy %s chose busy/absent link %v", m.cfg.Policy.Name(), dec.Dir))
 	}
 
+	ev.Bits.Set(bitRouted)
 	msg.SavedDir = dec.Dir
 	msg.SavedClaim = r.claim[dec.Dir]
 	r.claim[dec.Dir] = s
 
-	r.stats.Routed++
 	if dec.Deflected {
 		ev.Bits.Set(bitDeflected)
-		r.stats.Deflections++
 	}
 	switch {
 	case dec.NewPrio > p.Prio:
 		ev.Bits.Set(bitUpgraded)
-		r.stats.Upgrades++
 	case dec.NewPrio < p.Prio:
 		ev.Bits.Set(bitDowngraded)
-		r.stats.Downgrades++
 	}
 
 	next := m.net.Neighbor(self, dec.Dir)
@@ -380,7 +371,6 @@ func (m *Model) inject(lp *core.LP, ev *core.Event, msg *Msg) {
 	if m.cfg.InjectionProb >= 1 || lp.Rand() < m.cfg.InjectionProb {
 		ev.Bits.Set(bitGenerated)
 		r.queue = append(r.queue, s)
-		r.stats.Generated++
 	}
 
 	free := freeLinks(r, s)
@@ -391,8 +381,6 @@ func (m *Model) inject(lp *core.LP, ev *core.Event, msg *Msg) {
 			// source; drop it rather than wire it (transpose diagonal etc.).
 			ev.Bits.Set(bitDiscarded)
 			r.qHead++
-			r.stats.Discarded++
-			msg.SavedHeadAfter = r.qHead
 			lp.SendSelf(1.0, newMsg(lp, Msg{Kind: KindInject}))
 			return
 		}
@@ -428,18 +416,8 @@ func (m *Model) inject(lp *core.LP, ev *core.Event, msg *Msg) {
 			CreatedStep: born,
 			Dist:        int32(m.net.Dist(int(lp.ID), int(dst))),
 		}
-		wait := s - born
-		msg.SavedWait = wait
-		r.stats.Injected++
-		r.stats.WaitTotal += wait
-		if wait > r.stats.WaitMax {
-			ev.Bits.Set(bitWaitMax)
-			msg.SavedWaitMax = r.stats.WaitMax
-			r.stats.WaitMax = wait
-		}
 		lp.Send(core.LPID(m.net.Neighbor(int(lp.ID), dir)), arrival-t, newMsg(lp, Msg{Kind: KindArrive, P: pkt}))
 	}
-	msg.SavedHeadAfter = r.qHead
 
 	// Next attempt, one step later.
 	lp.SendSelf(1.0, newMsg(lp, Msg{Kind: KindInject}))

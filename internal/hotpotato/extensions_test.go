@@ -19,6 +19,7 @@ func runSeqModel(t *testing.T, cfg Config) (Totals, *Model, core.Host) {
 	if _, err := seq.Run(); err != nil {
 		t.Fatalf("sequential Run: %v", err)
 	}
+	snapshot(t, seq)
 	return m.Totals(seq), m, seq
 }
 

@@ -19,7 +19,7 @@ func runSeq(t *testing.T, cfg Config) (Totals, []RouterStats) {
 	if _, err := seq.Run(); err != nil {
 		t.Fatalf("sequential Run: %v", err)
 	}
-	return m.Totals(seq), snapshot(seq)
+	return m.Totals(seq), snapshot(t, seq)
 }
 
 // runPar builds and runs the parallel kernel.
@@ -33,13 +33,25 @@ func runPar(t *testing.T, cfg Config) (Totals, []RouterStats, *core.Stats) {
 	if err != nil {
 		t.Fatalf("parallel Run: %v", err)
 	}
-	return m.Totals(sim), snapshot(sim), ks
+	return m.Totals(sim), snapshot(t, sim), ks
 }
 
-func snapshot(h core.Host) []RouterStats {
+// snapshot returns every router's statistics at the end of a run, after
+// checking the queue identities Commit relies on: the queue head is
+// Injected+Discarded, and every generated packet is either still in the
+// queue or was trimmed from below qBase.
+func snapshot(t *testing.T, h core.Host) []RouterStats {
+	t.Helper()
 	out := make([]RouterStats, h.NumLPs())
 	for i := range out {
-		out[i] = h.LP(core.LPID(i)).State.(*Router).stats
+		r := h.LP(core.LPID(i)).State.(*Router)
+		if r.qHead != r.stats.Injected+r.stats.Discarded {
+			t.Fatalf("router %d: qHead %d, Injected+Discarded %d", i, r.qHead, r.stats.Injected+r.stats.Discarded)
+		}
+		if end := r.qBase + int64(len(r.queue)); end != r.stats.Generated {
+			t.Fatalf("router %d: qBase+len(queue) %d, Generated %d", i, end, r.stats.Generated)
+		}
+		out[i] = r.stats
 	}
 	return out
 }
@@ -109,6 +121,7 @@ func TestSoakParanoid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel Run: %v", err)
 	}
+	snapshot(t, sim)
 	if got := m.Totals(sim); got != want {
 		t.Fatalf("soak mismatch:\npar: %+v\nseq: %+v", got, want)
 	}

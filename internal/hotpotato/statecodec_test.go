@@ -25,6 +25,8 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	for i, f := range fields {
 		*f = int64(100 + i)
 	}
+	// ... except the two that must sum to the queue head.
+	r.stats.Injected, r.stats.Discarded = 3, 1
 	enc, err := codec{}.EncodeState(nil, r)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -41,5 +43,14 @@ func TestStateCodecRoundTrip(t *testing.T) {
 		if err := (codec{}).DecodeState(enc[:i], &Router{}); err == nil {
 			t.Fatalf("state prefix of %d/%d bytes decoded", i, len(enc))
 		}
+	}
+	// A queue head that disagrees with the injection counts is rejected.
+	r.stats.Discarded++
+	bad, err := codec{}.EncodeState(nil, r)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if err := (codec{}).DecodeState(bad, &Router{}); err == nil {
+		t.Fatal("state with qHead != Injected+Discarded decoded")
 	}
 }

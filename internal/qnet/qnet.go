@@ -1,6 +1,6 @@
-// Package qnet implements a closed queueing network — the third classic
-// Time Warp workload alongside PHOLD and PCS (queueing networks were the
-// original Time Warp benchmarks in Jefferson's and Fujimoto's studies).
+// Package qnet implements a closed queueing network — a classic Time Warp
+// workload alongside PHOLD (queueing networks were the original Time Warp
+// benchmarks in Jefferson's and Fujimoto's studies).
 //
 // A fixed population of jobs circulates among FIFO single-server stations
 // arranged on a torus: a job arriving at a station queues, receives an
@@ -71,17 +71,22 @@ const (
 	KindDepart
 )
 
-// Msg is the payload; the Saved fields support reverse computation.
+// Msg is the payload.
 type Msg struct {
 	Kind Kind
 	// EnqueuedAt is carried on Depart events: the time the departing job
 	// joined the queue (for waiting-time statistics).
 	EnqueuedAt core.Time
+	// HeadAfter is commit scratch, never on the wire: a Depart that starts
+	// the next job records the FIFO head it left, so Commit trims only
+	// entries that committed departures consumed.
+	HeadAfter int64
 }
 
 // Event bit flags.
 const (
-	bitStartedService = 0 // Arrive: the server was idle and service began
+	bitStartedService = 0 // the server began a job: an idle one on Arrive, the next waiting one on Depart
+	bitDepart         = 1 // Depart: a service completed (Arrive sets no other flag)
 )
 
 // Station is the per-LP state. The FIFO of enqueue times is an append/
@@ -93,11 +98,12 @@ type Station struct {
 	qBase int64
 	qHead int64
 
+	// The statistics are output only, counted once per committed event in
+	// Commit; Forward and Reverse never touch them.
 	Arrivals int64
 	Departs  int64
 	// WaitTicks accumulates sojourn times in fixed-point ticks (tickScale
-	// per time unit). Integer accumulation is the reversal-exact idiom:
-	// float64 += / -= is not associative and would drift under rollback.
+	// per time unit).
 	WaitTicks int64
 }
 
@@ -173,7 +179,6 @@ func (m *Model) Forward(lp *core.LP, ev *core.Event) {
 	msg := ev.Data.(*Msg)
 	switch msg.Kind {
 	case KindArrive:
-		st.Arrivals++
 		if !st.Busy {
 			// Idle server: begin service immediately.
 			ev.Bits.Set(bitStartedService)
@@ -184,8 +189,7 @@ func (m *Model) Forward(lp *core.LP, ev *core.Event) {
 		}
 		st.queue = append(st.queue, ev.RecvTime())
 	case KindDepart:
-		st.Departs++
-		st.WaitTicks += toTicks(ev.RecvTime() - msg.EnqueuedAt)
+		ev.Bits.Set(bitDepart)
 		// Forward the job to a random neighbour.
 		dir := topology.Direction(lp.RandInt(0, topology.NumDirections-1))
 		next := m.net.Neighbor(int(lp.ID), dir)
@@ -195,6 +199,7 @@ func (m *Model) Forward(lp *core.LP, ev *core.Event) {
 			ev.Bits.Set(bitStartedService)
 			enq := st.queue[st.qHead-st.qBase]
 			st.qHead++
+			msg.HeadAfter = st.qHead
 			lp.SendSelf(core.Time(lp.RandExp(m.cfg.MeanService))+1e-9,
 				newMsg(lp, Msg{Kind: KindDepart, EnqueuedAt: enq}))
 			return
@@ -216,24 +221,36 @@ func (m *Model) Reverse(lp *core.LP, ev *core.Event) {
 		} else {
 			st.queue = st.queue[:len(st.queue)-1]
 		}
-		st.Arrivals--
 	case KindDepart:
 		if ev.Bits.Test(bitStartedService) {
 			st.qHead--
 		} else {
 			st.Busy = true
 		}
-		st.WaitTicks -= toTicks(ev.RecvTime() - msg.EnqueuedAt)
-		st.Departs--
 	}
 }
 
-// Commit implements core.Committer: trim the committed prefix of the FIFO.
+// Commit implements core.Committer: it counts the committed event into the
+// station's statistics and trims the FIFO prefix that committed departures
+// consumed. The live head may already be past entries a rollback will need
+// again, so the trim goes only to the head a committed Depart left. The
+// survivors are copied down in place; they end where they ended before, so
+// Reverse's "drop the last entry" still undoes the right arrival.
 func (m *Model) Commit(lp *core.LP, ev *core.Event) {
 	st := lp.State.(*Station)
-	if drop := st.qHead - st.qBase; drop > 256 {
-		st.queue = append([]core.Time(nil), st.queue[drop:]...)
-		st.qBase = st.qHead
+	if !ev.Bits.Test(bitDepart) {
+		st.Arrivals++
+		return
+	}
+	msg := ev.Data.(*Msg)
+	st.Departs++
+	st.WaitTicks += toTicks(ev.RecvTime() - msg.EnqueuedAt)
+	if !ev.Bits.Test(bitStartedService) {
+		return
+	}
+	if drop := msg.HeadAfter - st.qBase; drop > 256 {
+		st.queue = st.queue[:copy(st.queue, st.queue[drop:])]
+		st.qBase = msg.HeadAfter
 	}
 }
 

@@ -30,36 +30,43 @@ func snapshot(h core.Host) []stationView {
 	return out
 }
 
-// TestParallelMatchesSequential: the queueing model — with its FIFO state
-// and fixed-point accumulators — must be rollback-exact.
+// TestParallelMatchesSequential: the queueing model — with its reversible
+// FIFO state and its counters kept at commit — must be rollback-exact. The second config
+// runs long enough, with queues deep enough, that the FIFO is trimmed at
+// commit while speculative departures have moved the live head past
+// entries a rollback needs again.
 func TestParallelMatchesSequential(t *testing.T) {
-	cfg := Config{N: 6, JobsPerStation: 3, MeanService: 0.8, EndTime: 40, Seed: 41}
-	seq, _, err := BuildEngine(core.KindSequential, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seq.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := snapshot(seq)
-
-	for _, pes := range []int{2, 4} {
-		pcfg := cfg
-		pcfg.NumPEs = pes
-		pcfg.NumKPs = 4 * pes
-		pcfg.BatchSize = 4
-		pcfg.GVTInterval = 2
-		sim, _, err := BuildEngine(core.KindOptimistic, pcfg)
+	for _, cfg := range []Config{
+		{N: 6, JobsPerStation: 3, MeanService: 0.8, EndTime: 40, Seed: 41},
+		{N: 4, JobsPerStation: 32, MeanService: 1, EndTime: 1500, Seed: 41},
+	} {
+		seq, _, err := BuildEngine(core.KindSequential, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.Run(); err != nil {
+		if _, err := seq.Run(); err != nil {
 			t.Fatal(err)
 		}
-		got := snapshot(sim)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pes=%d station %d: %+v != %+v", pes, i, got[i], want[i])
+		want := snapshot(seq)
+
+		for _, pes := range []int{2, 4} {
+			pcfg := cfg
+			pcfg.NumPEs = pes
+			pcfg.NumKPs = 4 * pes
+			pcfg.BatchSize = 4
+			pcfg.GVTInterval = 2
+			sim, _, err := BuildEngine(core.KindOptimistic, pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Run(); err != nil {
+				t.Fatalf("N=%d pes=%d: %v", cfg.N, pes, err)
+			}
+			got := snapshot(sim)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("N=%d pes=%d station %d: %+v != %+v", cfg.N, pes, i, got[i], want[i])
+				}
 			}
 		}
 	}

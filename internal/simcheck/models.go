@@ -137,5 +137,15 @@ func buildQNet(c Cell, endTime core.Time) (*instance, error) {
 		return nil, err
 	}
 	summary := func() string { return m.Totals(eng, cfg.EndTime).String() }
-	return newInstance(c, eng, cfg.EndTime, summary, nil)
+	return newInstance(c, eng, cfg.EndTime, summary, describeQNet)
+}
+
+// describeQNet renders the semantic payload as `&{Kind EnqueuedAt}`, the
+// form the recorded trace hashes were taken over, and drops Msg's HeadAfter
+// commit scratch (see instance.describe for why scratch cannot be hashed).
+func describeQNet(lp *core.LP, ev *core.Event) string {
+	if m, ok := ev.Data.(*qnet.Msg); ok {
+		return fmt.Sprintf("&{%v %v}", m.Kind, m.EnqueuedAt)
+	}
+	return fmt.Sprintf("%v", ev.Data)
 }

@@ -145,6 +145,19 @@ func TestSoakReproducible(t *testing.T) {
 	}
 }
 
+// TestSoakFixedPoint pins the documented soak fixed point: `soaktest -seed
+// 7 -episodes 16` must land on one fingerprint on any core count. A change
+// that moves it changed what some model or engine commits.
+func TestSoakFixedPoint(t *testing.T) {
+	rep := Check(Soak{Seed: 7, Episodes: 16, Paranoid: true}.Schedule(), "", nil)
+	if !rep.OK() {
+		t.Fatalf("seed 7 soak failed:\n%v", rep.Divergences)
+	}
+	if rep.Cells != 32 || rep.Fingerprint != 0x527e27a4a606deb9 {
+		t.Fatalf("seed 7 soak: cells=%d fingerprint=%016x, want 32 and 527e27a4a606deb9", rep.Cells, rep.Fingerprint)
+	}
+}
+
 // TestSoakWallBudget: a wall-clock budget must stop the loop and still run
 // at least one episode.
 func TestSoakWallBudget(t *testing.T) {

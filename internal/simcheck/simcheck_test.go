@@ -1,10 +1,12 @@
 package simcheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/qnet"
 )
 
 // TestSmokeMatrix is the harness's positive control: the CI smoke matrix —
@@ -162,6 +164,25 @@ func TestCellStringIsReproductionRecipe(t *testing.T) {
 	for _, want := range []string{"model=phold", "engine=optimistic", "pes=4", "kps=16", "seed=99", "RollbackEvery:2", "mutation=broken-reverse"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("cell artifact %q missing %q", s, want)
+		}
+	}
+}
+
+// TestDescribeQNet: the qnet describer renders a payload exactly as the
+// default %v rendered Msg before it gained its HeadAfter commit scratch, so
+// trace hashes stay what they were and ignore the scratch.
+func TestDescribeQNet(t *testing.T) {
+	type oldMsg struct {
+		Kind       qnet.Kind
+		EnqueuedAt core.Time
+	}
+	for _, m := range []*qnet.Msg{
+		{Kind: qnet.KindArrive},
+		{Kind: qnet.KindDepart, EnqueuedAt: 3.25, HeadAfter: 9},
+	} {
+		want := fmt.Sprintf("%v", &oldMsg{m.Kind, m.EnqueuedAt})
+		if got := describeQNet(nil, &core.Event{Data: m}); got != want {
+			t.Errorf("describeQNet(%+v) = %q, want %q", m, got, want)
 		}
 	}
 }
