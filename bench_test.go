@@ -88,7 +88,7 @@ func BenchmarkKernelTorusComms(b *testing.B) {
 // BenchmarkKernelPHOLD is the raw kernel throughput benchmark, the number
 // to compare against other PDES engines.
 func BenchmarkKernelPHOLD(b *testing.B) {
-	for _, pes := range []int{1, 4} {
+	for _, pes := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("pe%d", pes), func(b *testing.B) {
 			var committed int64
 			for i := 0; i < b.N; i++ {
@@ -112,4 +112,30 @@ func BenchmarkKernelPHOLD(b *testing.B) {
 			b.ReportMetric(float64(committed)/float64(b.N), "events/run")
 		})
 	}
+}
+
+// BenchmarkBuild is construction alone — LP records, placement table,
+// random streams, bootstrap events — for the configs of the benchmark's
+// phold_tw2 and torus_tw2 workloads (benchmark/workloads.go), the cost its
+// setup_s reports.
+func BenchmarkBuild(b *testing.B) {
+	b.Run("phold_tw2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := phold.Build(phold.Config{NumLPs: 4096, Population: 8, RemoteProb: 0.5,
+				EndTime: 150, NumPEs: 2, Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("torus_tw2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg := hotpotato.DefaultConfig(32)
+			cfg.Steps = 400
+			cfg.Seed = 1
+			cfg.NumPEs = 2
+			if _, _, err := hotpotato.Build(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

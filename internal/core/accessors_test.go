@@ -19,8 +19,8 @@ func TestAccessors(t *testing.T) {
 		if lp.ID != LPID(i) {
 			t.Fatalf("LP %d has ID %d", i, lp.ID)
 		}
-		if lp.KPID() != i%3 {
-			t.Fatalf("LP %d on KP %d, want %d", i, lp.KPID(), i%3)
+		if kp := s.kpOf(LPID(i)).ID(); kp != i%3 {
+			t.Fatalf("LP %d on KP %d, want %d", i, kp, i%3)
 		}
 	}
 	for _, kp := range s.kps {
@@ -33,8 +33,8 @@ func TestAccessors(t *testing.T) {
 			t.Fatal("PE.ID accessor broken")
 		}
 	}
-	if s.lookup(-1) != nil || s.lookup(99) != nil {
-		t.Fatal("lookup accepted out-of-range IDs")
+	if s.has(-1) || s.has(6) || !s.has(5) {
+		t.Fatal("has misjudged the LP range")
 	}
 
 	cons, err := NewConservative(Config{NumLPs: 4, NumPEs: 2, EndTime: 10}, 1)
@@ -44,18 +44,12 @@ func TestAccessors(t *testing.T) {
 	if cons.NumLPs() != 4 {
 		t.Fatalf("conservative NumLPs = %d", cons.NumLPs())
 	}
-	if cons.pes[0].lookup(99) != nil || cons.pes[0].lookup(-1) != nil {
-		t.Fatal("conservative lookup accepted out-of-range IDs")
-	}
 	mustPanic(t, "conservative negative time", func() { cons.Schedule(0, -1, nil) })
 	mustPanic(t, "conservative unknown LP", func() { cons.Schedule(99, 0, nil) })
 
 	seq, err := NewSequential(Config{NumLPs: 4, EndTime: 10})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if seq.lookup(99) != nil || seq.lookup(-1) != nil {
-		t.Fatal("sequential lookup accepted out-of-range IDs")
 	}
 	mustPanic(t, "sequential negative time", func() { seq.Schedule(0, -1, nil) })
 	mustPanic(t, "sequential unknown LP", func() { seq.Schedule(99, 0, nil) })

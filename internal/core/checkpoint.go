@@ -271,10 +271,10 @@ func (s *Simulator) RestoreLP(id LPID, state [4]uint64, draws, sendSeq uint64) e
 	if s.ran {
 		panic("core: RestoreLP after Run")
 	}
-	lp := s.lookup(id)
-	if lp == nil {
+	if !s.has(id) {
 		panic("core: RestoreLP for unknown LP")
 	}
+	lp := s.lps[id]
 	if err := lp.rng.Restore(state, draws); err != nil {
 		return err
 	}

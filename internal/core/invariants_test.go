@@ -40,7 +40,7 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	}
 
 	// Corrupt: swap the processed order.
-	kp := s.lps[0].kp
+	kp := s.kpOf(0)
 	kp.processed[0], kp.processed[1] = kp.processed[1], kp.processed[0]
 	err = pe.checkInvariants(0)
 	if err == nil || !strings.Contains(err.Error(), "out of order") {

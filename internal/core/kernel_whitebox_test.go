@@ -262,7 +262,7 @@ func TestFossilCollectionCommitsBelowGVT(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		exec(t, pe)
 	}
-	kp := s.lps[0].kp
+	kp := s.kpOf(0)
 	if kp.live() != 100 {
 		t.Fatalf("live = %d", kp.live())
 	}
@@ -290,7 +290,7 @@ func TestFossilCollectionCommitsBelowGVT(t *testing.T) {
 func TestFossilCompaction(t *testing.T) {
 	s := build2LPKernel(t)
 	pe := s.pes[0]
-	kp := s.lps[0].kp
+	kp := s.kpOf(0)
 	tick := Time(1)
 	seq := uint64(1)
 	for round := 0; round < 50; round++ {
@@ -494,7 +494,7 @@ func TestFossilCollectionFreesStateSaves(t *testing.T) {
 		pe.insert(&Event{recvTime: Time(i + 1), dst: 0, src: NoLP, seq: uint64(100 + i)})
 		exec(t, pe)
 	}
-	kp := s.lps[0].kp
+	kp := s.kpOf(0)
 	if kp.live() != n || pe.liveEvents != n {
 		t.Fatalf("live=%d gauge=%d, want %d", kp.live(), pe.liveEvents, n)
 	}

@@ -10,7 +10,6 @@ package core
 // them by sweeping Config.NumKPs.
 type KP struct {
 	id int
-	pe *PE
 
 	// processed holds this KP's executed-but-uncommitted events in
 	// processing order (ascending by the kernel's total event order).

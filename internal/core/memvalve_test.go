@@ -153,7 +153,7 @@ func TestInvariantSweepCatchesCorruption(t *testing.T) {
 			forward: func(lp *LP, ev *Event) {
 				inner.Forward(lp, ev)
 				if armed.CompareAndSwap(false, true) {
-					lp.kp.pe.liveEvents += 100
+					s.peOf(lp.ID).liveEvents += 100
 				}
 			},
 			reverse: inner.Reverse,

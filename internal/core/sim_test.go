@@ -234,7 +234,7 @@ func TestConfigValidation(t *testing.T) {
 // TestConfigDefaults checks the derived placement parameters.
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{NumLPs: 100, EndTime: 1}
-	if err := cfg.setDefaults(); err != nil {
+	if _, err := cfg.resolve(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.NumPEs <= 0 || cfg.NumPEs > 100 {
@@ -248,7 +248,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	// More PEs than LPs must clamp.
 	cfg2 := Config{NumLPs: 3, EndTime: 1, NumPEs: 64, NumKPs: 128}
-	if err := cfg2.setDefaults(); err != nil {
+	if _, err := cfg2.resolve(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg2.NumPEs > 3 || cfg2.NumKPs > 3 {

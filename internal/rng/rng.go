@@ -107,6 +107,18 @@ func (st *Stream) SeedStream(id uint64) {
 	st.draws = 0
 }
 
+// SeedNext resets the stream to the initial state of the stream after
+// prev's. When prev holds the initial state of stream id, st ends exactly as
+// SeedStream(id+1) would leave it (for id+1 < 2^64), at one multiplication
+// per component instead of a modular power, so streams seeded in ID order
+// cost O(1) each. st and prev may be the same stream.
+func (st *Stream) SeedNext(prev *Stream) {
+	for i := range st.s {
+		st.s[i] = uint32(uint64(prev.s[i]) * clcg4Jump[i] % clcg4M[i])
+	}
+	st.draws = 0
+}
+
 // State returns the four component states; useful for checkpointing and in
 // tests that assert exact reversal.
 func (st *Stream) State() [4]uint64 {

@@ -253,6 +253,28 @@ func TestStreamJumpConsistency(t *testing.T) {
 	}
 }
 
+// TestSeedNextChain: seeding each stream from its predecessor reaches the
+// same state as seeding it by ID, over runs of consecutive IDs at the start
+// of the ID space, in its middle and just below its top. SeedNext also
+// clears the draw count of a stream that has drawn.
+func TestSeedNextChain(t *testing.T) {
+	for _, first := range []uint64{0, 1 << 63, 1<<64 - 10_001} {
+		var prev, next, want Stream
+		prev.SeedStream(first)
+		for k := uint64(1); k <= 10_000; k++ {
+			id := first + k
+			next.Uniform()
+			next.SeedNext(&prev)
+			want.SeedStream(id)
+			if next != want {
+				t.Fatalf("chain from %d: stream %d is %v/%d, SeedStream gives %v/%d",
+					first, id, next.State(), next.Draws(), want.State(), want.Draws())
+			}
+			prev = next
+		}
+	}
+}
+
 // TestPowMod checks the modular exponentiation helper against small cases.
 func TestPowMod(t *testing.T) {
 	cases := []struct{ b, e, m, want uint64 }{
