@@ -1,7 +1,6 @@
 // Command simlint runs the Time Warp kernel's static analyzer suite
-// (reversecheck, determcheck, lifecheck, ownercheck, atomiccheck — see
-// docs/ANALYSIS.md) over the packages matched by its arguments,
-// defaulting to ./...
+// (reversecheck, determcheck, ownercheck — see docs/ANALYSIS.md) over the
+// packages matched by its arguments, defaulting to ./...
 //
 // Exit status is 1 when unwaived findings are reported, 2 on usage or
 // load errors. Findings are waived, where intentional, with

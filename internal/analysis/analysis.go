@@ -1,11 +1,10 @@
 // Package analysis implements simlint: a suite of static analyzers that
-// enforce the Time Warp kernel's model-author contracts at build time —
+// enforce the Time Warp kernel's contracts at build time —
 // reverse-computation completeness (reversecheck), handler determinism
-// (determcheck), event/payload lifecycle discipline (lifecheck),
-// goroutine-ownership of annotated fields, the PEs' counter records
-// among them (ownercheck), and lock-free publish discipline (atomiccheck).
-// See docs/ANALYSIS.md for the contracts and the escape-hatch
-// annotations.
+// (determcheck), and goroutine ownership of annotated fields, the
+// lock-free lanes' single-writer indexes and publish order among them
+// (ownercheck). See docs/ANALYSIS.md for the contracts, the escape-hatch
+// annotations and the evidence each analyzer stays on.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // diagnostics, object facts) but is built on the standard library only:
@@ -147,5 +146,5 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 
 // Analyzers returns the full simlint suite in its canonical order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Reversecheck, Determcheck, Lifecheck, Ownercheck, Atomiccheck}
+	return []*Analyzer{Reversecheck, Determcheck, Ownercheck}
 }

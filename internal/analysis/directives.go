@@ -16,12 +16,12 @@ import (
 // (enforced by the driver): an unexplained waiver is itself a finding, so
 // every escape hatch in the tree names the invariant it bypasses.
 //
-// The non-suppression directives are markers: //simlint:owned tags a
-// struct field as goroutine-owned (ownercheck), //simlint:spsc tags an
-// atomic index of a single-producer/single-consumer pair and
-// //simlint:publishes <field> tags an atomic guard whose store publishes
-// the named sibling field (both atomiccheck). Markers take no reason;
-// publishes takes the published field's name as its argument.
+// The non-suppression directives are ownercheck's markers: //simlint:owned
+// tags a struct field as goroutine-owned, //simlint:spsc tags an atomic
+// index of a single-producer/single-consumer pair and //simlint:publishes
+// <field> tags an atomic guard whose store publishes the named sibling
+// field. Markers take no reason; publishes takes the published field's
+// name as its argument.
 const directivePrefix = "//simlint:"
 
 // SuppressionKeywords maps each annotation keyword to the analyzers it
@@ -30,8 +30,7 @@ const directivePrefix = "//simlint:"
 var SuppressionKeywords = map[string]string{
 	"irreversible":  "reversecheck",
 	"deterministic": "determcheck",
-	"retained":      "lifecheck",
-	"crosspe":       "ownercheck, atomiccheck",
+	"crosspe":       "ownercheck",
 }
 
 // MarkerKeywords are directives that tag declarations for an analyzer

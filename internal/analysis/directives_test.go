@@ -40,7 +40,7 @@ func waived() {
 }
 
 func partial() {
-	a := 1 //simlint:retained same line
+	a := 1 //simlint:irreversible same line
 	//simlint:crosspe next line
 	b := 2
 	_, _ = a, b
@@ -67,10 +67,10 @@ func TestDirectiveScopes(t *testing.T) {
 	}{
 		{7, "deterministic", true}, // x := 1, inside waived func doc scope
 		{8, "deterministic", true}, // _ = x
-		{12, "retained", true},     // same-line annotation
+		{12, "irreversible", true}, // same-line annotation
 		{14, "crosspe", true},      // line below annotation
 		{16, "crosspe", false},     // two lines below: out of scope
-		{7, "retained", false},     // wrong keyword
+		{7, "irreversible", false}, // wrong keyword
 	}
 	usage := NewDirectiveUsage()
 	for _, c := range cases {

@@ -22,7 +22,7 @@ func TestRepoIsClean(t *testing.T) {
 	for _, a := range analysis.Analyzers() {
 		suite[a.Name] = true
 	}
-	for _, want := range []string{"reversecheck", "determcheck", "lifecheck", "ownercheck", "atomiccheck"} {
+	for _, want := range []string{"reversecheck", "determcheck", "ownercheck"} {
 		if !suite[want] {
 			t.Errorf("analyzer suite is missing %s", want)
 		}

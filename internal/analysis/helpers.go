@@ -31,8 +31,8 @@ func namedOf(t types.Type) *types.Named {
 }
 
 // isAtomicType reports whether t (possibly behind pointers) is one of
-// sync/atomic's types — the one field shape the ownership analyzers
-// accept for sanctioned cross-goroutine access.
+// sync/atomic's types — the one field shape ownercheck accepts for
+// sanctioned cross-goroutine access.
 func isAtomicType(t types.Type) bool {
 	n := namedOf(t)
 	if n == nil || n.Obj().Pkg() == nil {

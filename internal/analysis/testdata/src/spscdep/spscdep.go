@@ -1,5 +1,5 @@
-// Fixture dependency for atomiccheck: the exported spsc index lets the
-// importing fixture exercise cross-package spscFact flow.
+// Fixture dependency for ownercheck's spsc marker: the exported index
+// lets the importing fixture exercise cross-package spscFact flow.
 package spscdep
 
 import "sync/atomic"

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/topology"
@@ -269,22 +271,53 @@ func TestSendToUnknownLP(t *testing.T) {
 				}
 			})
 			e.Schedule(0, 0.5, nil)
-			msg := func() (msg string) {
-				defer func() {
-					if r := recover(); r != nil {
-						msg = fmt.Sprint(r) // the sequential engine does not recover handler panics
-					}
-				}()
-				if _, err := e.Run(); err != nil {
-					return err.Error()
-				}
-				return ""
-			}()
-			if !strings.Contains(msg, "Send to unknown LP") {
-				t.Errorf("%s: Send to %d after %g: got %q, want a Send to unknown LP failure", kind, c.dst, c.delay, msg)
+			_, err = e.Run()
+			if err == nil || !strings.Contains(err.Error(), "Send to unknown LP") {
+				t.Errorf("%s: Send to %d after %g: got %v, want a Send to unknown LP error", kind, c.dst, c.delay, err)
 			}
 			if n := e.LP(0).sendSeq; n != 0 {
 				t.Errorf("%s: Send to %d after %g numbered %d events before failing", kind, c.dst, c.delay, n)
+			}
+		}
+	}
+}
+
+// TestRunLeaksNoGoroutine: Run on every engine, whether it ends cleanly or
+// fails on a handler panic, leaves no goroutine behind once it returns.
+func TestRunLeaksNoGoroutine(t *testing.T) {
+	const numLPs = 8
+	for _, kind := range EngineKinds() {
+		for _, panics := range []bool{false, true} {
+			e, err := NewEngine(kind, Config{NumLPs: numLPs, NumPEs: 2, EndTime: 50}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.ForEachLP(func(lp *LP) {
+				lp.Handler = funcHandler{
+					forward: func(lp *LP, ev *Event) {
+						if panics && lp.Now() > 20 {
+							panic("seeded handler panic")
+						}
+						lp.Send((lp.ID+1)%numLPs, 1, nil)
+					},
+					reverse: func(*LP, *Event) {},
+				}
+			})
+			for i := range numLPs {
+				e.Schedule(LPID(i), 0.5, nil)
+			}
+			before := runtime.NumGoroutine()
+			if _, err := e.Run(); (err != nil) != panics {
+				t.Fatalf("%s panics=%v: Run returned %v", kind, panics, err)
+			}
+			// A goroutine that has signalled completion may still be on its
+			// way out: poll, with a bound.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s panics=%v: %d goroutines after Run, %d before", kind, panics, runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/eventq"
@@ -45,8 +47,17 @@ func (q *Sequential) scheduleNew(ev *Event) {
 
 // Run executes events in order until the queue drains or the end time is
 // reached. Commit callbacks fire immediately after each Forward — in the
-// sequential world every event is final the moment it executes.
-func (q *Sequential) Run() (*Stats, error) {
+// sequential world every event is final the moment it executes. A handler
+// panic fails the run with an error naming the LP, phase and event, as it
+// does on the parallel engines.
+func (q *Sequential) Run() (st *Stats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			buf := make([]byte, 16<<10)
+			buf = buf[:runtime.Stack(buf, false)]
+			st, err = nil, fmt.Errorf("core: sequential engine panicked%s: %v\n%s", inHandler(q.lps, q), r, buf)
+		}
+	}()
 	if err := q.start(q.scheduleNew); err != nil {
 		return nil, err
 	}

@@ -332,7 +332,7 @@ func (panicModel) Reverse(lp *LP, ev *Event) {}
 
 // The error names the LP, the phase and the event that panicked.
 func TestHandlerPanicBecomesError(t *testing.T) {
-	for _, kind := range []EngineKind{KindOptimistic, KindConservative} {
+	for _, kind := range EngineKinds() {
 		for _, pes := range []int{1, 4} {
 			eng, err := NewEngine(kind, Config{NumLPs: 8, EndTime: 10, NumPEs: pes}, 0.5)
 			if err != nil {

@@ -135,7 +135,7 @@ func (c *peCounter) bump() { c.events++ }
 // so a consumer that trusted the guard could read total mid-write. The
 // cell is only ever touched from LP 0's goroutine (no consumer exists),
 // so arming it races nothing; the bug is caught statically by
-// atomiccheck, not by the oracle.
+// ownercheck, not by the oracle.
 type publishCell struct {
 	//simlint:publishes total
 	ready atomic.Int64
@@ -144,7 +144,7 @@ type publishCell struct {
 
 func (p *publishCell) leak(v int64) {
 	p.ready.Store(1)
-	p.total = v //simlint:crosspe seeded publish-order bug: stores the payload after the guard that publishes it; TestMutationPublishOrderDetected asserts atomiccheck flags this line
+	p.total = v //simlint:crosspe seeded publish-order bug: stores the payload after the guard that publishes it; TestMutationPublishOrderDetected asserts ownercheck flags this line
 }
 
 // ownershipNoise is the MutOwnership wrapper: each event first bumps the

@@ -45,20 +45,20 @@ func TestMutationOwnershipDetected(t *testing.T) {
 	}
 }
 
-// TestMutationPublishOrderDetected: atomiccheck must flag publishCell.leak
+// TestMutationPublishOrderDetected: ownercheck must flag publishCell.leak
 // storing the payload after the atomic guard that publishes it.
 func TestMutationPublishOrderDetected(t *testing.T) {
 	found := false
 	for _, f := range lintSelf(t) {
-		if f.Analyzer == "atomiccheck" && f.Waived &&
+		if f.Analyzer == "ownercheck" && f.Waived &&
 			strings.HasSuffix(f.Position.Filename, "mutate.go") &&
 			strings.Contains(f.Message, "after the ready store") {
 			found = true
-			t.Logf("atomiccheck caught the seeded bug: %s", f)
+			t.Logf("ownercheck caught the seeded bug: %s", f)
 		}
 	}
 	if !found {
-		t.Fatal("atomiccheck did not flag the seeded publish-order bug in publishCell.leak")
+		t.Fatal("ownercheck did not flag the seeded publish-order bug in publishCell.leak")
 	}
 }
 
